@@ -39,4 +39,25 @@ from .verify import (BUDGETS, RateFit, discrete_reliability_check, fit_rate,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "SparseSpd", "assemble_system", "discrete_state", "eval_discrete",
+    "AdaptiveConfig", "AdaptiveHistory", "HistoryRow", "LevelRecord",
+    "QuadSpec", "SolverSpec", "StopSpec", "run_adaptive", "run_exact_adaptive",
+    "run_inexact_adaptive", "AssemblyValidityError", "ConfigurationError",
+    "IdentityViolationError", "MeshValidityError", "NumericalEstimateError",
+    "SolverError", "EstimatorReport", "VNormReport", "compute_error_norms",
+    "compute_indicators", "discrete_v_norm", "parse_config", "read_history",
+    "read_mesh_text", "serialize_config", "write_history", "write_mesh_text",
+    "write_vtk", "MarkingSpec", "doerfler_bruteforce", "mark",
+    "verify_marking_axiom", "Mesh", "MeshDiagnostics", "ancestor_map",
+    "builtin_domain", "element_geometry", "is_refinement_of", "patch",
+    "refine_nvb", "refine_uniform", "validate", "ExactSolution", "Problem",
+    "ProblemSpec", "make_problem", "QuadRule", "quadrature_rule", "FixedSteps",
+    "IncrementStop", "PcgResult", "ResidualTol", "estimate_pcg_contraction",
+    "exact_solve", "pcg_run", "DofMap", "build_dofmap", "eval_local_basis",
+    "prolongation_matrix", "prolongate", "BUDGETS", "RateFit",
+    "discrete_reliability_check", "fit_rate", "galerkin_orthogonality_check",
+    "helmholtz_config", "interpolation_rate_check", "local_efficiency_check",
+    "lshape_config", "pythagoras_check", "run_all", "sandwich_constants",
+    "smooth_poisson_config",
+]

@@ -93,7 +93,6 @@ class LevelRecord:
     error_report: object
     marked: Optional[np.ndarray]
     increment_final: Optional[float]
-    eta_at_stop: Optional[float]
 
 
 @dataclass
@@ -173,7 +172,6 @@ def run_adaptive(config, keep_records=False, level_sink=None):
                                       config.quadrature.assembly_order)
 
         increment_final = None
-        eta_at_stop = None
         if solver.kind == "exact":
             coef = exact_solve(system, rhs)
             iterations = 0
@@ -201,7 +199,6 @@ def run_adaptive(config, keep_records=False, level_sink=None):
             increment_final = result.increments[-1] if result.increments else 0.0
 
         report = compute_indicators(mesh, dofmap, problem, coef, est_order)
-        eta_at_stop = report.total
         error_report = None
         if problem.exact is not None:
             error_report = compute_error_norms(mesh, dofmap, coef,
@@ -229,8 +226,7 @@ def run_adaptive(config, keep_records=False, level_sink=None):
             records.append(LevelRecord(
                 level=level, mesh=mesh, dofmap=dofmap, system=system, rhs=rhs,
                 coef=coef, report=report, error_report=error_report,
-                marked=marked, increment_final=increment_final,
-                eta_at_stop=eta_at_stop))
+                marked=marked, increment_final=increment_final))
         if level_sink is not None:
             level_sink(row)
 

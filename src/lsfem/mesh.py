@@ -72,9 +72,10 @@ class Mesh:
         if elements.size and (elements.min() < 0
                               or elements.max() >= len(vertices)):
             raise MeshValidityError("element vertex index out of range")
-        for t, tri in enumerate(elements):
-            if len(set(tri.tolist())) != 3:
-                raise MeshValidityError(f"element {t} repeats a vertex")
+        repeats = (np.diff(np.sort(elements, axis=1), axis=1) == 0).any(axis=1)
+        if repeats.any():
+            raise MeshValidityError(
+                f"element {int(np.argmax(repeats))} repeats a vertex")
         self.vertices = vertices
         self.elements = elements
         self.vertices.setflags(write=False)
@@ -113,7 +114,7 @@ class Mesh:
     # -- cached topology ---------------------------------------------------
 
     def _edge_tables(self):
-        """Edge numbering and incidence, computed once per mesh.
+        """Edge numbering, incidence and normals, computed once per mesh.
 
         Returns a dict with:
           edges         (ne, 2) sorted vertex pairs, lexicographically ordered
@@ -121,33 +122,42 @@ class Mesh:
           edge_elements (ne, 2) adjacent element indices, ascending, -1 pad
           edge_signs    (nt, 3) +1 where the element is the lowest-index
                         element adjacent to the edge, else -1
+          edge_normals  (ne, 2) the global edge normal: the unit normal
+                        pointing out of edge_elements[e, 0], hence outward
+                        on the boundary
         """
         if "edges" in self._cache:
             return self._cache
-        pairs = self.elements[:, _LOCAL_EDGES]        # (nt, 3, 2)
-        pairs = np.sort(pairs.reshape(-1, 2), axis=1)
-        edges, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        elem_edges = inverse.reshape(self.n_elements, 3)
-        ne = edges.shape[0]
-        edge_elements = np.full((ne, 2), -1, dtype=np.intp)
-        owner = np.repeat(np.arange(self.n_elements, dtype=np.intp), 3)
-        order = np.argsort(inverse, kind="stable")
-        counts = np.bincount(inverse, minlength=ne)
+        nt = self.n_elements
+        pairs = np.sort(self.elements[:, _LOCAL_EDGES].reshape(-1, 2), axis=1)
+        # a * nv + b orders sorted pairs lexicographically
+        keys = pairs[:, 0] * self.n_vertices + pairs[:, 1]
+        _, inverse = np.unique(keys, return_inverse=True)
+        elem_edges = inverse.reshape(nt, 3)
+        counts = np.bincount(inverse)
         if counts.size and counts.max() > 2:
             raise MeshValidityError("an edge is shared by more than two elements")
-        start = 0
-        for e in range(ne):
-            c = counts[e]
-            adj = np.sort(owner[order[start:start + c]])
-            edge_elements[e, :c] = adj
-            start += c
-        signs = np.where(
-            edge_elements[elem_edges, 0]
-            == np.arange(self.n_elements, dtype=np.intp)[:, None], 1, -1)
-        self._cache["edges"] = edges
-        self._cache["elem_edges"] = elem_edges
-        self._cache["edge_elements"] = edge_elements
-        self._cache["edge_signs"] = signs.astype(np.intp)
+        # local edges grouped by edge, ascending element within each group;
+        # the first of each group is the edge's positively oriented one
+        order = np.argsort(inverse, kind="stable")
+        first = np.cumsum(counts) - counts
+        lowest = order[first]
+        edges = pairs[lowest]
+        edge_elements = np.full((counts.size, 2), -1, dtype=np.intp)
+        edge_elements[:, 0] = lowest // 3
+        shared = counts == 2
+        edge_elements[shared, 1] = order[first[shared] + 1] // 3
+        signs = np.full(3 * nt, -1, dtype=np.intp)
+        signs[lowest] = 1
+        # right-hand perp of the CCW tangent of local edge i points out
+        coords = self.element_coords()
+        tangent = coords[:, [2, 0, 1]] - coords[:, [1, 2, 0]]
+        normal = tangent[..., ::-1] * [1.0, -1.0]
+        normal /= np.hypot(tangent[..., 0], tangent[..., 1])[..., None]
+        self._cache.update(edges=edges, elem_edges=elem_edges,
+                           edge_elements=edge_elements,
+                           edge_signs=signs.reshape(nt, 3),
+                           edge_normals=normal.reshape(-1, 2)[lowest])
         return self._cache
 
     @property
@@ -167,6 +177,10 @@ class Mesh:
         return self._edge_tables()["edge_signs"]
 
     @property
+    def edge_normals(self):
+        return self._edge_tables()["edge_normals"]
+
+    @property
     def boundary_edge_mask(self):
         return self.edge_elements[:, 1] < 0
 
@@ -182,13 +196,12 @@ class Mesh:
     def vertex_elements(self, v):
         """Indices of elements touching vertex v, ascending."""
         if "vertex_elements" not in self._cache:
-            incidence = [[] for _ in range(self.n_vertices)]
-            for t, tri in enumerate(self.elements):
-                for v_ in tri:
-                    incidence[v_].append(t)
-            self._cache["vertex_elements"] = [
-                np.array(lst, dtype=np.intp) for lst in incidence]
-        return self._cache["vertex_elements"][v]
+            flat = self.elements.ravel()
+            order = np.argsort(flat, kind="stable")
+            start = np.searchsorted(flat[order], np.arange(self.n_vertices + 1))
+            self._cache["vertex_elements"] = (order // 3, start)
+        owners, start = self._cache["vertex_elements"]
+        return owners[start[v]:start[v + 1]]
 
 
 # -- construction ----------------------------------------------------------

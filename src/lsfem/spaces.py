@@ -3,9 +3,9 @@
 Scalar dofs live at interior vertices (boundary values are constrained to
 zero by omission).  Vector dofs live on edges; the coefficient of an edge
 dof equals the constant normal flux of the field across that edge, measured
-along the global edge normal.  The global normal of an interior edge points
-from its lower-index adjacent element into the higher-index one, boundary
-normals point outward.
+along the global edge normal ``Mesh.edge_normals``: the normal of an
+interior edge points from its lower-index adjacent element into the
+higher-index one, boundary normals point outward.
 """
 
 from __future__ import annotations
@@ -27,19 +27,12 @@ class DofMap:
     one dof per edge in the mesh's lexicographic edge order.
     """
 
-    def __init__(self, mesh, order=0):
-        if order != 0:
-            raise NotImplementedError(
-                "only the lowest-order space (order=0) is implemented")
+    def __init__(self, mesh):
         self.mesh = mesh
-        self.order = order
         interior = np.flatnonzero(~mesh.boundary_vertex_mask)
         self.interior_vertices = interior
-        self.h1_dofs = {int(v): i for i, v in enumerate(interior)}
         self.n_h1 = int(interior.size)
         self.n_rt = int(mesh.edges.shape[0])
-        self.rt_dofs = {(int(a), int(b)): self.n_h1 + e
-                        for e, (a, b) in enumerate(mesh.edges)}
         self.n_total = self.n_h1 + self.n_rt
         vert_dof = np.full(mesh.n_vertices, -1, dtype=np.intp)
         vert_dof[interior] = np.arange(self.n_h1, dtype=np.intp)
@@ -48,14 +41,9 @@ class DofMap:
         self.element_dofs = np.concatenate(
             [vert_dof[mesh.elements], self.n_h1 + mesh.elem_edges], axis=1)
 
-    @property
-    def edge_orientation(self):
-        """Per (element, local edge) sign of the global edge normal."""
-        return self.mesh.edge_signs
 
-
-def build_dofmap(mesh, order=0):
-    return DofMap(mesh, order)
+def build_dofmap(mesh):
+    return DofMap(mesh)
 
 
 def geometry_tables(mesh):
@@ -144,64 +132,47 @@ def eval_local_basis(mesh, dofmap, elem, point):
 
 # -- prolongation ------------------------------------------------------------
 
-def _outward_normal(coords, local_edge):
-    """Unit outward normal of a local edge of a CCW triangle."""
-    a = coords[(local_edge + 1) % 3]
-    b = coords[(local_edge + 2) % 3]
-    t = b - a
-    n = np.array([t[1], -t[0]])     # right-hand perp points out of a CCW triangle
-    return n / np.linalg.norm(n)
-
-
 def prolongation_matrix(coarse_mesh, coarse_dofmap, fine_mesh, fine_dofmap):
     """Sparse matrix carrying coarse coefficients to the fine space.
 
-    Scalar part: nodal evaluation of the coarse function at fine interior
-    vertices.  Edge part: the coarse field's normal flux across each fine
-    edge, evaluated at the edge midpoint, which is exact because the coarse
-    field is affine inside the coarse element containing the fine edge.
+    Every fine element lies inside one coarse element, its ancestor from
+    ``ancestor_map``, where the coarse function is a single affine field.
+    The scalar rows evaluate it at each fine interior vertex: the vertex's
+    barycentric coordinates in the ancestor of the lowest-index fine element
+    containing it.  The edge rows take the normal flux of the coarse field
+    at each fine edge midpoint along ``fine_mesh.edge_normals``, evaluated
+    in the ancestor of ``edge_elements[e, 0]``; the flux is constant along
+    the edge, so the midpoint value is exact.  Both hold across any number
+    of refine_nvb generations.
     """
     amap = ancestor_map(fine_mesh, coarse_mesh)
     ct = geometry_tables(coarse_mesh)
-    c_coords = ct["coords"]
-    c_area = ct["area"]
-    c_len = ct["edge_len"]
-    c_signs = coarse_mesh.edge_signs
     c_edofs = coarse_dofmap.element_dofs
 
-    rows, cols, vals = [], [], []
+    verts = fine_dofmap.interior_vertices
+    used, first = np.unique(fine_mesh.elements.ravel(), return_index=True)
+    owner = np.empty(fine_mesh.n_vertices, dtype=np.intp)
+    owner[used] = first // 3
+    t_v = amap[owner[verts]]
+    # hat j is grad_j . (x - c_{j+1}), since it vanishes at vertex j + 1
+    offset = (fine_mesh.vertices[verts][:, None]
+              - ct["coords"][t_v][:, [1, 2, 0]])
+    lam = np.einsum("njk,njk->nj", ct["hat_grads"][t_v], offset)
 
-    for v in fine_dofmap.interior_vertices:
-        t_f = int(fine_mesh.vertex_elements(int(v))[0])
-        t_c = int(amap[t_f])
-        lam = barycentric(c_coords[t_c], fine_mesh.vertices[v])
-        rdof = fine_dofmap.vertex_dof[v]
-        for j in range(3):
-            cdof = c_edofs[t_c, j]
-            if cdof >= 0 and lam[j] != 0.0:
-                rows.append(rdof)
-                cols.append(cdof)
-                vals.append(lam[j])
+    mid = fine_mesh.vertices[fine_mesh.edges].mean(axis=1)
+    t_e = amap[fine_mesh.edge_elements[:, 0]]
+    scale = (coarse_mesh.edge_signs[t_e] * ct["edge_len"][t_e]
+             / (2.0 * ct["area"][t_e])[:, None])
+    psi = scale[..., None] * (mid[:, None] - ct["coords"][t_e])
+    flux = np.einsum("ejk,ek->ej", psi, fine_mesh.edge_normals)
 
-    f_edges = fine_mesh.edges
-    f_tables = geometry_tables(fine_mesh)
-    for e in range(f_edges.shape[0]):
-        t_f = int(fine_mesh.edge_elements[e, 0])
-        local = int(np.flatnonzero(fine_mesh.elem_edges[t_f] == e)[0])
-        normal = _outward_normal(f_tables["coords"][t_f], local)
-        mid = 0.5 * (fine_mesh.vertices[f_edges[e, 0]]
-                     + fine_mesh.vertices[f_edges[e, 1]])
-        t_c = int(amap[t_f])
-        rdof = fine_dofmap.n_h1 + e
-        for j in range(3):
-            scale = c_signs[t_c, j] * c_len[t_c, j] / (2.0 * c_area[t_c])
-            psi = scale * (mid - c_coords[t_c, j])
-            rows.append(rdof)
-            cols.append(c_edofs[t_c, 3 + j])
-            vals.append(float(psi @ normal))
-
+    # fine dofs in order: interior vertices ascending, then edges
+    rows = np.repeat(np.arange(fine_dofmap.n_total), 3)
+    cols = np.concatenate([c_edofs[t_v, :3].ravel(), c_edofs[t_e, 3:].ravel()])
+    vals = np.concatenate([lam.ravel(), flux.ravel()])
+    keep = (cols >= 0) & (vals != 0.0)
     return sp.csr_matrix(
-        (vals, (rows, cols)),
+        (vals[keep], (rows[keep], cols[keep])),
         shape=(fine_dofmap.n_total, coarse_dofmap.n_total))
 
 

@@ -24,7 +24,7 @@ from .mesh import (ancestor_map, builtin_domain, element_geometry, patch,
 from .problems import ProblemSpec, make_problem
 from .quadrature import quadrature_rule
 from .solver import FixedSteps, ResidualTol, estimate_pcg_contraction, exact_solve, pcg_run
-from .spaces import build_dofmap, geometry_tables, prolongation_matrix
+from .spaces import build_dofmap, prolongation_matrix
 
 BUDGETS = {
     "pythagoras_defect": 1e-8,
@@ -345,21 +345,13 @@ def edge_moment_interpolation(mesh, dofmap, tau_fn, n_gauss=5):
     xg, wg = np.polynomial.legendre.leggauss(n_gauss)
     s = 0.5 * (xg + 1.0)
     wg = 0.5 * wg
+    pa = mesh.vertices[mesh.edges[:, 0]]
+    pb = mesh.vertices[mesh.edges[:, 1]]
+    pts = pa[:, None, :] + s[None, :, None] * (pb - pa)[:, None, :]
+    tau = tau_fn(pts.reshape(-1, 2)).reshape(pts.shape)
+    flux = np.einsum("egk,ek->eg", tau, mesh.edge_normals)
     coef = np.zeros(dofmap.n_total)
-    tables = geometry_tables(mesh)
-    for e, (a, b) in enumerate(mesh.edges):
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
-        pts = pa[None, :] + s[:, None] * (pb - pa)[None, :]
-        t_low = int(mesh.edge_elements[e, 0])
-        local = int(np.flatnonzero(mesh.elem_edges[t_low] == e)[0])
-        c = tables["coords"][t_low]
-        ta = c[(local + 1) % 3]
-        tb = c[(local + 2) % 3]
-        tvec = tb - ta
-        normal = np.array([tvec[1], -tvec[0]])
-        normal /= np.linalg.norm(normal)
-        flux = tau_fn(pts) @ normal
-        coef[dofmap.n_h1 + e] = float(flux @ wg)
+    coef[dofmap.n_h1:] = flux @ wg
     return coef
 
 

@@ -46,8 +46,8 @@ def test_constructor_rejects_clockwise():
 
 def test_constructor_rejects_repeated_vertex():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(MeshValidityError):
-        Mesh(verts, np.array([[0, 1, 1]]))
+    with pytest.raises(MeshValidityError, match=r"^element 1 repeats a vertex$"):
+        Mesh(verts, np.array([[0, 1, 2], [0, 1, 1], [2, 2, 0]]))
 
 
 def test_single_bisection_oracle():
@@ -158,6 +158,14 @@ def test_patch_of_once_refined_square():
     assert mesh.n_elements == 4
     for t in range(4):
         assert sorted(patch(mesh, t).tolist()) == [0, 1, 2, 3]
+    # on a graded mesh: the incidence lists ascend and match a direct scan
+    mesh = refine_nvb(refine_uniform(builtin_domain("l_shape"), 2), [0, 5, 9])
+    for v in range(mesh.n_vertices):
+        expected = np.flatnonzero((mesh.elements == v).any(axis=1))
+        np.testing.assert_array_equal(mesh.vertex_elements(v), expected)
+    t = 7
+    touching = np.isin(mesh.elements, mesh.elements[t]).any(axis=1)
+    np.testing.assert_array_equal(patch(mesh, t), np.flatnonzero(touching))
 
 
 def test_validate_flags_duplicates():
@@ -197,6 +205,21 @@ def test_edge_tables_consistent():
         assert mesh.edge_signs[t0, i0] == 1
         i1 = int(np.flatnonzero(mesh.elem_edges[t1] == e)[0])
         assert mesh.edge_signs[t1, i1] == -1
+    # the global normal: unit length, orthogonal to the edge, pointing out
+    # of edge_elements[e, 0], hence outward on the boundary
+    normals = mesh.edge_normals
+    tangents = mesh.vertices[mesh.edges[:, 1]] - mesh.vertices[mesh.edges[:, 0]]
+    np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-15)
+    np.testing.assert_allclose((normals * tangents).sum(axis=1), 0.0,
+                               atol=1e-15)
+    centroids = mesh.element_coords().mean(axis=1)
+    midpoints = mesh.vertices[mesh.edges].mean(axis=1)
+    away = midpoints - centroids[mesh.edge_elements[:, 0]]
+    assert np.all((normals * away).sum(axis=1) > 0)
+    # a short step along a boundary normal leaves the L-shape
+    bnd = mesh.boundary_edge_mask
+    x, y = (midpoints[bnd] + 1e-3 * normals[bnd]).T
+    assert np.all((np.abs(x) > 1) | (np.abs(y) > 1) | ((x > 0) & (y < 0)))
 
 
 def test_element_geometry_values():

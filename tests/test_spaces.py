@@ -27,11 +27,6 @@ def test_boundary_vertices_carry_no_dof():
     np.testing.assert_array_equal(np.sort(interior), np.arange(dm.n_h1))
 
 
-def test_higher_order_unsupported():
-    with pytest.raises(NotImplementedError):
-        build_dofmap(builtin_domain("unit_square"), order=1)
-
-
 def test_hat_basis_partition_and_affine_reproduction():
     mesh = refine_uniform(builtin_domain("unit_square"), rounds=2)
     dm = build_dofmap(mesh)
@@ -136,6 +131,32 @@ def test_prolongation_preserves_fields_pointwise():
         p = rng.uniform(0.02, 0.98, 2)
         uc, gc, sc, _ = eval_discrete(coarse, cdm, coef, locate(coarse, p), p)
         uf, gf, sf, _ = eval_discrete(fine, fdm, fcoef, locate(fine, p), p)
+        assert abs(uc - uf) < 1e-12
+        np.testing.assert_allclose(sc, sf, atol=1e-12)
+        np.testing.assert_allclose(gc, gf, atol=1e-12)
+
+
+def test_prolongation_across_two_refinements():
+    """Two refine_nvb calls at once: the composed ancestor map."""
+    rng = np.random.default_rng(23)
+    coarse = refine_uniform(builtin_domain("l_shape"), rounds=1)
+    middle = refine_nvb(coarse, rng.choice(coarse.n_elements, 5, replace=False))
+    fine = refine_nvb(middle, rng.choice(middle.n_elements, 7, replace=False))
+    cdm, mdm, fdm = (build_dofmap(m) for m in (coarse, middle, fine))
+    P = prolongation_matrix(coarse, cdm, fine, fdm)
+    steps = (prolongation_matrix(middle, mdm, fine, fdm)
+             @ prolongation_matrix(coarse, cdm, middle, mdm))
+    assert abs(P - steps).max() < 1e-14
+
+    coef = rng.standard_normal(cdm.n_total)
+    fcoef = P @ coef
+    from lsfem import eval_discrete
+    for t in range(fine.n_elements):
+        # a point of the fine element lies in its grandparent
+        t_c = int(middle.parent[fine.parent[t]])
+        p = rng.dirichlet(np.ones(3)) @ fine.vertices[fine.elements[t]]
+        uc, gc, sc, _ = eval_discrete(coarse, cdm, coef, t_c, p)
+        uf, gf, sf, _ = eval_discrete(fine, fdm, fcoef, t, p)
         assert abs(uc - uf) < 1e-12
         np.testing.assert_allclose(sc, sf, atol=1e-12)
         np.testing.assert_allclose(gc, gf, atol=1e-12)
