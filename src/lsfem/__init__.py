@@ -11,8 +11,7 @@ preconditioned conjugate gradient iteration with nested warm starts.
 
 from .assembly import SparseSpd, assemble_system, discrete_state, eval_discrete
 from .driver import (AdaptiveConfig, AdaptiveHistory, HistoryRow, LevelRecord,
-                     QuadSpec, SolverSpec, StopSpec, run_adaptive,
-                     run_exact_adaptive, run_inexact_adaptive)
+                     QuadSpec, SolverSpec, StopSpec, run_adaptive)
 from .errors import (AssemblyValidityError, ConfigurationError,
                      IdentityViolationError, MeshValidityError,
                      NumericalEstimateError, SolverError)
@@ -42,8 +41,8 @@ __version__ = "0.1.0"
 __all__ = [
     "SparseSpd", "assemble_system", "discrete_state", "eval_discrete",
     "AdaptiveConfig", "AdaptiveHistory", "HistoryRow", "LevelRecord",
-    "QuadSpec", "SolverSpec", "StopSpec", "run_adaptive", "run_exact_adaptive",
-    "run_inexact_adaptive", "AssemblyValidityError", "ConfigurationError",
+    "QuadSpec", "SolverSpec", "StopSpec", "run_adaptive",
+    "AssemblyValidityError", "ConfigurationError",
     "IdentityViolationError", "MeshValidityError", "NumericalEstimateError",
     "SolverError", "EstimatorReport", "VNormReport", "compute_error_norms",
     "compute_indicators", "discrete_v_norm", "parse_config", "read_history",

@@ -1,10 +1,11 @@
 """The adaptive loop: solve, estimate, mark, refine.
 
-Two entry points share one engine: ``run_exact_adaptive`` factorizes every
-level's system, ``run_inexact_adaptive`` runs PCG per level, warm-started by
-prolongating the previous level's final iterate (nested iteration) unless
-that is switched off.  Every level appends one history row; the final level
-is the first one hitting a stopping rule and marks nothing.
+``run_adaptive`` runs the loop; ``config.solver.kind`` picks the solve:
+``exact`` factorizes every level's system, ``pcg`` runs PCG per level,
+warm-started by prolongating the previous level's final iterate (nested
+iteration) unless that is switched off.  Every level appends one history
+row; the final level is the first one hitting a stopping rule and marks
+nothing.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ def _marking_for_level(config, level):
 
 
 def run_adaptive(config, keep_records=False, level_sink=None):
-    """Shared engine behind the exact and inexact entry points."""
+    """Run the adaptive loop described by ``config``."""
     _validate_config(config)
     problem = make_problem(config.problem)
     solver = config.solver
@@ -238,16 +239,3 @@ def run_adaptive(config, keep_records=False, level_sink=None):
 
     return AdaptiveHistory(rows=rows, records=records)
 
-
-def run_exact_adaptive(config, keep_records=False, level_sink=None):
-    """Adaptive loop with a factorized solve on every level."""
-    if config.solver.kind != "exact":
-        raise ConfigurationError("run_exact_adaptive needs solver kind 'exact'")
-    return run_adaptive(config, keep_records=keep_records, level_sink=level_sink)
-
-
-def run_inexact_adaptive(config, keep_records=False, level_sink=None):
-    """Adaptive loop with PCG solves and nested-iteration warm starts."""
-    if config.solver.kind != "pcg":
-        raise ConfigurationError("run_inexact_adaptive needs solver kind 'pcg'")
-    return run_adaptive(config, keep_records=keep_records, level_sink=level_sink)

@@ -390,51 +390,51 @@ def validate(mesh):
     computes every new vertex as 0.5 * (a + b), so the midpoint of a stale
     unsplit edge reproduces the hanging vertex's coordinates bit for bit.
     """
-    violations = []
-    inverted = [int(t) for t in np.flatnonzero(mesh.signed_areas() <= 0.0)]
+    areas = mesh.signed_areas()
+    inverted = [int(t) for t in np.flatnonzero(areas <= 0.0)]
 
-    seen = {}
-    duplicates = []
-    for t, tri in enumerate(mesh.elements):
-        key = tuple(sorted(tri.tolist()))
-        if key in seen:
-            duplicates.append((seen[key], t))
-        else:
-            seen[key] = t
+    # each repeat of a vertex triple is paired with its first occurrence
+    _, first, inverse = np.unique(np.sort(mesh.elements, axis=1), axis=0,
+                                  return_index=True, return_inverse=True)
+    first = first[inverse.ravel()]
+    duplicates = [(int(first[t]), int(t))
+                  for t in np.flatnonzero(first != np.arange(mesh.n_elements))]
 
+    nv = mesh.n_vertices
     pairs = np.sort(mesh.elements[:, _LOCAL_EDGES].reshape(-1, 2), axis=1)
-    uniq, counts = np.unique(pairs, axis=0, return_counts=True)
-    for (a, b), c in zip(uniq, counts):
-        if c > 2:
-            violations.append(
-                f"edge ({a}, {b}) is shared by {c} elements")
+    keys, counts = np.unique(pairs[:, 0] * nv + pairs[:, 1], return_counts=True)
+    a, b = np.divmod(keys, nv)
+    violations = [f"edge ({a[e]}, {b[e]}) is shared by {counts[e]} elements"
+                  for e in np.flatnonzero(counts > 2)]
 
-    used = np.zeros(mesh.n_vertices, dtype=bool)
+    used = np.zeros(nv, dtype=bool)
     used[mesh.elements.ravel()] = True
     orphans = [int(v) for v in np.flatnonzero(~used)]
 
-    coord_of = {(float(x), float(y)): v
-                for v, (x, y) in enumerate(mesh.vertices) if used[v]}
-    for a, b in uniq:
-        mid = (0.5 * (mesh.vertices[a, 0] + mesh.vertices[b, 0]),
-               0.5 * (mesh.vertices[a, 1] + mesh.vertices[b, 1]))
-        v = coord_of.get(mid)
-        if v is not None:
-            violations.append(
-                f"vertex {v} hangs on edge ({a}, {b})")
+    # points viewed as complex x + iy sort lexicographically and compare
+    # exactly; among used vertices at one point the highest index is reported
+    def points(xy):
+        return np.ascontiguousarray(xy).view(complex)[:, 0]
 
-    areas = mesh.signed_areas()
-    max_ratio = 0.0
-    for t in range(mesh.n_elements):
-        if areas[t] <= 0.0:
-            continue
-        c = mesh.vertices[mesh.elements[t]]
-        sides = c[[1, 2, 0]] - c
-        diam = float(np.hypot(sides[:, 0], sides[:, 1]).max())
-        max_ratio = max(max_ratio, diam * diam / float(areas[t]))
+    used_ids = np.flatnonzero(used)
+    used_points = points(mesh.vertices[used_ids])
+    order = np.argsort(used_points, kind="stable")
+    sorted_points = used_points[order]
+    mids = points(0.5 * (mesh.vertices[a] + mesh.vertices[b]))
+    pos = np.searchsorted(sorted_points, mids, side="right") - 1
+    hit = pos >= 0
+    hit[hit] = sorted_points[pos[hit]] == mids[hit]
+    violations += [f"vertex {used_ids[order[pos[e]]]} hangs on edge "
+                   f"({a[e]}, {b[e]})" for e in np.flatnonzero(hit)]
+
+    coords = mesh.element_coords()
+    sides = coords[:, [1, 2, 0]] - coords
+    diam = np.hypot(sides[..., 0], sides[..., 1]).max(axis=1)
+    positive = areas > 0.0
+    ratios = diam[positive] * diam[positive] / areas[positive]
 
     return MeshDiagnostics(conformity_violations=violations,
                            inverted_elements=inverted,
                            orphan_vertices=orphans,
                            duplicate_elements=duplicates,
-                           max_shape_ratio=max_ratio)
+                           max_shape_ratio=float(ratios.max(initial=0.0)))

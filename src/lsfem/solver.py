@@ -117,7 +117,8 @@ def pcg_run(system, rhs, precond="jacobi", x0=None, stop=FixedSteps(1),
 
     Always performs at least one step.  Returns the iterate trajectory along
     with residual norms, A-norm increments, and (if ``reference`` is given)
-    energy-norm errors per iterate.
+    energy-norm errors per iterate.  A search direction with d.Ad <= 0 while
+    the residual is nonzero raises ``SolverError``.
     """
     system = _as_system(system)
     A = system.matrix
@@ -154,9 +155,13 @@ def pcg_run(system, rhs, precond="jacobi", x0=None, stop=FixedSteps(1),
     while n_steps < max_steps:
         ad = A @ d
         dad = float(d @ ad)
-        if dad <= 0.0 or rz <= 0.0:
-            # residual already exactly zero (or numerically dead): null step
+        if rz <= 0.0:
+            # residual already exactly zero: null step
             increment = 0.0
+        elif dad <= 0.0:
+            raise SolverError(
+                f"non-positive curvature d.Ad = {dad:.3e} at PCG step "
+                f"{n_steps + 1}: the matrix is not positive definite")
         else:
             alpha = rz / dad
             x = x + alpha * d

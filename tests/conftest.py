@@ -1,15 +1,18 @@
 """Shared pytest plumbing.
 
-The acceptance module registers one verdict line per criterion; they are
-echoed after the run so the pass/fail table is visible even though pytest
+Acceptance tests register one verdict line per criterion through the
+``record_verdict`` fixture; the lines are echoed after the run, since pytest
 captures stdout of passing tests.
 """
+
+import pytest
 
 ACCEPTANCE_VERDICTS = []
 
 
-def record_verdict(line):
-    ACCEPTANCE_VERDICTS.append(line)
+@pytest.fixture
+def record_verdict():
+    return ACCEPTANCE_VERDICTS.append
 
 
 def pytest_terminal_summary(terminalreporter):

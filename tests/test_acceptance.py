@@ -1,38 +1,50 @@
 """End-to-end acceptance runs.
 
-Each test measures one shipping criterion on a full adaptive computation and
-registers a one-line verdict that is echoed after the pytest summary.  The
-reference runs are shared module-scoped fixtures; large solved systems are
-dropped eagerly so the five histories fit comfortably in memory.
+Each test judges one shipping criterion with the ``lsfem.verify`` checks
+that ``lsfem verify`` also runs, here on full adaptive computations, and
+registers a verdict line rendered from them that is echoed after the pytest
+summary.  The reference runs are shared module-scoped fixtures; large solved
+systems are dropped eagerly so the five histories fit in memory.
 """
 
 import os
 import time
 
-import numpy as np
 import pytest
 
-from conftest import record_verdict
-from lsfem import (FixedSteps, MarkingSpec, build_dofmap, doerfler_bruteforce,
-                   estimate_pcg_contraction, exact_solve, builtin_domain,
-                   mark, pcg_run, refine_uniform, verify_marking_axiom)
+from lsfem import builtin_domain, make_problem, refine_uniform
 from lsfem.cli import main as cli_main
 from lsfem.driver import run_adaptive
 from lsfem.formats import read_history
-from lsfem.mesh import ancestor_map, element_geometry, validate
-from lsfem.verify import (BUDGETS, _identity_fixtures, _suite_reliability,
-                          fit_rate, helmholtz_config,
+from lsfem.verify import (BUDGETS, CheckResult, check_angle_lock,
+                          check_corner_rates, check_discrete_reliability,
+                          check_doerfler_bulk, check_indefinite_run,
+                          check_interpolation, check_marking_axiom,
+                          check_pcg_contraction, check_refinement_pairs,
+                          check_residual_split, check_smooth_run,
+                          helmholtz_config, identity_fixtures,
                           interpolation_rate_check, lshape_config,
-                          pythagoras_check, sandwich_constants,
                           smooth_poisson_config)
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 KEEP_SYSTEMS_BELOW = 5000
 
 
-def _verdict(num, ok, detail):
+def _verdict(record_verdict, num, ok, detail):
     record_verdict(f"[{'PASS' if ok else 'FAIL'}] criterion {num:2d}: {detail}")
-    return ok
+
+
+def _judge(record_verdict, num, checks):
+    """Record the verdict rendered from ``checks`` and assert each one."""
+    _verdict(record_verdict, num, all(check.passed for check in checks),
+             "; ".join(check.render() for check in checks))
+    for check in checks:
+        assert check.passed, check.render()
+
+
+def _wall_clock(elapsed, limit):
+    return CheckResult("wall clock", elapsed <= limit, {"elapsed_s": elapsed},
+                       f"<= {limit:g} s")
 
 
 def _timed_run(config, keep_systems=False):
@@ -78,30 +90,20 @@ def _decay(history, quantity):
     return float(values[-1] / values[0])
 
 
-def test_criterion_01_smooth_exact_decay(smooth_exact):
+def test_criterion_01_smooth_exact_decay(smooth_exact, record_verdict):
     history, elapsed = smooth_exact
-    eta_ratio = _decay(history, "eta_total")
-    err_ratio = _decay(history, "error_v")
-    ok = (eta_ratio <= BUDGETS["eta_decay_factor"]
-          and err_ratio <= BUDGETS["error_decay_factor"]
-          and elapsed <= 60.0)
-    _verdict(1, ok,
-             f"exact solves: eta falls to {eta_ratio:.4f} and error to "
-             f"{err_ratio:.4f} of the start in {elapsed:.1f} s "
-             f"(need <= 0.05 within 60 s)")
-    assert elapsed <= 60.0
-    assert eta_ratio <= BUDGETS["eta_decay_factor"]
-    assert err_ratio <= BUDGETS["error_decay_factor"]
+    _judge(record_verdict, 1,
+           check_smooth_run(history)[:1] + [_wall_clock(elapsed, 60.0)])
 
 
-def test_criterion_02_single_step_decay(smooth_single_step):
+def test_criterion_02_single_step_decay(smooth_single_step, record_verdict):
     history, elapsed = smooth_single_step
     eta_ratio = _decay(history, "eta_total")
     err_ratio = _decay(history, "error_v")
     ok = (eta_ratio <= BUDGETS["eta_decay_factor"]
           and err_ratio <= BUDGETS["error_decay_factor"]
           and elapsed <= 120.0)
-    _verdict(2, ok,
+    _verdict(record_verdict, 2, ok,
              f"one jacobi step per level: eta falls to {eta_ratio:.4f} of "
              f"the start in {elapsed:.1f} s (need <= 0.05 within 120 s); "
              f"the diagonal preconditioner loses contraction as the mesh "
@@ -116,228 +118,83 @@ def test_criterion_02_single_step_decay(smooth_single_step):
     assert err_ratio <= BUDGETS["error_decay_factor"]
 
 
-def test_criterion_03_sandwich_constants(smooth_exact):
-    history, _ = smooth_exact
-    sandwich = sandwich_constants(history, BUDGETS["sandwich_min_dofs"])
-    ok = sandwich.spread <= BUDGETS["sandwich_spread_smooth"]
-    _verdict(3, ok,
-             f"eta/error ratio spread {sandwich.spread:.3f} over "
-             f"{len(sandwich.ratios)} levels (need <= 3)")
-    assert ok
+def test_criterion_03_sandwich_constants(smooth_exact, record_verdict):
+    _judge(record_verdict, 3, check_smooth_run(smooth_exact[0])[2:])
 
 
-def test_criterion_04_smooth_rate(smooth_exact):
-    history, _ = smooth_exact
-    fit = fit_rate(history, "eta_total", BUDGETS["rate_tail_levels"])
-    ok = (BUDGETS["smooth_rate_low"] <= fit.slope
-          <= BUDGETS["smooth_rate_high"])
-    _verdict(4, ok,
-             f"smooth adaptive eta rate {fit.slope:+.3f} "
-             f"(r^2 {fit.r_squared:.4f}, need within [-0.6, -0.4])")
-    assert ok
+def test_criterion_04_smooth_rate(smooth_exact, record_verdict):
+    _judge(record_verdict, 4, check_smooth_run(smooth_exact[0])[1:2])
 
 
-def test_criterion_05_corner_rates(lshape_uniform, lshape_adaptive):
-    uniform, _ = lshape_uniform
-    adaptive, _ = lshape_adaptive
-    fit_u = fit_rate(uniform, "eta_total", BUDGETS["rate_tail_levels"])
-    fit_a = fit_rate(adaptive, "eta_total", BUDGETS["rate_tail_levels"])
-    ok = (BUDGETS["lshape_uniform_rate_low"] <= fit_u.slope
-          <= BUDGETS["lshape_uniform_rate_high"]
-          and fit_a.slope <= BUDGETS["lshape_adaptive_rate_max"]
-          and fit_a.slope < fit_u.slope)
-    _verdict(5, ok,
-             f"reentrant corner: uniform rate {fit_u.slope:+.3f} "
-             f"(need in [-0.40, -0.26]), adaptive {fit_a.slope:+.3f} "
-             f"(need <= -0.45 and steeper)")
-    assert BUDGETS["lshape_uniform_rate_low"] <= fit_u.slope
-    assert fit_u.slope <= BUDGETS["lshape_uniform_rate_high"]
-    assert fit_a.slope <= BUDGETS["lshape_adaptive_rate_max"]
-    assert fit_a.slope < fit_u.slope
+def test_criterion_05_corner_rates(lshape_uniform, lshape_adaptive,
+                                   record_verdict):
+    _judge(record_verdict, 5,
+           check_corner_rates(lshape_uniform[0], lshape_adaptive[0]))
 
 
-def test_criterion_06_per_step_contraction(smooth_exact, smooth_single_step):
-    worst_margin = 0.0
-    n_systems = 0
-    for history, _ in (smooth_exact, smooth_single_step):
-        for rec in history.records:
-            if rec.system is None:
-                continue
-            _, q = estimate_pcg_contraction(rec.system, precond="jacobi")
-            star = exact_solve(rec.system, rec.rhs)
-            result = pcg_run(rec.system, rec.rhs, precond="jacobi",
-                             stop=FixedSteps(50), reference=star)
-            e = np.array(result.energy_errors)
-            floor = 1e-10 * e[0]
-            active = e[:-1] > floor
-            if not np.any(active):
-                continue
-            ratio = float((e[1:][active] / e[:-1][active]).max())
-            worst_margin = max(worst_margin, ratio / q)
-            n_systems += 1
-    slack = 1.0 + BUDGETS["pcg_contraction_slack"]
-    ok = n_systems > 0 and worst_margin <= slack
-    _verdict(6, ok,
-             f"energy error contracts each step on {n_systems} systems; "
-             f"worst ratio/q_ctr {worst_margin:.8f} (need <= 1 + 1e-8)")
-    assert n_systems >= 10
-    assert worst_margin <= slack
+def test_criterion_06_per_step_contraction(smooth_exact, smooth_single_step,
+                                           record_verdict):
+    runs = [(rec.system, rec.rhs, "jacobi", 50)
+            for history, _ in (smooth_exact, smooth_single_step)
+            for rec in history.records if rec.system is not None]
+    checks = check_pcg_contraction(runs)
+    _judge(record_verdict, 6, checks)
+    assert checks[0].measured["systems"] >= 10
 
 
 def test_criterion_07_marking_axiom(smooth_exact, smooth_single_step,
-                                    lshape_uniform, lshape_adaptive):
-    rng = np.random.default_rng(2024_1201)
-    ok = True
-    for _ in range(BUDGETS["marking_trials"]):
-        eta = rng.random(int(rng.integers(1, 200))) ** 2
-        theta = float(rng.uniform(0.05, 1.0))
-        for strategy in ("maximum", "equilibration", "doerfler"):
-            marked = mark(MarkingSpec(strategy, theta), eta)
-            ok &= verify_marking_axiom(eta, marked)
-    n_levels = 0
-    for history, _ in (smooth_exact, smooth_single_step, lshape_uniform,
-                       lshape_adaptive):
-        for rec in history.records:
-            if rec.marked is None:
-                continue
-            ok &= verify_marking_axiom(rec.report.per_element, rec.marked)
-            n_levels += 1
-    _verdict(7, ok,
-             f"largest unmarked indicator never beats the marked maximum: "
-             f"{BUDGETS['marking_trials']} random vectors x 3 strategies "
-             f"plus {n_levels} recorded levels")
-    assert n_levels > 40
-    assert ok
+                                    lshape_uniform, lshape_adaptive,
+                                    record_verdict):
+    levels = [(rec.report.per_element, rec.marked)
+              for history, _ in (smooth_exact, smooth_single_step,
+                                 lshape_uniform, lshape_adaptive)
+              for rec in history.records if rec.marked is not None]
+    checks = check_marking_axiom(levels)
+    _judge(record_verdict, 7, checks)
+    assert checks[0].measured["levels"] > 40
 
 
-def test_criterion_08_bulk_minimal_cardinality():
-    rng = np.random.default_rng(2024_1202)
-    ok = True
-    for _ in range(BUDGETS["marking_trials"]):
-        eta = rng.random(int(rng.integers(2, 13)))
-        theta = float(rng.uniform(0.05, 1.0))
-        greedy = mark(MarkingSpec("doerfler", theta), eta)
-        reference = doerfler_bruteforce(eta, theta)
-        ok &= greedy.size == reference.size
-        ok &= np.array_equal(greedy, np.sort(reference))
-    _verdict(8, ok,
-             f"greedy bulk sets match exhaustive minimum cardinality on "
-             f"{BUDGETS['marking_trials']} random vectors (length <= 12)")
-    assert ok
-
-
-def _refinement_axioms(history):
-    """Exactness facts for every consecutive mesh pair of a run."""
-    worst_h = 0.0
-    records = history.records
-    for prev, nxt in zip(records, records[1:]):
-        diagnosis = validate(nxt.mesh)
-        assert diagnosis.ok, diagnosis
-        marked_triples = {tuple(map(int, prev.mesh.elements[m]))
-                          for m in prev.marked}
-        child_triples = {tuple(map(int, tri)) for tri in nxt.mesh.elements}
-        assert marked_triples.isdisjoint(child_triples)
-        amap = ancestor_map(nxt.mesh, prev.mesh)
-        area_f = nxt.mesh.signed_areas()
-        area_c = prev.mesh.signed_areas()
-        ratio = area_c[amap] / area_f
-        k = np.rint(np.log2(ratio))
-        # bisection halves areas exactly: dyadic coordinates keep the area
-        # products inside 53-bit floats at these refinement depths
-        assert np.array_equal(ratio, np.power(2.0, k))
-        once = np.flatnonzero(k == 1)
-        if once.size:
-            h_ratio = np.sqrt(area_f[once] / area_c[amap[once]])
-            worst_h = max(worst_h,
-                          float(np.abs(h_ratio - 2.0 ** -0.5).max()))
-    return worst_h
+def test_criterion_08_bulk_minimal_cardinality(record_verdict):
+    _judge(record_verdict, 8, check_doerfler_bulk())
 
 
 def test_criterion_09_mesh_invariants(smooth_exact, smooth_single_step,
                                       lshape_uniform, lshape_adaptive,
-                                      indefinite_reaction):
-    worst_h = 0.0
-    n_pairs = 0
-    for history, _ in (smooth_exact, smooth_single_step, lshape_uniform,
-                       lshape_adaptive, indefinite_reaction):
-        worst_h = max(worst_h, _refinement_axioms(history))
-        n_pairs += history.n_levels - 1
-    assert worst_h <= 5e-16
-
-    # shape regularity: bisection angles cycle, so the minimum angle over
-    # repeated uniform rounds never drops below the second generation's
-    mesh = builtin_domain("unit_square")
-    minima = []
-    for _ in range(10):
-        mesh = refine_uniform(mesh, rounds=1)
-        minima.append(min(element_geometry(mesh, t).min_angle
-                          for t in range(mesh.n_elements)))
-    angle_locked = min(minima[2:]) >= minima[1] - 1e-12
-    _verdict(9, angle_locked,
-             f"{n_pairs} refinements: conforming, marked elements gone, "
-             f"areas halve exactly, h factor off 2^-1/2 by {worst_h:.1e} "
-             f"(need <= 5e-16), min angle locked over 10 uniform rounds")
-    assert angle_locked
+                                      indefinite_reaction, record_verdict):
+    pairs = [(prev.mesh, prev.marked, nxt.mesh)
+             for history, _ in (smooth_exact, smooth_single_step,
+                                lshape_uniform, lshape_adaptive,
+                                indefinite_reaction)
+             for prev, nxt in zip(history.records, history.records[1:])]
+    uniform = [refine_uniform(builtin_domain("unit_square"))]
+    for _ in range(9):
+        uniform.append(refine_uniform(uniform[-1]))
+    _judge(record_verdict, 9,
+           check_refinement_pairs(pairs) + check_angle_lock(uniform))
 
 
-def test_criterion_10_orthogonal_error_split():
-    worst = 0.0
-    for _, mesh, problem in _identity_fixtures():
-        dofmap = build_dofmap(mesh)
-        worst = max(worst, pythagoras_check(mesh, dofmap, problem))
-    ok = worst <= BUDGETS["pythagoras_defect"]
-    _verdict(10, ok,
-             f"eta(v)^2 = eta(x*)^2 + ||x*-v||_A^2 on three fixtures; "
-             f"max relative defect {worst:.2e} (need <= 1e-8)")
-    assert ok
+def test_criterion_10_orthogonal_error_split(record_verdict):
+    _judge(record_verdict, 10, check_residual_split(identity_fixtures()))
 
 
-def test_criterion_11_discrete_reliability():
-    checks = _suite_reliability()
-    ok = all(c.passed for c in checks)
-    values = {k: v for c in checks for k, v in c.measured.items()}
-    _verdict(11, ok,
-             f"random refinements: constant max {values.get('max_c', 0):.3f} "
-             f"(<= 100), spread {values.get('spread', 0):.3f} (<= 4), zone "
-             f"cardinality bounded over {values.get('pairs', 0)} pairs")
-    for check in checks:
-        assert check.passed, (check.name, check.measured)
+def test_criterion_11_discrete_reliability(smooth_exact, record_verdict):
+    problem = make_problem(smooth_poisson_config().problem)
+    _judge(record_verdict, 11,
+           check_discrete_reliability(smooth_exact[0], problem))
 
 
-def test_criterion_12_interpolation_rates():
-    rates = interpolation_rate_check()
-    nodal = rates["nodal_h1"].slope
-    edge = rates["rt_hdiv"].slope
-    ok = all(BUDGETS["interp_rate_low"] <= s <= BUDGETS["interp_rate_high"]
-             for s in (nodal, edge))
-    _verdict(12, ok,
-             f"canonical interpolation rates {nodal:.3f} (vertex) and "
-             f"{edge:.3f} (edge flux), constants reproduced to "
-             f"{rates['constant_defect']:.1e} (need rates in [0.85, 1.15])")
-    assert ok
-    assert rates["constant_defect"] <= 1e-12
+def test_criterion_12_interpolation_rates(record_verdict):
+    _judge(record_verdict, 12, check_interpolation(interpolation_rate_check()))
 
 
-def test_criterion_13_indefinite_reaction(indefinite_reaction):
+def test_criterion_13_indefinite_reaction(indefinite_reaction,
+                                          record_verdict):
     history, elapsed = indefinite_reaction
-    eta_ratio = _decay(history, "eta_total")
-    err_ratio = _decay(history, "error_v")
-    sandwich = sandwich_constants(history, BUDGETS["sandwich_min_dofs"])
-    ok = (eta_ratio <= BUDGETS["eta_decay_factor"]
-          and err_ratio <= BUDGETS["error_decay_factor"]
-          and sandwich.spread <= BUDGETS["sandwich_spread_indefinite"]
-          and elapsed <= 60.0)
-    _verdict(13, ok,
-             f"indefinite reaction: eta ratio {eta_ratio:.4f}, error ratio "
-             f"{err_ratio:.4f}, sandwich spread {sandwich.spread:.3f} in "
-             f"{elapsed:.1f} s (need <= 0.05, <= 5, <= 60 s)")
-    assert elapsed <= 60.0
-    assert eta_ratio <= BUDGETS["eta_decay_factor"]
-    assert err_ratio <= BUDGETS["error_decay_factor"]
-    assert sandwich.spread <= BUDGETS["sandwich_spread_indefinite"]
+    _judge(record_verdict, 13,
+           check_indefinite_run(history) + [_wall_clock(elapsed, 60.0)])
 
 
-def test_criterion_14_reproducible_output(tmp_path):
+def test_criterion_14_reproducible_output(tmp_path, record_verdict):
     config = os.path.join(REPO, "configs", "smooth_poisson.yaml")
     payloads = []
     for name in ("first", "second"):
@@ -349,7 +206,7 @@ def test_criterion_14_reproducible_output(tmp_path):
                          (out / "final_mesh.txt").read_bytes()))
     ok = payloads[0] == payloads[1]
     rows = read_history(tmp_path / "first" / "history.csv")
-    _verdict(14, ok,
+    _verdict(record_verdict, 14, ok,
              f"two identical command-line runs produce byte-identical "
              f"history and mesh files ({len(rows)} levels)")
     assert ok

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from lsfem import (AdaptiveConfig, ConfigurationError, MarkingSpec, QuadSpec,
-                   SolverSpec, StopSpec, run_adaptive, run_exact_adaptive,
-                   run_inexact_adaptive)
+                   SolverSpec, StopSpec, run_adaptive)
 from lsfem.driver import _marking_for_level
 from lsfem.problems import ProblemSpec
 
@@ -19,7 +18,7 @@ SMOOTH = AdaptiveConfig(
 
 
 def test_history_shape_and_monotone_growth():
-    history = run_exact_adaptive(SMOOTH)
+    history = run_adaptive(SMOOTH)
     rows = history.rows
     assert history.n_levels >= 4
     assert [row.level for row in rows] == list(range(len(rows)))
@@ -36,7 +35,7 @@ def test_history_shape_and_monotone_growth():
 
 
 def test_records_align_with_rows():
-    history = run_exact_adaptive(SMOOTH, keep_records=True)
+    history = run_adaptive(SMOOTH, keep_records=True)
     assert len(history.records) == history.n_levels
     for row, rec in zip(history.rows, history.records):
         assert rec.level == row.level
@@ -81,7 +80,7 @@ def test_theta_schedule_clamps_to_last_entry():
 
 def test_level_sink_streams_rows():
     seen = []
-    history = run_exact_adaptive(SMOOTH, level_sink=seen.append)
+    history = run_adaptive(SMOOTH, level_sink=seen.append)
     assert seen == history.rows
 
 
@@ -89,7 +88,7 @@ def test_pcg_run_reports_iterations():
     config = replace(SMOOTH,
                      solver=SolverSpec(kind="pcg", n_steps=2, nested=True),
                      stop=StopSpec(max_ndof=400))
-    history = run_inexact_adaptive(config)
+    history = run_adaptive(config)
     assert all(row.solver_iterations == 2 for row in history.rows)
     # estimator still talks about the inexact iterate, so it stays positive
     assert history.rows[-1].eta_total > 0
@@ -102,8 +101,8 @@ def test_nested_start_saves_iterations():
         solver=SolverSpec(kind="pcg", lam=0.1, eta_ref="current",
                           max_steps=500, nested=True),
         stop=StopSpec(max_ndof=2000))
-    nested = run_inexact_adaptive(base)
-    cold = run_inexact_adaptive(
+    nested = run_adaptive(base)
+    cold = run_adaptive(
         replace(base, solver=replace(base.solver, nested=False)))
     total_nested = int(nested.column("solver_iterations").sum())
     total_cold = int(cold.column("solver_iterations").sum())
@@ -114,7 +113,7 @@ def test_uniform_refinement_halves_error_every_two_rounds():
     """First-order rate: two all-marked rounds halve the mesh size."""
     config = replace(SMOOTH, marking=MarkingSpec("uniform", 0.5),
                      stop=StopSpec(max_levels=6, max_ndof=10 ** 6))
-    history = run_exact_adaptive(config)
+    history = run_adaptive(config)
     err = history.column("error_v")
     factor = err[-3] / err[-1]
     assert 1.7 <= factor <= 2.3
@@ -125,7 +124,7 @@ def test_eta_ref_initial_accepted():
                      solver=SolverSpec(kind="pcg", lam=0.5,
                                        eta_ref="initial"),
                      stop=StopSpec(max_ndof=200))
-    history = run_inexact_adaptive(config)
+    history = run_adaptive(config)
     assert history.n_levels >= 2
 
 
@@ -150,10 +149,3 @@ def test_invalid_configs_rejected(mutate):
     with pytest.raises(ConfigurationError):
         run_adaptive(replace(SMOOTH, **mutate))
 
-
-def test_entry_points_enforce_solver_kind():
-    with pytest.raises(ConfigurationError):
-        run_inexact_adaptive(SMOOTH)
-    pcg = replace(SMOOTH, solver=SolverSpec(kind="pcg", n_steps=1))
-    with pytest.raises(ConfigurationError):
-        run_exact_adaptive(pcg)

@@ -173,7 +173,35 @@ def test_validate_flags_duplicates():
     mesh = Mesh(verts, np.array([[0, 1, 2], [0, 1, 2]]))
     diag = validate(mesh)
     assert not diag.ok
-    assert diag.duplicate_elements
+    assert diag.duplicate_elements == [(0, 1)]
+
+
+def test_validate_flags_hanging_vertex():
+    # the right triangle's diagonal carries the left pair's shared vertex
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                      [0.5, 0.5], [0.5, 0.5]])
+    diag = validate(Mesh(verts, np.array([[0, 1, 2], [0, 4, 3], [4, 2, 3]])))
+    assert diag.conformity_violations == ["vertex 4 hangs on edge (0, 2)"]
+    # of two used vertices at the midpoint, the higher index is reported
+    diag = validate(Mesh(verts, np.array([[0, 1, 2], [0, 4, 3], [5, 2, 3]])))
+    assert diag.conformity_violations == ["vertex 5 hangs on edge (0, 2)"]
+
+
+def test_validate_flags_edge_shared_by_three_elements():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0],
+                      [0.5, 2.0]])
+    diag = validate(Mesh(verts, np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]])))
+    assert not diag.ok
+    assert diag.conformity_violations == ["edge (0, 1) is shared by 3 elements"]
+
+
+def test_validate_max_shape_ratio():
+    # diam^2 / area: 2 / 0.5 for the unit right triangle, 17 / 2 for the other
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [4.0, 1.0]])
+    assert np.isclose(validate(Mesh(verts[:3], [[0, 1, 2]])).max_shape_ratio,
+                      4.0, rtol=1e-15)
+    diag = validate(Mesh(verts, [[0, 1, 2], [0, 3, 2]]))
+    assert diag.ok and np.isclose(diag.max_shape_ratio, 8.5, rtol=1e-15)
 
 
 def test_validate_flags_orphans():

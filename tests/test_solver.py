@@ -159,6 +159,8 @@ def test_indefinite_matrix_rejected():
         exact_solve(sp.diags([1.0, -1.0]).tocsr(), np.ones(2))
     with pytest.raises(SolverError):
         pcg_run(sp.diags([1.0, 0.0]).tocsr(), np.ones(2), precond="jacobi")
+    with pytest.raises(SolverError, match="non-positive curvature"):
+        pcg_run(sp.diags([1.0, -1.0]).tocsr(), np.ones(2), precond="none")
     with pytest.raises(SolverError):
         estimate_pcg_contraction(sp.diags([1.0, -1.0]).tocsr(),
                                  precond="none")

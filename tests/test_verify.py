@@ -4,8 +4,9 @@ import pytest
 from lsfem import (assemble_system, builtin_domain, build_dofmap,
                    exact_solve, make_problem, refine_nvb, refine_uniform)
 from lsfem.driver import AdaptiveHistory, HistoryRow
-from lsfem.verify import (BUDGETS, SUITE_NAMES, discrete_reliability_check,
-                          fit_rate, galerkin_orthogonality_check,
+from lsfem.verify import (BUDGETS, SUITE_NAMES, check_smooth_run,
+                          discrete_reliability_check, fit_rate,
+                          galerkin_orthogonality_check,
                           local_efficiency_check, pythagoras_check, run_all,
                           sandwich_constants, smooth_poisson_config)
 
@@ -58,6 +59,18 @@ def test_sandwich_constants_synthetic():
     assert filtered.levels == [1, 2]
     with pytest.raises(ValueError):
         sandwich_constants(_rows([10, 20], [1.0, 0.5]))
+
+
+def test_smooth_run_checks_read_budgets(monkeypatch):
+    dofs = [100, 1000, 10_000, 40_000, 100_000]
+    values = [n ** -0.5 for n in dofs]
+    history = _rows(dofs, values, errors=values)
+    assert all(check.passed for check in check_smooth_run(history))
+    monkeypatch.setitem(BUDGETS, "smooth_rate_high", -0.51)
+    decay, rate, sandwich = check_smooth_run(history)
+    assert decay.passed and sandwich.passed and not rate.passed
+    assert rate.measured["slope"] == pytest.approx(-0.5)
+    assert "-0.51" in rate.budget
 
 
 def _solved(mesh, prob):
