@@ -12,11 +12,11 @@ preconditioned conjugate gradient iteration with nested warm starts.
 from .assembly import SparseSpd, assemble_system, discrete_state, eval_discrete
 from .driver import (AdaptiveConfig, AdaptiveHistory, HistoryRow, LevelRecord,
                      QuadSpec, SolverSpec, StopSpec, run_adaptive)
-from .errors import (AssemblyValidityError, ConfigurationError,
-                     IdentityViolationError, MeshValidityError,
-                     NumericalEstimateError, SolverError)
-from .estimator import (EstimatorReport, VNormReport, compute_error_norms,
-                        compute_indicators, discrete_v_norm)
+from .errors import (ConfigurationError, IdentityViolationError,
+                     MeshValidityError, NumericalEstimateError, SolverError)
+from .estimator import (EstimatorReport, LevelEstimator, VNormReport,
+                        compute_error_norms, compute_indicators,
+                        discrete_v_norm)
 from .formats import (parse_config, read_history, read_mesh_text,
                       serialize_config, write_history, write_mesh_text,
                       write_vtk)
@@ -42,9 +42,9 @@ __all__ = [
     "SparseSpd", "assemble_system", "discrete_state", "eval_discrete",
     "AdaptiveConfig", "AdaptiveHistory", "HistoryRow", "LevelRecord",
     "QuadSpec", "SolverSpec", "StopSpec", "run_adaptive",
-    "AssemblyValidityError", "ConfigurationError",
-    "IdentityViolationError", "MeshValidityError", "NumericalEstimateError",
-    "SolverError", "EstimatorReport", "VNormReport", "compute_error_norms",
+    "ConfigurationError", "IdentityViolationError", "MeshValidityError",
+    "NumericalEstimateError", "SolverError", "EstimatorReport",
+    "LevelEstimator", "VNormReport", "compute_error_norms",
     "compute_indicators", "discrete_v_norm", "parse_config", "read_history",
     "read_mesh_text", "serialize_config", "write_history", "write_mesh_text",
     "write_vtk", "MarkingSpec", "doerfler_bruteforce", "mark",

@@ -6,7 +6,14 @@ functions, and the load vector tests F = (f, 0) against the same operator
 images.  The assembled matrix is symmetric entry for entry (the local
 matrices are exact Gram matrices and the accumulation order of the (j, k)
 and (k, j) contributions is identical) and positive definite whenever the
-continuous problem is well posed.
+continuous problem is well posed.  Assembly does not factorize: the
+exact solver builds the factor on first use, and that factorization is the
+positive-definiteness proof on the exact path.
+
+``QuadFields`` splits the evaluation of a discrete function at the
+quadrature points into a level part (points, weights and the edge-field
+tables, built once per mesh, dof map and rule) and a coefficient part
+(gather the local coefficients, combine them with those tables).
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .errors import AssemblyValidityError, SolverError
+from .errors import SolverError
 from .quadrature import quadrature_rule
 from .spaces import eval_local_basis, geometry_tables
 
@@ -137,9 +144,9 @@ def assemble_system(mesh, dofmap, problem, quad_order=4):
 
     Local contributions are accumulated in element order (then local dof
     order), so reassembling the same inputs reproduces the same matrix bit
-    for bit.  The returned matrix is validated to be symmetric positive
-    definite by factorizing it once; the factorization stays cached for the
-    exact solver.
+    for bit.  No factorization happens here; ``SparseSpd.factor`` builds it
+    on the first exact solve and rejects a matrix that is not positive
+    definite.
     """
     if dofmap.n_total > MAX_DOFS:
         raise ValueError(
@@ -161,14 +168,7 @@ def assemble_system(mesh, dofmap, problem, quad_order=4):
     rkeep = gdofs.ravel() >= 0
     np.add.at(rhs, gdofs.ravel()[rkeep], local_rhs.ravel()[rkeep])
 
-    system = SparseSpd(matrix)
-    try:
-        system.factor()
-    except SolverError as exc:
-        raise AssemblyValidityError(
-            f"assembled matrix failed the positive-definiteness check: {exc}"
-        ) from exc
-    return system, rhs
+    return SparseSpd(matrix), rhs
 
 
 def gather_element_coefs(dofmap, coef):
@@ -178,26 +178,54 @@ def gather_element_coefs(dofmap, coef):
     return np.where(gdofs >= 0, coef[safe], 0.0)
 
 
+class QuadFields:
+    """Level part of the discrete fields at the quadrature points of a rule.
+
+    Holds the physical points ``phys`` (nt, nq, 2), the absolute weights
+    ``w_abs`` (nt, nq) and the edge-field tables; ``evaluate`` combines them
+    with one coefficient vector.  The tables are never written to, so one
+    instance serves any number of vectors on its level.
+    """
+
+    def __init__(self, mesh, dofmap, rule):
+        tables = geometry_tables(mesh)
+        self.dofmap = dofmap
+        self.hat_values = rule.points                   # (nq, 3)
+        self.hat_grads = tables["hat_grads"]            # (nt, 3, 2)
+        self.phys, self.w_abs = _quad_points(mesh, rule)
+        self.scale = (mesh.edge_signs * tables["edge_len"]
+                      / (2.0 * tables["area"])[:, None])       # (nt, 3)
+        # x - (opposite vertex of edge i), one (nt, nq, 2) array per edge
+        self.rel = [self.phys - tables["opp"][:, None, i, :] for i in range(3)]
+
+    def evaluate(self, coef):
+        """Fields of the discrete function ``coef``.
+
+        Returns (u, grad_u, sigma, div_sigma) with shapes (nt, nq), (nt, 2),
+        (nt, nq, 2), (nt,): the gradient and the divergence are constant on
+        each element.
+        """
+        cf = gather_element_coefs(self.dofmap, np.asarray(coef, dtype=float))
+        u = np.einsum("qj,tj->tq", self.hat_values, cf[:, :3])
+        grad = np.einsum("tjd,tj->td", self.hat_grads, cf[:, :3])
+        scaled = self.scale * cf[:, 3:]
+        sigma = (self.rel[0] * scaled[:, None, 0, None]
+                 + self.rel[1] * scaled[:, None, 1, None]
+                 + self.rel[2] * scaled[:, None, 2, None])
+        div = (2.0 * scaled).sum(axis=1)
+        return u, grad, sigma, div
+
+
 def discrete_state(mesh, dofmap, coef, rule):
     """Fields of a discrete function at quadrature points.
 
     Returns (u, grad_u, sigma, div_sigma) with shapes (nt, nq), (nt, nq, 2),
     (nt, nq, 2), (nt, nq).
     """
-    tables = geometry_tables(mesh)
-    nt = mesh.n_elements
-    nq = rule.points.shape[0]
-    cf = gather_element_coefs(dofmap, np.asarray(coef, dtype=float))
-    u = np.einsum("qj,tj->tq", rule.points, cf[:, :3])
-    grad = np.einsum("tjd,tj->td", tables["hat_grads"], cf[:, :3])
-    grad = np.broadcast_to(grad[:, None, :], (nt, nq, 2))
-    phys, _ = _quad_points(mesh, rule)
-    scale = (mesh.edge_signs * tables["edge_len"]
-             / (2.0 * tables["area"])[:, None])
-    rel = phys[:, :, None, :] - tables["opp"][:, None, :, :]
-    sigma = np.einsum("tqid,ti->tqd", rel, scale * cf[:, 3:])
-    div = np.broadcast_to((2.0 * scale * cf[:, 3:]).sum(axis=1)[:, None], (nt, nq))
-    return u, grad, sigma, div
+    u, grad, sigma, div = QuadFields(mesh, dofmap, rule).evaluate(coef)
+    nt, nq = u.shape
+    return (u, np.broadcast_to(grad[:, None, :], (nt, nq, 2)), sigma,
+            np.broadcast_to(div[:, None], (nt, nq)))
 
 
 def eval_discrete(mesh, dofmap, coef, elem, point):

@@ -11,15 +11,14 @@ import os
 import sys
 
 from .driver import run_adaptive
-from .errors import (AssemblyValidityError, ConfigurationError,
-                     IdentityViolationError, MeshValidityError,
-                     NumericalEstimateError, SolverError)
+from .errors import (ConfigurationError, IdentityViolationError,
+                     MeshValidityError, NumericalEstimateError, SolverError)
 from .formats import (HistoryWriter, ensure_dir, parse_config,
                       serialize_config, write_mesh_text, write_vtk)
 from .verify import SUITE_NAMES, fit_rate, run_all
 
-_RUN_FAILURES = (SolverError, AssemblyValidityError, MeshValidityError,
-                 IdentityViolationError, NumericalEstimateError)
+_RUN_FAILURES = (SolverError, MeshValidityError, IdentityViolationError,
+                 NumericalEstimateError)
 
 
 def _build_parser():

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .assembly import assemble_system
-from .estimator import compute_error_norms, compute_indicators
+from .estimator import LevelEstimator, compute_error_norms, compute_indicators
 from .marking import MarkingSpec, mark
 from .mesh import builtin_domain, refine_nvb
 from .problems import ProblemSpec, make_problem
@@ -189,10 +189,12 @@ def run_adaptive(config, keep_records=False, level_sink=None):
                                                  est_order).total
                     stop = IncrementStop(solver.lam, eta_ref, solver.max_steps)
                 else:
-                    def eta_fn(x, _m=mesh, _d=dofmap):
-                        return compute_indicators(_m, _d, problem, x,
-                                                  est_order).total
-                    stop = IncrementStop(solver.lam, eta_fn, solver.max_steps)
+                    # the level part is built once; each PCG step only
+                    # evaluates the residual of its iterate
+                    estimate = LevelEstimator(mesh, dofmap, problem, est_order)
+                    stop = IncrementStop(solver.lam,
+                                         lambda x: estimate(x).total,
+                                         solver.max_steps)
             result = pcg_run(system, rhs, precond=solver.precond, x0=x0,
                              stop=stop, keep_iterates=False)
             coef = result.x

@@ -9,10 +9,6 @@ class MeshValidityError(ValueError):
     """Mesh violates a structural requirement (degenerate or inconsistent)."""
 
 
-class AssemblyValidityError(RuntimeError):
-    """Assembled system is unusable, e.g. not symmetric positive definite."""
-
-
 class SolverError(RuntimeError):
     """Linear solver failed or was handed an unsuitable system."""
 

@@ -4,6 +4,13 @@ The local indicator is the L2 norm of the first-order residual,
 eta_T = ||F - L u_h||_T, so the total squares to the least-squares
 functional of the discrete solution; no separate data-oscillation term
 exists in this setting.
+
+``LevelEstimator`` is the level part of the indicator: the quadrature
+tables and the data f, a, b, c at the quadrature points, built once per
+mesh, dof map, problem and rule.  Calling it on a coefficient vector only
+gathers the local coefficients and forms F - L u_h from those tables, so
+the lambda rule of nested PCG can evaluate eta after every step without
+re-integrating the data.
 """
 
 from __future__ import annotations
@@ -12,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import data_images, discrete_state, _quad_points
+from .assembly import QuadFields
 from .quadrature import quadrature_rule
-from .spaces import geometry_tables
 
 
 @dataclass
@@ -41,28 +47,41 @@ class VNormReport:
         return float(np.sqrt(np.sum(self.per_element[idx] ** 2)))
 
 
-def _residual_squares(mesh, dofmap, problem, coef, rule):
-    u, grad, sigma, div = discrete_state(mesh, dofmap, coef, rule)
-    phys, w_abs = _quad_points(mesh, rule)
-    nt, nq = u.shape
-    flat = phys.reshape(-1, 2)
-    a_vals = problem.a_fn(flat).reshape(nt, nq, 2, 2)
-    b_vals = problem.b_fn(flat).reshape(nt, nq, 2)
-    c_vals = problem.c_fn(flat).reshape(nt, nq)
-    F = data_images(problem, phys)
-    res0 = F[:, :, 0] - (-div + np.sum(b_vals * grad, axis=2) + c_vals * u)
-    resv = -(np.einsum("tqde,tqe->tqd", a_vals, grad) - sigma)
-    sq = res0 ** 2 + resv[..., 0] ** 2 + resv[..., 1] ** 2
-    return np.einsum("tq,tq->t", sq, w_abs)
+class LevelEstimator:
+    """Indicators eta_T = ||F - L u_h||_T of any discrete function on one level.
+
+    The tables built here are read, never written, so one instance can be
+    called on any number of coefficient vectors of its dof map.
+    """
+
+    def __init__(self, mesh, dofmap, problem, quad_order=6):
+        self.fields = QuadFields(mesh, dofmap, quadrature_rule(quad_order))
+        nt, nq = self.fields.w_abs.shape
+        flat = self.fields.phys.reshape(-1, 2)
+        a_vals = problem.a_fn(flat).reshape(nt, nq, 2, 2)
+        b_vals = problem.b_fn(flat).reshape(nt, nq, 2)
+        self.a = [[a_vals[..., d, e] for e in range(2)] for d in range(2)]
+        self.b = [b_vals[..., 0], b_vals[..., 1]]
+        self.c = problem.c_fn(flat).reshape(nt, nq)
+        self.f = problem.f_fn(flat).reshape(nt, nq)
+
+    def __call__(self, coef):
+        u, grad, sigma, div = self.fields.evaluate(coef)
+        g0, g1 = grad[:, None, 0], grad[:, None, 1]
+        (a00, a01), (a10, a11) = self.a
+        b0, b1 = self.b
+        res0 = self.f - (-div[:, None] + (b0 * g0 + b1 * g1) + self.c * u)
+        resv0 = -((a00 * g0 + a01 * g1) - sigma[..., 0])
+        resv1 = -((a10 * g0 + a11 * g1) - sigma[..., 1])
+        sq = res0 ** 2 + resv0 ** 2 + resv1 ** 2
+        squares = np.maximum(np.einsum("tq,tq->t", sq, self.fields.w_abs), 0.0)
+        return EstimatorReport(per_element=np.sqrt(squares),
+                               total=float(np.sqrt(squares.sum())))
 
 
 def compute_indicators(mesh, dofmap, problem, coef, quad_order=6):
     """Element indicators eta_T = ||F - L u_h||_T and their total."""
-    rule = quadrature_rule(quad_order)
-    squares = _residual_squares(mesh, dofmap, problem, coef, rule)
-    squares = np.maximum(squares, 0.0)
-    return EstimatorReport(per_element=np.sqrt(squares),
-                           total=float(np.sqrt(squares.sum())))
+    return LevelEstimator(mesh, dofmap, problem, quad_order)(coef)
 
 
 def compute_error_norms(mesh, dofmap, coef, exact, quad_order=6):
@@ -71,27 +90,25 @@ def compute_error_norms(mesh, dofmap, coef, exact, quad_order=6):
     Per element: ||u - u_h||_{H1(T)}^2 + ||sigma - sigma_h||_{H(div,T)}^2,
     both full norms (values plus derivatives).
     """
-    rule = quadrature_rule(quad_order)
-    u, grad, sigma, div = discrete_state(mesh, dofmap, coef, rule)
-    phys, w_abs = _quad_points(mesh, rule)
+    fields = QuadFields(mesh, dofmap, quadrature_rule(quad_order))
+    u, grad, sigma, div = fields.evaluate(coef)
     nt, nq = u.shape
-    flat = phys.reshape(-1, 2)
+    flat = fields.phys.reshape(-1, 2)
     du = exact.u(flat).reshape(nt, nq) - u
-    dg = exact.grad_u(flat).reshape(nt, nq, 2) - grad
+    dg = exact.grad_u(flat).reshape(nt, nq, 2) - grad[:, None, :]
     ds = exact.sigma(flat).reshape(nt, nq, 2) - sigma
-    dd = exact.div_sigma(flat).reshape(nt, nq) - div
+    dd = exact.div_sigma(flat).reshape(nt, nq) - div[:, None]
     sq = (du ** 2 + dg[..., 0] ** 2 + dg[..., 1] ** 2
           + ds[..., 0] ** 2 + ds[..., 1] ** 2 + dd ** 2)
-    squares = np.maximum(np.einsum("tq,tq->t", sq, w_abs), 0.0)
+    squares = np.maximum(np.einsum("tq,tq->t", sq, fields.w_abs), 0.0)
     return VNormReport(per_element=np.sqrt(squares),
                        total=float(np.sqrt(squares.sum())))
 
 
 def discrete_v_norm(mesh, dofmap, coef, quad_order=4):
     """Product norm of a discrete function (exact for piecewise polynomials)."""
-    rule = quadrature_rule(quad_order)
-    u, grad, sigma, div = discrete_state(mesh, dofmap, coef, rule)
-    _, w_abs = _quad_points(mesh, rule)
-    sq = (u ** 2 + grad[..., 0] ** 2 + grad[..., 1] ** 2
-          + sigma[..., 0] ** 2 + sigma[..., 1] ** 2 + div ** 2)
-    return float(np.sqrt(max(np.einsum("tq,tq->", sq, w_abs), 0.0)))
+    fields = QuadFields(mesh, dofmap, quadrature_rule(quad_order))
+    u, grad, sigma, div = fields.evaluate(coef)
+    sq = (u ** 2 + grad[:, None, 0] ** 2 + grad[:, None, 1] ** 2
+          + sigma[..., 0] ** 2 + sigma[..., 1] ** 2 + div[:, None] ** 2)
+    return float(np.sqrt(max(np.einsum("tq,tq->", sq, fields.w_abs), 0.0)))

@@ -17,11 +17,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assembly import assemble_system, discrete_state, _quad_points
+from .assembly import QuadFields, assemble_system
 from .driver import (AdaptiveConfig, QuadSpec, SolverSpec, StopSpec,
                      run_adaptive)
 from .errors import IdentityViolationError
-from .estimator import compute_error_norms, compute_indicators, discrete_v_norm
+from .estimator import (LevelEstimator, compute_error_norms,
+                        compute_indicators, discrete_v_norm)
 from .marking import MarkingSpec, doerfler_bruteforce, mark, verify_marking_axiom
 from .mesh import (ancestor_map, builtin_domain, element_geometry, patch,
                    refine_nvb, refine_uniform, validate)
@@ -161,12 +162,13 @@ def pythagoras_check(mesh, dofmap, problem, quad_order=8, trials=20,
     """
     system, rhs = assemble_system(mesh, dofmap, problem, quad_order=quad_order)
     x_star = exact_solve(system, rhs)
-    eta_sq = compute_indicators(mesh, dofmap, problem, x_star, quad_order).total ** 2
+    estimate = LevelEstimator(mesh, dofmap, problem, quad_order)
+    eta_sq = estimate(x_star).total ** 2
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         v = rng.standard_normal(dofmap.n_total)
-        lhs = compute_indicators(mesh, dofmap, problem, v, quad_order).total ** 2
+        lhs = estimate(v).total ** 2
         d = x_star - v
         rhs_val = eta_sq + float(d @ (system.matrix @ d))
         defect = abs(lhs - rhs_val) / max(lhs, 1e-300)
@@ -316,26 +318,24 @@ def discrete_reliability_check(problem, coarse_mesh, coarse_dm, coarse_coef,
 
 def _h1_seminorm_error(mesh, dofmap, coef, u_fn, grad_fn, quad_order=8):
     """Full H1 error of the scalar part of a coefficient vector."""
-    rule = quadrature_rule(quad_order)
-    u, grad, _, _ = discrete_state(mesh, dofmap, coef, rule)
-    phys, w_abs = _quad_points(mesh, rule)
-    flat = phys.reshape(-1, 2)
+    fields = QuadFields(mesh, dofmap, quadrature_rule(quad_order))
+    u, grad, _, _ = fields.evaluate(coef)
+    flat = fields.phys.reshape(-1, 2)
     du = u_fn(flat).reshape(u.shape) - u
-    dg = grad_fn(flat).reshape(grad.shape) - grad
+    dg = grad_fn(flat).reshape(u.shape + (2,)) - grad[:, None, :]
     sq = du ** 2 + dg[..., 0] ** 2 + dg[..., 1] ** 2
-    return float(np.sqrt(max(np.einsum("tq,tq->", sq, w_abs), 0.0)))
+    return float(np.sqrt(max(np.einsum("tq,tq->", sq, fields.w_abs), 0.0)))
 
 
 def _hdiv_error(mesh, dofmap, coef, tau_fn, div_fn, quad_order=8):
     """Full H(div) error of the vector part of a coefficient vector."""
-    rule = quadrature_rule(quad_order)
-    _, _, sigma, div = discrete_state(mesh, dofmap, coef, rule)
-    phys, w_abs = _quad_points(mesh, rule)
-    flat = phys.reshape(-1, 2)
+    fields = QuadFields(mesh, dofmap, quadrature_rule(quad_order))
+    _, _, sigma, div = fields.evaluate(coef)
+    flat = fields.phys.reshape(-1, 2)
     ds = tau_fn(flat).reshape(sigma.shape) - sigma
-    dd = div_fn(flat).reshape(div.shape) - div
+    dd = div_fn(flat).reshape(sigma.shape[:2]) - div[:, None]
     sq = ds[..., 0] ** 2 + ds[..., 1] ** 2 + dd ** 2
-    return float(np.sqrt(max(np.einsum("tq,tq->", sq, w_abs), 0.0)))
+    return float(np.sqrt(max(np.einsum("tq,tq->", sq, fields.w_abs), 0.0)))
 
 
 def nodal_interpolation(mesh, dofmap, u_fn):

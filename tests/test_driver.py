@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import lsfem.driver
 from lsfem import (AdaptiveConfig, ConfigurationError, MarkingSpec, QuadSpec,
                    SolverSpec, StopSpec, run_adaptive)
 from lsfem.driver import _marking_for_level
@@ -107,6 +108,46 @@ def test_nested_start_saves_iterations():
     total_nested = int(nested.column("solver_iterations").sum())
     total_cold = int(cold.column("solver_iterations").sum())
     assert total_nested < total_cold
+
+
+LAMBDA_PCG = replace(
+    SMOOTH,
+    solver=SolverSpec(kind="pcg", lam=0.02, eta_ref="current", nested=True),
+    stop=StopSpec(max_ndof=800))
+
+
+def test_pcg_path_builds_no_factor():
+    history = run_adaptive(LAMBDA_PCG, keep_records=True)
+    assert history.n_levels >= 4
+    assert all(rec.system._factor is None for rec in history.records)
+    # the exact path builds its factor in the solve, not in assembly
+    exact = run_adaptive(replace(SMOOTH, stop=StopSpec(max_ndof=50)),
+                         keep_records=True)
+    assert all(rec.system._factor is not None for rec in exact.records)
+
+
+def test_lambda_rule_evaluates_data_once_per_level(monkeypatch):
+    """The load is sampled a fixed number of times per level, not per step.
+
+    Per level: assembly, the lambda rule's level estimator and the level
+    report each evaluate f once.
+    """
+    calls = []
+    real_make_problem = lsfem.driver.make_problem
+
+    def counting_make_problem(spec):
+        problem = real_make_problem(spec)
+
+        def f_fn(points):
+            calls.append(len(points))
+            return problem.f_fn(points)
+        return replace(problem, f_fn=f_fn)
+
+    monkeypatch.setattr(lsfem.driver, "make_problem", counting_make_problem)
+    history = run_adaptive(LAMBDA_PCG)
+    iterations = int(history.column("solver_iterations").sum())
+    assert iterations > 3 * history.n_levels     # several steps per level
+    assert len(calls) == 3 * history.n_levels
 
 
 def test_uniform_refinement_halves_error_every_two_rounds():

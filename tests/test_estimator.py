@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from lsfem import (assemble_system, builtin_domain, build_dofmap,
-                   compute_error_norms, compute_indicators, discrete_v_norm,
-                   eval_discrete, exact_solve, make_problem, quadrature_rule,
-                   refine_uniform)
+from lsfem import (LevelEstimator, assemble_system, builtin_domain,
+                   build_dofmap, compute_error_norms, compute_indicators,
+                   discrete_v_norm, eval_discrete, exact_solve, make_problem,
+                   quadrature_rule, refine_nvb, refine_uniform)
 from lsfem.problems import eval_operator
 
 
@@ -136,3 +136,32 @@ def test_error_norm_shrinks_under_refinement():
         coef = exact_solve(system, rhs)
         totals.append(compute_error_norms(mesh, dm, coef, prob.exact).total)
     assert totals[0] > totals[1] > totals[2]
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "poisson", "f": 1.0},
+    {"kind": "general", "f": 2.0, "a": [[1.5, 0.25], [0.25, 1.0]],
+     "b": [1.0, -0.5], "c": 0.75},
+])
+def test_level_estimator_reuse_matches_fresh_calls(spec):
+    """One level part serves many vectors, in any order, bit for bit."""
+    mesh = refine_nvb(refine_uniform(builtin_domain("l_shape"), rounds=2),
+                      [0, 5, 9])
+    dm = build_dofmap(mesh)
+    prob = make_problem(spec)
+    system, rhs = assemble_system(mesh, dm, prob)
+    vectors = [np.zeros(dm.n_total),
+               np.random.default_rng(3).standard_normal(dm.n_total),
+               exact_solve(system, rhs)]
+    copies = [v.copy() for v in vectors]
+    fresh = [compute_indicators(mesh, dm, prob, v, quad_order=5)
+             for v in vectors]
+    estimate = LevelEstimator(mesh, dm, prob, quad_order=5)
+    for order in ([0, 1, 2], [2, 1, 0], [1, 2, 0, 1]):
+        for i in order:
+            report = estimate(vectors[i])
+            np.testing.assert_array_equal(report.per_element,
+                                          fresh[i].per_element)
+            assert report.total == fresh[i].total
+    for v, c in zip(vectors, copies):
+        np.testing.assert_array_equal(v, c)
