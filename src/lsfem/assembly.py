@@ -27,6 +27,9 @@ from .quadrature import quadrature_rule
 from .spaces import eval_local_basis, geometry_tables
 
 MAX_DOFS = 200_000
+# Elements per assembly block: bounds the (block, nq, 6, 3) operator images
+# and their companions, which would otherwise exceed the returned matrix.
+_BLOCK = 4096
 
 
 class SparseSpd:
@@ -71,32 +74,33 @@ class SparseSpd:
         return self._factor
 
 
-def _quad_points(mesh, rule):
-    """Physical quadrature points (nt, nq, 2) and absolute weights (nt, nq)."""
+def _quad_points(mesh, rule, block=slice(None)):
+    """Physical quadrature points (nb, nq, 2) and absolute weights (nb, nq)
+    of the elements in ``block``, all of them by default."""
     tables = geometry_tables(mesh)
-    phys = np.einsum("qi,tid->tqd", rule.points, tables["coords"])
-    w_abs = rule.weights[None, :] * tables["area"][:, None]
+    phys = np.einsum("qi,tid->tqd", rule.points, tables["coords"][block])
+    w_abs = rule.weights[None, :] * tables["area"][block, None]
     return phys, w_abs
 
 
-def operator_basis_images(mesh, dofmap, problem, rule):
+def operator_basis_images(mesh, problem, rule, block):
     """Operator images of all local shape functions at quadrature points.
 
-    Returns (images, w_abs, phys) where images has shape (nt, nq, 6, 3):
-    local dofs are the three hats then the three edge fields, and the last
-    axis carries the operator components (scalar row, two vector rows).
+    Covers the elements in the slice ``block``.  Returns (images, w_abs,
+    phys) where images has shape (nb, nq, 6, 3): local dofs are the three
+    hats then the three edge fields, and the last axis carries the operator
+    components (scalar row, two vector rows).
     """
     tables = geometry_tables(mesh)
-    nt = mesh.n_elements
-    nq = rule.points.shape[0]
-    phys, w_abs = _quad_points(mesh, rule)
+    phys, w_abs = _quad_points(mesh, rule, block)
+    nb, nq = w_abs.shape
     flat = phys.reshape(-1, 2)
-    a_vals = problem.a_fn(flat).reshape(nt, nq, 2, 2)
-    b_vals = problem.b_fn(flat).reshape(nt, nq, 2)
-    c_vals = problem.c_fn(flat).reshape(nt, nq)
+    a_vals = problem.a_fn(flat).reshape(nb, nq, 2, 2)
+    b_vals = problem.b_fn(flat).reshape(nb, nq, 2)
+    c_vals = problem.c_fn(flat).reshape(nb, nq)
 
-    grads = tables["hat_grads"]                         # (nt, 3, 2)
-    images = np.zeros((nt, nq, 6, 3))
+    grads = tables["hat_grads"][block]                  # (nb, 3, 2)
+    images = np.zeros((nb, nq, 6, 3))
     # hats: state (lambda_j, grad lambda_j, 0, 0)
     hat_vals = rule.points                              # (nq, 3)
     images[:, :, :3, 0] = (np.einsum("tqd,tjd->tqj", b_vals, grads)
@@ -105,9 +109,9 @@ def operator_basis_images(mesh, dofmap, problem, rule):
     images[:, :, :3, 1] = a_grad[..., 0]
     images[:, :, :3, 2] = a_grad[..., 1]
     # edge fields: state (0, 0, psi_i, div psi_i)
-    scale = (mesh.edge_signs * tables["edge_len"]
-             / (2.0 * tables["area"])[:, None])         # (nt, 3)
-    rel = phys[:, :, None, :] - tables["opp"][:, None, :, :]   # (nt, nq, 3, 2)
+    scale = (mesh.edge_signs[block] * tables["edge_len"][block]
+             / (2.0 * tables["area"][block])[:, None])  # (nb, 3)
+    rel = phys[:, :, None, :] - tables["opp"][block, None, :, :]  # (nb, nq, 3, 2)
     psi = scale[:, None, :, None] * rel
     images[:, :, 3:, 0] = -2.0 * scale[:, None, :]
     images[:, :, 3:, 1] = -psi[..., 0]
@@ -124,18 +128,30 @@ def data_images(problem, phys):
 
 
 def _scatter_csr(rows, cols, vals, n):
-    """Deterministic duplicate summation: lexicographic order, sequential adds."""
-    seq = np.arange(len(vals))
-    order = np.lexsort((seq, cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    new_group = np.ones(len(vals), dtype=bool)
-    new_group[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    starts = np.flatnonzero(new_group)
+    """Deterministic duplicate summation into an (n, n) CSR matrix.
+
+    Entries with a negative row or column (constrained dofs) are dropped.
+    The rest are ordered by (row, col) and, within one position, by input
+    order, then summed sequentially; the single key ``rows * n + cols``
+    under a stable sort gives exactly that order.
+    """
+    key = rows * n + cols
+    keep = (rows >= 0) & (cols >= 0)
+    del rows, cols
+    key = key[keep]
+    vals = vals[keep]
+    del keep
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    vals = vals[order]
+    del order
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     summed = np.add.reduceat(vals, starts)
-    r, c = rows[starts], cols[starts]
+    del vals
+    r, c = np.divmod(key[starts], n)
+    del key, starts
     indptr = np.zeros(n + 1, dtype=np.intp)
-    np.add.at(indptr, r + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(np.bincount(r, minlength=n), out=indptr[1:])
     return sp.csr_matrix((summed, c, indptr), shape=(n, n))
 
 
@@ -152,22 +168,23 @@ def assemble_system(mesh, dofmap, problem, quad_order=4):
         raise ValueError(
             f"system size {dofmap.n_total} exceeds the supported maximum {MAX_DOFS}")
     rule = quadrature_rule(quad_order)
-    images, w_abs, phys = operator_basis_images(mesh, dofmap, problem, rule)
-    local = np.einsum("tqjc,tqkc,tq->tjk", images, images, w_abs)
-    F = data_images(problem, phys)
-    local_rhs = np.einsum("tqc,tqjc,tq->tj", F, images, w_abs)
+    nt, n = mesh.n_elements, dofmap.n_total
+    local = np.empty((nt, 6, 6))
+    local_rhs = np.empty((nt, 6))
+    for start in range(0, nt, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        images, w_abs, phys = operator_basis_images(mesh, problem, rule, block)
+        local[block] = np.einsum("tqjc,tqkc,tq->tjk", images, images, w_abs)
+        local_rhs[block] = np.einsum("tqc,tqjc,tq->tj",
+                                     data_images(problem, phys), images, w_abs)
 
     gdofs = dofmap.element_dofs                          # (nt, 6)
-    rows = np.repeat(gdofs, 6, axis=1).ravel()
-    cols = np.tile(gdofs, (1, 6)).ravel()
-    vals = local.ravel()
-    keep = (rows >= 0) & (cols >= 0)
-    matrix = _scatter_csr(rows[keep], cols[keep], vals[keep], dofmap.n_total)
-
-    rhs = np.zeros(dofmap.n_total)
+    rhs = np.zeros(n)
     rkeep = gdofs.ravel() >= 0
     np.add.at(rhs, gdofs.ravel()[rkeep], local_rhs.ravel()[rkeep])
-
+    del local_rhs, rkeep
+    matrix = _scatter_csr(np.repeat(gdofs, 6, axis=1).ravel(),
+                          np.tile(gdofs, (1, 6)).ravel(), local.ravel(), n)
     return SparseSpd(matrix), rhs
 
 

@@ -57,9 +57,9 @@ def _cmd_run(args):
                   f"dofs {row.n_dofs:7d}  eta {row.eta_total:.6e}{err}  "
                   f"marked {row.marked_count}")
 
-        history = run_adaptive(config, keep_records=True, level_sink=sink)
+        history = run_adaptive(config, level_sink=sink)
 
-    final = history.records[-1]
+    final = history.final
     write_mesh_text(os.path.join(out, "final_mesh.txt"), final.mesh)
     write_vtk(os.path.join(out, "final.vtk"), final.mesh,
               final.report.per_element)

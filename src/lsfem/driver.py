@@ -82,7 +82,12 @@ class HistoryRow:
 
 @dataclass
 class LevelRecord:
-    """Full per-level state, retained only on request."""
+    """Full state of one level: mesh, dof map, system with its factor (if
+    the level was solved exactly), solution and reports.
+
+    ``run_adaptive`` returns the last level's record as
+    ``AdaptiveHistory.final`` and every level's only with ``keep_records``.
+    """
 
     level: int
     mesh: object
@@ -100,6 +105,7 @@ class LevelRecord:
 class AdaptiveHistory:
     rows: list
     records: Optional[list] = None
+    final: Optional[LevelRecord] = None     # set by run_adaptive
 
     def column(self, name):
         return np.array([getattr(row, name) for row in self.rows
@@ -153,11 +159,46 @@ def _marking_for_level(config, level):
     return config.marking
 
 
+def _solve_level(config, problem, mesh, dofmap, system, rhs, prev):
+    """Solve one level; returns (coef, iterations, increment_final)."""
+    solver = config.solver
+    if solver.kind == "exact":
+        return exact_solve(system, rhs), 0, None
+    if solver.nested and prev is not None:
+        x0 = prolongate(prev[0], prev[1], mesh, dofmap, prev[2])
+    else:
+        x0 = np.zeros(dofmap.n_total)
+    est_order = config.quadrature.resolved_estimator_order()
+    if solver.n_steps is not None:
+        stop = FixedSteps(solver.n_steps)
+    elif solver.eta_ref == "initial":
+        eta_ref = compute_indicators(mesh, dofmap, problem, x0,
+                                     est_order).total
+        stop = IncrementStop(solver.lam, eta_ref, solver.max_steps)
+    else:
+        # the level part is built once; each PCG step only evaluates the
+        # residual of its iterate
+        estimate = LevelEstimator(mesh, dofmap, problem, est_order)
+        stop = IncrementStop(solver.lam, lambda x: estimate(x).total,
+                             solver.max_steps)
+    result = pcg_run(system, rhs, precond=solver.precond, x0=x0,
+                     stop=stop, keep_iterates=False)
+    increment_final = result.increments[-1] if result.increments else 0.0
+    return result.x, result.iterations, increment_final
+
+
 def run_adaptive(config, keep_records=False, level_sink=None):
-    """Run the adaptive loop described by ``config``."""
+    """Run the adaptive loop described by ``config``.
+
+    Returns an ``AdaptiveHistory`` with one row per level and the last
+    level's ``LevelRecord`` as ``final``.  With ``keep_records`` every
+    level's record is kept in ``records``, and with it every level's system
+    and factor; otherwise a level's system, load and reports are released
+    before the next level is refined and assembled, so at most one level's
+    system and factor are alive at a time.
+    """
     _validate_config(config)
     problem = make_problem(config.problem)
-    solver = config.solver
     est_order = config.quadrature.resolved_estimator_order()
 
     mesh = builtin_domain(config.domain)
@@ -171,35 +212,8 @@ def run_adaptive(config, keep_records=False, level_sink=None):
         dofmap = build_dofmap(mesh)
         system, rhs = assemble_system(mesh, dofmap, problem,
                                       config.quadrature.assembly_order)
-
-        increment_final = None
-        if solver.kind == "exact":
-            coef = exact_solve(system, rhs)
-            iterations = 0
-        else:
-            if solver.nested and prev is not None:
-                x0 = prolongate(prev[0], prev[1], mesh, dofmap, prev[2])
-            else:
-                x0 = np.zeros(dofmap.n_total)
-            if solver.n_steps is not None:
-                stop = FixedSteps(solver.n_steps)
-            else:
-                if solver.eta_ref == "initial":
-                    eta_ref = compute_indicators(mesh, dofmap, problem, x0,
-                                                 est_order).total
-                    stop = IncrementStop(solver.lam, eta_ref, solver.max_steps)
-                else:
-                    # the level part is built once; each PCG step only
-                    # evaluates the residual of its iterate
-                    estimate = LevelEstimator(mesh, dofmap, problem, est_order)
-                    stop = IncrementStop(solver.lam,
-                                         lambda x: estimate(x).total,
-                                         solver.max_steps)
-            result = pcg_run(system, rhs, precond=solver.precond, x0=x0,
-                             stop=stop, keep_iterates=False)
-            coef = result.x
-            iterations = result.iterations
-            increment_final = result.increments[-1] if result.increments else 0.0
+        coef, iterations, increment_final = _solve_level(
+            config, problem, mesh, dofmap, system, rhs, prev)
 
         report = compute_indicators(mesh, dofmap, problem, coef, est_order)
         error_report = None
@@ -225,19 +239,22 @@ def run_adaptive(config, keep_records=False, level_sink=None):
             wall_time_s=time.perf_counter() - t0,
         )
         rows.append(row)
+        record = LevelRecord(
+            level=level, mesh=mesh, dofmap=dofmap, system=system, rhs=rhs,
+            coef=coef, report=report, error_report=error_report,
+            marked=marked, increment_final=increment_final)
         if records is not None:
-            records.append(LevelRecord(
-                level=level, mesh=mesh, dofmap=dofmap, system=system, rhs=rhs,
-                coef=coef, report=report, error_report=error_report,
-                marked=marked, increment_final=increment_final))
+            records.append(record)
         if level_sink is not None:
             level_sink(row)
 
         if final:
             break
         prev = (mesh, dofmap, coef)
+        # unless kept in records, the system and its factor die here,
+        # before the next level is built
+        del record, system, rhs, report, error_report
         mesh = refine_nvb(mesh, marked)
         level += 1
 
-    return AdaptiveHistory(rows=rows, records=records)
-
+    return AdaptiveHistory(rows=rows, records=records, final=record)

@@ -706,17 +706,13 @@ def check_residual_split(fixtures):
         f"relative defect <= {_b('pythagoras_defect')}")]
 
 
-_RELIABILITY_LEVEL = 4      # level of the smooth exact run that is refined
-
-
-def check_discrete_reliability(history, problem):
+def check_discrete_reliability(base, problem):
     """Discrete reliability on random refinements of one solved level.
 
-    ``history`` is an exact run of ``problem`` with records; its level
-    ``_RELIABILITY_LEVEL`` is refined at 20 random element sets and each
+    ``base`` is the ``LevelRecord`` of a level of ``problem`` solved
+    exactly; its mesh is refined at 20 random element sets and each
     refinement solved exactly.
     """
-    base = history.records[_RELIABILITY_LEVEL]
     rng = np.random.default_rng(2024_1105)
     values, zone_ratio = [], 0.0
     for _ in range(20):
@@ -831,11 +827,14 @@ def _suite_identities():
     return results
 
 
+_RELIABILITY_LEVEL = 4      # level of the smooth exact run that is refined
+
+
 def _suite_reliability():
     config = replace(smooth_poisson_config(),
                      stop=StopSpec(max_ndof=10 ** 9,
                                    max_levels=_RELIABILITY_LEVEL))
-    return check_discrete_reliability(run_adaptive(config, keep_records=True),
+    return check_discrete_reliability(run_adaptive(config).final,
                                       make_problem(config.problem))
 
 

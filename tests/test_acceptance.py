@@ -179,8 +179,9 @@ def test_criterion_10_orthogonal_error_split(record_verdict):
 
 def test_criterion_11_discrete_reliability(smooth_exact, record_verdict):
     problem = make_problem(smooth_poisson_config().problem)
+    # level 4, the level the reliability suite of `lsfem verify` refines
     _judge(record_verdict, 11,
-           check_discrete_reliability(smooth_exact[0], problem))
+           check_discrete_reliability(smooth_exact[0].records[4], problem))
 
 
 def test_criterion_12_interpolation_rates(record_verdict):

@@ -1,11 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import lsfem.assembly
 from lsfem import (SparseSpd, assemble_system, builtin_domain, build_dofmap,
                    discrete_state, eval_discrete, exact_solve, make_problem,
                    quadrature_rule, refine_nvb, refine_uniform)
+from lsfem.assembly import _scatter_csr
 from lsfem.errors import SolverError
 from lsfem.problems import eval_data, eval_operator
+from lsfem.spaces import geometry_tables
 
 
 def _fixture(kind="general"):
@@ -131,3 +137,79 @@ def test_quadrature_order_forwarded():
     lo, _ = assemble_system(mesh, dm, prob, quad_order=1)
     hi, _ = assemble_system(mesh, dm, prob, quad_order=4)
     assert np.abs(lo.matrix.toarray() - hi.matrix.toarray()).max() > 1e-6
+
+
+def _scatter_csr_lexsort(rows, cols, vals, n):
+    """Reference scatter: filter, 3-key lexsort, sequential group sums."""
+    keep = (rows >= 0) & (cols >= 0)
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    seq = np.arange(len(vals))
+    order = np.lexsort((seq, cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    new_group = np.ones(len(vals), dtype=bool)
+    new_group[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    starts = np.flatnonzero(new_group)
+    summed = np.add.reduceat(vals, starts)
+    r, c = rows[starts], cols[starts]
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.add.at(indptr, r + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return sp.csr_matrix((summed, c, indptr), shape=(n, n))
+
+
+def _assert_same_csr(a, b):
+    np.testing.assert_array_equal(a.indptr, b.indptr)
+    np.testing.assert_array_equal(a.indices, b.indices)
+    np.testing.assert_array_equal(a.data, b.data)
+
+
+def test_scatter_matches_lexsort_reference():
+    rng = np.random.default_rng(31)
+    n = 40
+    # many duplicates, constrained (-1) entries and values of mixed
+    # magnitude, so any change in the summation order changes bits
+    rows = rng.integers(-1, n, size=5000)
+    cols = rng.integers(-1, n, size=5000)
+    vals = rng.standard_normal(5000) * 10.0 ** rng.integers(-8, 8, size=5000)
+    expected = _scatter_csr_lexsort(rows, cols, vals, n)
+    _assert_same_csr(_scatter_csr(rows.copy(), cols.copy(), vals.copy(), n),
+                     expected)
+
+
+@pytest.mark.parametrize("kind", ["poisson", "general"])
+def test_blocked_assembly_matches_single_block(kind, monkeypatch):
+    prob = _fixture(kind)[2]
+    mesh = refine_nvb(refine_uniform(builtin_domain("unit_square"), rounds=4),
+                      [0, 3, 5])                    # graded, 36 elements
+    dm = build_dofmap(mesh)
+    assert mesh.n_elements % 7 and (dm.element_dofs < 0).any()
+    monkeypatch.setattr(lsfem.assembly, "_BLOCK", mesh.n_elements)
+    whole, rhs_whole = assemble_system(mesh, dm, prob)
+    monkeypatch.setattr(lsfem.assembly, "_BLOCK", 7)
+    blocked, rhs_blocked = assemble_system(mesh, dm, prob)
+    _assert_same_csr(blocked.matrix, whole.matrix)
+    np.testing.assert_array_equal(rhs_blocked, rhs_whole)
+
+
+def test_assembly_memory_peak_bounded():
+    """Assembly's transient memory stays a small multiple of its output.
+
+    The ``tracemalloc`` peak counts every numpy buffer, so the ratio does
+    not depend on the machine.  Blocked assembly needs about 6 times the
+    returned CSR arrays here; building all operator images at once and
+    sorting three keys needs about 16 times.
+    """
+    mesh = refine_uniform(builtin_domain("l_shape"), rounds=12)
+    dm = build_dofmap(mesh)
+    prob = make_problem({"kind": "general", "f": 1.0,
+                         "a": [[1.05, 0.02], [0.02, 0.97]], "b": [0.03, -0.07]})
+    geometry_tables(mesh)                           # cached level data
+    tracemalloc.start()
+    try:
+        system, _ = assemble_system(mesh, dm, prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m = system.matrix
+    assert mesh.n_elements == 24_576
+    assert peak <= 8 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)

@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -124,6 +125,47 @@ def test_pcg_path_builds_no_factor():
     exact = run_adaptive(replace(SMOOTH, stop=StopSpec(max_ndof=50)),
                          keep_records=True)
     assert all(rec.system._factor is not None for rec in exact.records)
+
+
+@pytest.mark.parametrize("config", [SMOOTH, LAMBDA_PCG],
+                         ids=["exact", "lambda_pcg"])
+def test_final_record_matches_kept_records(config):
+    kept = run_adaptive(config, keep_records=True)
+    lean = run_adaptive(config)
+    assert lean.records is None
+    assert kept.final is kept.records[-1]
+    final, last = lean.final, kept.records[-1]
+    assert final.level == last.level == lean.n_levels - 1
+    np.testing.assert_array_equal(final.mesh.vertices, last.mesh.vertices)
+    np.testing.assert_array_equal(final.mesh.elements, last.mesh.elements)
+    np.testing.assert_array_equal(final.coef, last.coef)
+    np.testing.assert_array_equal(final.report.per_element,
+                                  last.report.per_element)
+    assert final.marked is None
+
+
+@pytest.mark.parametrize("config", [SMOOTH, LAMBDA_PCG],
+                         ids=["exact", "lambda_pcg"])
+@pytest.mark.parametrize("keep_records", [False, True])
+def test_old_systems_released_before_next_assembly(config, keep_records,
+                                                   monkeypatch):
+    """Without records, no earlier level's system (and factor) is alive
+    while the next level is assembled."""
+    systems, alive = [], []
+    real_assemble = lsfem.driver.assemble_system
+
+    def tracking_assemble(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in systems))
+        system, rhs = real_assemble(*args, **kwargs)
+        systems.append(weakref.ref(system))
+        return system, rhs
+
+    monkeypatch.setattr(lsfem.driver, "assemble_system", tracking_assemble)
+    history = run_adaptive(config, keep_records=keep_records)
+    assert history.n_levels >= 4
+    assert alive == (list(range(history.n_levels)) if keep_records
+                     else [0] * history.n_levels)
+    assert history.final.system is systems[-1]()
 
 
 def test_lambda_rule_evaluates_data_once_per_level(monkeypatch):

@@ -8,7 +8,7 @@ import yaml
 from lsfem import (ConfigurationError, MeshValidityError, builtin_domain,
                    refine_nvb)
 from lsfem.cli import main
-from lsfem.driver import HistoryRow
+from lsfem.driver import HistoryRow, run_adaptive
 from lsfem.formats import (HISTORY_HEADER, HistoryWriter, config_from_dict,
                            config_to_dict, parse_config, read_history,
                            read_mesh_text, serialize_config, write_history,
@@ -210,6 +210,22 @@ def test_cli_run_deterministic_with_strip_timing(tmp_path):
                      "--strip-timing"]) == 0
         outs.append((out / "history.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_cli_final_files_match_kept_last_record(tmp_path):
+    config = _write_tiny_config(tmp_path / "run.yaml", domain="l_shape",
+                                problem={"kind": "poisson", "f": 1.0},
+                                stop={"max_ndof": 600})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out),
+                 "--strip-timing"]) == 0
+    last = run_adaptive(parse_config(config), keep_records=True).records[-1]
+    write_mesh_text(tmp_path / "mesh.txt", last.mesh)
+    write_vtk(tmp_path / "final.vtk", last.mesh, last.report.per_element)
+    assert ((out / "final_mesh.txt").read_bytes()
+            == (tmp_path / "mesh.txt").read_bytes())
+    assert ((out / "final.vtk").read_bytes()
+            == (tmp_path / "final.vtk").read_bytes())
 
 
 def test_cli_exit_codes(tmp_path, capsys):
