@@ -22,7 +22,7 @@ from .estimator import LevelEstimator, compute_error_norms, compute_indicators
 from .marking import MarkingSpec, mark
 from .mesh import builtin_domain, refine_nvb
 from .problems import ProblemSpec, make_problem
-from .solver import FixedSteps, IncrementStop, exact_solve, pcg_run
+from .solver import PRECONDS, FixedSteps, IncrementStop, exact_solve, pcg_run
 from .spaces import build_dofmap, prolongate
 
 _DOMAINS = ("unit_square", "l_shape")
@@ -32,11 +32,11 @@ _DOMAINS = ("unit_square", "l_shape")
 class SolverSpec:
     kind: str = "exact"                 # exact | pcg
     precond: str = "jacobi"             # none | jacobi
+    eta_ref: str = "current"            # current | initial
+    nested: bool = True
+    max_steps: int = 500
     n_steps: Optional[int] = None       # fixed step count per level
     lam: Optional[float] = None         # increment criterion factor
-    eta_ref: str = "current"            # current | initial
-    max_steps: int = 500
-    nested: bool = True
 
 
 @dataclass(frozen=True)
@@ -58,14 +58,16 @@ class StopSpec:
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    domain: str = "unit_square"
-    problem: ProblemSpec = field(default_factory=ProblemSpec)
+    """A run configuration; field order is the key order of a written
+    ``config.yaml``, and a field without a default is a required key."""
+
+    domain: str
+    problem: ProblemSpec
     marking: MarkingSpec = field(default_factory=MarkingSpec)
-    theta_schedule: Optional[tuple] = None
     solver: SolverSpec = field(default_factory=SolverSpec)
     quadrature: QuadSpec = field(default_factory=QuadSpec)
     stop: StopSpec = field(default_factory=StopSpec)
-    output_dir: Optional[str] = None
+    theta_schedule: Optional[tuple[float, ...]] = None
 
 
 @dataclass
@@ -130,7 +132,7 @@ def _validate_config(config):
             raise ConfigurationError("solver n_steps must be at least 1")
         if solver.lam is not None and solver.lam <= 0:
             raise ConfigurationError("solver lam must be positive")
-        if solver.precond not in ("none", "jacobi"):
+        if solver.precond not in PRECONDS:
             raise ConfigurationError(f"unknown preconditioner {solver.precond!r}")
         if solver.eta_ref not in ("current", "initial"):
             raise ConfigurationError(

@@ -8,17 +8,17 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
+from dataclasses import MISSING, fields, is_dataclass
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
 
-from .driver import (AdaptiveConfig, HistoryRow, QuadSpec, SolverSpec,
-                     StopSpec)
+from .driver import AdaptiveConfig, HistoryRow
 from .errors import ConfigurationError
-from .marking import MarkingSpec
 from .mesh import Mesh
-from .problems import ProblemSpec
 
 HISTORY_HEADER = ("level,n_elements,n_dofs,eta_total,error_V,marked_count,"
                   "solver_iterations,wall_time_s")
@@ -30,172 +30,77 @@ def _fmt(x):
     return "%.17g" % float(x)
 
 
-def _reject_unknown(section, data, allowed):
-    extra = set(data) - set(allowed)
+_SCALARS = {bool: "a boolean", int: "an integer", float: "a number",
+            str: "a string"}
+
+
+def _convert(tp, value, where):
+    """Check ``value`` against the field annotation ``tp``; return it typed.
+
+    A bool is only a bool (never an int or a float), an int is accepted as
+    a float, and floats must be finite.
+    """
+    if is_dataclass(tp):
+        return _spec_from_dict(tp, value, where)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union:             # Optional[X]
+        if value is None:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _convert(tp, value, where)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigurationError(f"{where} must be a non-empty list")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigurationError(
+                f"{where} must be a list of {len(args)} entries")
+        return tuple(_convert(t, v, f"{where}[{i}]")
+                     for i, (t, v) in enumerate(zip(args, value)))
+    accepted = (int, float) if tp is float else tp
+    if isinstance(value, bool) is not (tp is bool) or not isinstance(value, accepted):
+        raise ConfigurationError(f"{where} must be {_SCALARS[tp]}")
+    if tp is float:
+        try:
+            value = float(value)
+        except OverflowError:       # an int beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{where} must be finite")
+    return value
+
+
+def _spec_from_dict(cls, data, where):
+    """Build the spec dataclass ``cls`` from a mapping; a missing or null
+    section gives the defaults and a field without a default is required."""
+    section = where or "config"
+    if data is None:
+        data = {}
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{section} must be a mapping")
+    extra = set(data) - {f.name for f in fields(cls)}
     if extra:
         raise ConfigurationError(
             f"unknown key(s) in {section}: {sorted(extra)}")
-
-
-def _as_float(section, key, value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{section}.{key} must be a number")
-    return float(value)
-
-
-def _as_int(section, key, value):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{section}.{key} must be an integer")
-    return int(value)
-
-
-def _parse_problem(data):
-    if not isinstance(data, dict):
-        raise ConfigurationError("problem section must be a mapping")
-    _reject_unknown("problem", data,
-                    ("kind", "manufactured", "f", "a", "b", "c", "omega"))
-    if "kind" not in data:
-        raise ConfigurationError("problem.kind is required")
-    kind = data["kind"]
-    if not isinstance(kind, str):
-        raise ConfigurationError("problem.kind must be a string")
-    manufactured = data.get("manufactured")
-    if manufactured is not None and not isinstance(manufactured, str):
-        raise ConfigurationError("problem.manufactured must be a string")
-    f = data.get("f")
-    if f is not None:
-        f = _as_float("problem", "f", f)
-    a = data.get("a")
-    if a is not None:
-        arr = np.asarray(a, dtype=float)
-        if arr.shape != (2, 2):
-            raise ConfigurationError("problem.a must be a 2x2 matrix")
-        a = tuple(tuple(row) for row in arr.tolist())
-    b = data.get("b")
-    if b is not None:
-        arr = np.asarray(b, dtype=float)
-        if arr.shape != (2,):
-            raise ConfigurationError("problem.b must be a 2-vector")
-        b = tuple(arr.tolist())
-    c = data.get("c")
-    if c is not None:
-        c = _as_float("problem", "c", c)
-    omega = data.get("omega")
-    if omega is not None:
-        omega = _as_float("problem", "omega", omega)
-    return ProblemSpec(kind=kind, manufactured=manufactured, f=f, a=a, b=b,
-                       c=c, omega=omega)
-
-
-def _parse_marking(data):
-    if data is None:
-        return MarkingSpec()
-    if not isinstance(data, dict):
-        raise ConfigurationError("marking section must be a mapping")
-    _reject_unknown("marking", data, ("strategy", "theta"))
+    types = get_type_hints(cls)
     kwargs = {}
-    if "strategy" in data:
-        if not isinstance(data["strategy"], str):
-            raise ConfigurationError("marking.strategy must be a string")
-        kwargs["strategy"] = data["strategy"]
-    if "theta" in data:
-        kwargs["theta"] = _as_float("marking", "theta", data["theta"])
-    return MarkingSpec(**kwargs)
-
-
-def _parse_solver(data):
-    if data is None:
-        return SolverSpec()
-    if not isinstance(data, dict):
-        raise ConfigurationError("solver section must be a mapping")
-    _reject_unknown("solver", data, ("kind", "precond", "n_steps", "lam",
-                                     "eta_ref", "nested", "max_steps"))
-    kwargs = {}
-    if "kind" in data:
-        if not isinstance(data["kind"], str):
-            raise ConfigurationError("solver.kind must be a string")
-        kwargs["kind"] = data["kind"]
-    if "precond" in data:
-        if not isinstance(data["precond"], str):
-            raise ConfigurationError("solver.precond must be a string")
-        kwargs["precond"] = data["precond"]
-    if data.get("n_steps") is not None:
-        kwargs["n_steps"] = _as_int("solver", "n_steps", data["n_steps"])
-    if data.get("lam") is not None:
-        kwargs["lam"] = _as_float("solver", "lam", data["lam"])
-    if "eta_ref" in data:
-        if not isinstance(data["eta_ref"], str):
-            raise ConfigurationError("solver.eta_ref must be a string")
-        kwargs["eta_ref"] = data["eta_ref"]
-    if "nested" in data:
-        if not isinstance(data["nested"], bool):
-            raise ConfigurationError("solver.nested must be a boolean")
-        kwargs["nested"] = data["nested"]
-    if "max_steps" in data:
-        kwargs["max_steps"] = _as_int("solver", "max_steps", data["max_steps"])
-    return SolverSpec(**kwargs)
-
-
-def _parse_quadrature(data):
-    if data is None:
-        return QuadSpec()
-    if not isinstance(data, dict):
-        raise ConfigurationError("quadrature section must be a mapping")
-    _reject_unknown("quadrature", data, ("assembly_order", "estimator_order"))
-    kwargs = {}
-    if "assembly_order" in data:
-        kwargs["assembly_order"] = _as_int("quadrature", "assembly_order",
-                                           data["assembly_order"])
-    if data.get("estimator_order") is not None:
-        kwargs["estimator_order"] = _as_int("quadrature", "estimator_order",
-                                            data["estimator_order"])
-    return QuadSpec(**kwargs)
-
-
-def _parse_stop(data):
-    if data is None:
-        return StopSpec()
-    if not isinstance(data, dict):
-        raise ConfigurationError("stop section must be a mapping")
-    _reject_unknown("stop", data, ("max_ndof", "max_levels", "eta_tol"))
-    kwargs = {}
-    if "max_ndof" in data:
-        kwargs["max_ndof"] = _as_int("stop", "max_ndof", data["max_ndof"])
-    if "max_levels" in data:
-        kwargs["max_levels"] = _as_int("stop", "max_levels", data["max_levels"])
-    if "eta_tol" in data:
-        kwargs["eta_tol"] = _as_float("stop", "eta_tol", data["eta_tol"])
-    return StopSpec(**kwargs)
+    for f in fields(cls):
+        path = f"{where}.{f.name}" if where else f.name
+        if f.name in data:
+            kwargs[f.name] = _convert(types[f.name], data[f.name], path)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigurationError(f"{path} is required")
+    return cls(**kwargs)
 
 
 def config_from_dict(data):
-    """Build a validated run configuration from plain nested dicts."""
-    if not isinstance(data, dict):
-        raise ConfigurationError("top-level config must be a mapping")
-    _reject_unknown("config", data,
-                    ("domain", "problem", "marking", "theta_schedule",
-                     "solver", "quadrature", "stop"))
-    if "domain" not in data:
-        raise ConfigurationError("config.domain is required")
-    if not isinstance(data["domain"], str):
-        raise ConfigurationError("config.domain must be a string")
-    if "problem" not in data:
-        raise ConfigurationError("config.problem is required")
-    schedule = data.get("theta_schedule")
-    if schedule is not None:
-        if not isinstance(schedule, (list, tuple)) or not schedule:
-            raise ConfigurationError("theta_schedule must be a non-empty list")
-        schedule = tuple(_as_float("theta_schedule", str(i), v)
-                         for i, v in enumerate(schedule))
-    return AdaptiveConfig(
-        domain=data["domain"],
-        problem=_parse_problem(data["problem"]),
-        marking=_parse_marking(data.get("marking")),
-        theta_schedule=schedule,
-        solver=_parse_solver(data.get("solver")),
-        quadrature=_parse_quadrature(data.get("quadrature")),
-        stop=_parse_stop(data.get("stop")),
-    )
+    """Build a typed run configuration from plain nested dicts.
+
+    Keys, types, required keys and defaults come from the spec dataclasses'
+    fields; value checks (names, ranges) happen in ``run_adaptive``.
+    """
+    return _spec_from_dict(AdaptiveConfig, data, "")
 
 
 def parse_config(path):
@@ -215,40 +120,14 @@ def parse_config(path):
 
 
 def config_to_dict(config):
-    """Inverse of ``config_from_dict`` (round-trips through YAML)."""
-    problem = {"kind": config.problem.kind}
-    for key in ("manufactured", "f", "a", "b", "c", "omega"):
-        value = getattr(config.problem, key)
-        if value is not None:
-            if key == "a":
-                value = [list(row) for row in value]
-            elif key == "b":
-                value = list(value)
-            problem[key] = value
-    data = {
-        "domain": config.domain,
-        "problem": problem,
-        "marking": {"strategy": config.marking.strategy,
-                    "theta": config.marking.theta},
-        "solver": {"kind": config.solver.kind,
-                   "precond": config.solver.precond,
-                   "eta_ref": config.solver.eta_ref,
-                   "nested": config.solver.nested,
-                   "max_steps": config.solver.max_steps},
-        "quadrature": {"assembly_order": config.quadrature.assembly_order},
-        "stop": {"max_ndof": config.stop.max_ndof,
-                 "max_levels": config.stop.max_levels,
-                 "eta_tol": config.stop.eta_tol},
-    }
-    if config.theta_schedule is not None:
-        data["theta_schedule"] = list(config.theta_schedule)
-    if config.solver.n_steps is not None:
-        data["solver"]["n_steps"] = config.solver.n_steps
-    if config.solver.lam is not None:
-        data["solver"]["lam"] = config.solver.lam
-    if config.quadrature.estimator_order is not None:
-        data["quadrature"]["estimator_order"] = config.quadrature.estimator_order
-    return data
+    """Inverse of ``config_from_dict`` (round-trips through YAML): fields in
+    declaration order, ``None`` fields left out, tuples written as lists."""
+    if is_dataclass(config):
+        return {f.name: config_to_dict(getattr(config, f.name))
+                for f in fields(config) if getattr(config, f.name) is not None}
+    if isinstance(config, (list, tuple)):
+        return [config_to_dict(v) for v in config]
+    return config
 
 
 def serialize_config(config):

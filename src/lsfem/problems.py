@@ -11,7 +11,7 @@ residual F - L(u_h, sigma_h) drives both the solve and the error estimator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,11 +35,11 @@ class ExactSolution:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    kind: str = "poisson"
+    kind: str
     manufactured: Optional[str] = None
     f: Optional[float] = None
-    a: Optional[list] = None
-    b: Optional[list] = None
+    a: Optional[tuple[tuple[float, float], tuple[float, float]]] = None
+    b: Optional[tuple[float, float]] = None
     c: Optional[float] = None
     omega: Optional[float] = None
 
@@ -157,10 +157,12 @@ def _manufactured_f(exact, b, c):
 def make_problem(spec):
     """Build a Problem from a ProblemSpec (or an equivalent dict)."""
     if isinstance(spec, dict):
-        unknown = set(spec) - {"kind", "manufactured", "f", "a", "b", "c", "omega"}
+        unknown = set(spec) - {f.name for f in fields(ProblemSpec)}
         if unknown:
             raise ConfigurationError(
                 f"unknown problem key(s): {', '.join(sorted(unknown))}")
+        if "kind" not in spec:
+            raise ConfigurationError("problem kind is required")
         spec = ProblemSpec(**spec)
     if spec.kind not in _KINDS:
         raise ConfigurationError(f"unknown problem kind {spec.kind!r}")

@@ -10,12 +10,12 @@ preconditioned matrix; ``estimate_pcg_contraction`` measures that constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh, splu
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .assembly import SparseSpd
 from .errors import NumericalEstimateError, SolverError

@@ -1,5 +1,6 @@
 import glob
 import os
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -47,6 +48,8 @@ def test_shipped_configs_parse_and_roundtrip(tmp_path):
 
 def test_minimal_config_defaults():
     config = config_from_dict(MINIMAL)
+    nulls = {name: None for name in ("marking", "solver", "quadrature", "stop")}
+    assert config_from_dict({**MINIMAL, **nulls}) == config
     assert config.marking.strategy == "doerfler"
     assert config.marking.theta == 0.5
     assert config.solver.kind == "exact"
@@ -74,10 +77,72 @@ def test_minimal_config_defaults():
     {**MINIMAL, "solver": "exact"},
     {**MINIMAL, "stop": {"max_ndof": 99.5}},
     "unit_square",
+    {**MINIMAL, "problem": {"kind": "general", "f": 1.0,
+                            "a": [["x", 0], [0, 1]]}},
+    {**MINIMAL, "problem": {"kind": "general", "f": 1.0,
+                            "a": [[1, 0], [0, True]]}},
+    {**MINIMAL, "problem": {"kind": "general", "f": 1.0, "b": [0.1, None]}},
+    {**MINIMAL, "problem": {"kind": "general", "f": 1.0,
+                            "a": [[1, 0], [0, 1], [1, 1]]}},
 ])
 def test_bad_config_dicts_rejected(bad):
     with pytest.raises(ConfigurationError):
         config_from_dict(bad)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("override", [
+    {"stop": {"eta_tol": NAN}},
+    {"stop": {"eta_tol": INF}},
+    {"stop": {"eta_tol": 10 ** 400}},
+    {"problem": {"kind": "poisson", "f": INF}},
+    {"problem": {"kind": "general", "f": 1.0, "c": NAN}},
+    {"problem": {"kind": "general", "f": 1.0, "omega": -INF}},
+    {"solver": {"kind": "pcg", "lam": NAN}},
+    {"theta_schedule": [0.5, NAN]},
+    {"problem": {"kind": "general", "f": 1.0, "a": [[1, 0], [0, INF]]}},
+    {"problem": {"kind": "general", "f": 1.0, "b": [NAN, 0]}},
+])
+def test_non_finite_numbers_rejected(override):
+    with pytest.raises(ConfigurationError, match="must be finite"):
+        config_from_dict({**MINIMAL, **override})
+
+
+# every field of every spec set, in declaration order; the values need not
+# make a runnable combination, since parsing checks types, not values
+FULL = {
+    "domain": "l_shape",
+    "problem": {"kind": "general", "manufactured": "sine", "f": 2.5,
+                "a": [[2.0, 0.5], [0.5, 1.0]], "b": [0.25, -0.5],
+                "c": 1.5, "omega": 3.0},
+    "marking": {"strategy": "maximum", "theta": 0.7},
+    "solver": {"kind": "pcg", "precond": "none", "eta_ref": "initial",
+               "nested": False, "max_steps": 40, "n_steps": 3, "lam": 0.1},
+    "quadrature": {"assembly_order": 3, "estimator_order": 5},
+    "stop": {"max_ndof": 1234, "max_levels": 7, "eta_tol": 0.001},
+    "theta_schedule": [0.3, 0.6, 0.9],
+}
+
+
+def _fields_at_default(spec, where=""):
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if is_dataclass(value):
+            yield from _fields_at_default(value, f"{where}{f.name}.")
+        elif value == f.default:
+            yield where + f.name
+
+
+def test_fully_populated_config_roundtrips(tmp_path):
+    config = config_from_dict(FULL)
+    assert list(_fields_at_default(config)) == []
+    text = serialize_config(config)
+    assert text == yaml.safe_dump(FULL, sort_keys=False)
+    path = tmp_path / "full.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert parse_config(path) == config
 
 
 def test_history_roundtrip(tmp_path):
@@ -238,6 +303,17 @@ def test_cli_exit_codes(tmp_path, capsys):
     unknown = _write_tiny_config(tmp_path / "unknown.yaml",
                                  solver={"kind": "multigrid"})
     assert main(["run", "--config", str(unknown),
+                 "--out", str(tmp_path / "o")]) == 2
+    text_entry = _write_tiny_config(
+        tmp_path / "text_entry.yaml",
+        problem={"kind": "general", "f": 1.0, "a": [["x", 0], [0, 1]]})
+    assert main(["run", "--config", str(text_entry),
+                 "--out", str(tmp_path / "o")]) == 2
+    nan_tol = _write_tiny_config(tmp_path / "nan_tol.yaml",
+                                 stop={"max_ndof": 120,
+                                       "eta_tol": NAN})
+    assert ".nan" in nan_tol.read_text(encoding="utf-8")
+    assert main(["run", "--config", str(nan_tol),
                  "--out", str(tmp_path / "o")]) == 2
     capsys.readouterr()
 

@@ -85,6 +85,7 @@ def test_coefficient_defaults_general():
     {"kind": "general", "manufactured": "poly_bubble", "f": None},
     {"kind": "poisson", "f": "one"},
     {"kind": "poisson", "f": 1.0, "flux": True},                # unknown key
+    {"f": 1.0},                                                 # no kind
 ])
 def test_invalid_specs_rejected(bad):
     with pytest.raises(ConfigurationError):
