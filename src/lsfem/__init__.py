@@ -14,9 +14,8 @@ from .driver import (AdaptiveConfig, AdaptiveHistory, HistoryRow, LevelRecord,
                      QuadSpec, SolverSpec, StopSpec, run_adaptive)
 from .errors import (ConfigurationError, IdentityViolationError,
                      MeshValidityError, NumericalEstimateError, SolverError)
-from .estimator import (EstimatorReport, LevelEstimator, VNormReport,
-                        compute_error_norms, compute_indicators,
-                        discrete_v_norm)
+from .estimator import (EstimatorReport, LevelEstimator, compute_error_norms,
+                        compute_indicators, discrete_v_norm)
 from .formats import (parse_config, read_history, read_mesh_text,
                       serialize_config, write_history, write_mesh_text,
                       write_vtk)
@@ -44,7 +43,7 @@ __all__ = [
     "QuadSpec", "SolverSpec", "StopSpec", "run_adaptive",
     "ConfigurationError", "IdentityViolationError", "MeshValidityError",
     "NumericalEstimateError", "SolverError", "EstimatorReport",
-    "LevelEstimator", "VNormReport", "compute_error_norms",
+    "LevelEstimator", "compute_error_norms",
     "compute_indicators", "discrete_v_norm", "parse_config", "read_history",
     "read_mesh_text", "serialize_config", "write_history", "write_mesh_text",
     "write_vtk", "MarkingSpec", "doerfler_bruteforce", "mark",

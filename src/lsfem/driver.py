@@ -20,12 +20,10 @@ from .errors import ConfigurationError
 from .assembly import assemble_system
 from .estimator import LevelEstimator, compute_error_norms, compute_indicators
 from .marking import MarkingSpec, mark
-from .mesh import builtin_domain, refine_nvb
+from .mesh import DOMAINS, builtin_domain, refine_nvb
 from .problems import ProblemSpec, make_problem
 from .solver import PRECONDS, FixedSteps, IncrementStop, exact_solve, pcg_run
 from .spaces import build_dofmap, prolongate
-
-_DOMAINS = ("unit_square", "l_shape")
 
 
 @dataclass(frozen=True)
@@ -38,11 +36,35 @@ class SolverSpec:
     n_steps: Optional[int] = None       # fixed step count per level
     lam: Optional[float] = None         # increment criterion factor
 
+    def __post_init__(self):
+        if self.kind not in ("exact", "pcg"):
+            raise ConfigurationError(f"unknown solver kind {self.kind!r}")
+        if self.kind == "pcg" and (self.n_steps is None) == (self.lam is None):
+            raise ConfigurationError(
+                "pcg solver requires exactly one of n_steps or lam")
+        if self.n_steps is not None and not self.n_steps >= 1:
+            raise ConfigurationError("solver n_steps must be at least 1")
+        if self.lam is not None and not self.lam > 0:
+            raise ConfigurationError("solver lam must be positive")
+        if not self.max_steps >= 1:
+            raise ConfigurationError("solver max_steps must be at least 1")
+        if self.precond not in PRECONDS:
+            raise ConfigurationError(f"unknown preconditioner {self.precond!r}")
+        if self.eta_ref not in ("current", "initial"):
+            raise ConfigurationError(
+                f"solver eta_ref must be 'current' or 'initial', got {self.eta_ref!r}")
+
 
 @dataclass(frozen=True)
 class QuadSpec:
     assembly_order: int = 4
     estimator_order: Optional[int] = None   # defaults to assembly_order + 2
+
+    def __post_init__(self):
+        for name in ("assembly_order", "estimator_order"):
+            value = getattr(self, name)
+            if value is not None and not 1 <= value <= 10:
+                raise ConfigurationError(f"{name} must be in 1..10")
 
     def resolved_estimator_order(self):
         return (self.assembly_order + 2 if self.estimator_order is None
@@ -55,11 +77,21 @@ class StopSpec:
     max_levels: int = 1000
     eta_tol: float = 0.0
 
+    def __post_init__(self):
+        if not (self.max_ndof >= 1 and self.max_levels >= 0):
+            raise ConfigurationError("stop limits must be positive")
+        if not self.eta_tol >= 0:
+            raise ConfigurationError("eta_tol must be nonnegative")
+
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
     """A run configuration; field order is the key order of a written
-    ``config.yaml``, and a field without a default is a required key."""
+    ``config.yaml``, and a field without a default is a required key.
+
+    Every spec checks its own values when it is built, so a config that
+    exists is a valid one.
+    """
 
     domain: str
     problem: ProblemSpec
@@ -68,6 +100,17 @@ class AdaptiveConfig:
     quadrature: QuadSpec = field(default_factory=QuadSpec)
     stop: StopSpec = field(default_factory=StopSpec)
     theta_schedule: Optional[tuple[float, ...]] = None
+
+    def __post_init__(self):
+        if self.domain not in DOMAINS:
+            raise ConfigurationError(f"unknown domain {self.domain!r}")
+        if self.theta_schedule is not None:
+            for theta in self.theta_schedule:
+                if not 0.0 < theta <= 1.0:
+                    raise ConfigurationError("theta_schedule entry out of (0, 1]")
+        if self.problem.manufactured is not None and self.domain != "unit_square":
+            raise ConfigurationError(
+                "manufactured solutions are defined on the unit square only")
 
 
 @dataclass
@@ -118,42 +161,6 @@ class AdaptiveHistory:
         return len(self.rows)
 
 
-def _validate_config(config):
-    if config.domain not in _DOMAINS:
-        raise ConfigurationError(f"unknown domain {config.domain!r}")
-    solver = config.solver
-    if solver.kind not in ("exact", "pcg"):
-        raise ConfigurationError(f"unknown solver kind {solver.kind!r}")
-    if solver.kind == "pcg":
-        if (solver.n_steps is None) == (solver.lam is None):
-            raise ConfigurationError(
-                "pcg solver requires exactly one of n_steps or lam")
-        if solver.n_steps is not None and solver.n_steps < 1:
-            raise ConfigurationError("solver n_steps must be at least 1")
-        if solver.lam is not None and solver.lam <= 0:
-            raise ConfigurationError("solver lam must be positive")
-        if solver.precond not in PRECONDS:
-            raise ConfigurationError(f"unknown preconditioner {solver.precond!r}")
-        if solver.eta_ref not in ("current", "initial"):
-            raise ConfigurationError(
-                f"solver eta_ref must be 'current' or 'initial', got {solver.eta_ref!r}")
-    for name in ("assembly_order", "estimator_order"):
-        value = getattr(config.quadrature, name)
-        if value is not None and not 1 <= int(value) <= 10:
-            raise ConfigurationError(f"{name} must be in 1..10")
-    if config.stop.max_ndof < 1 or config.stop.max_levels < 0:
-        raise ConfigurationError("stop limits must be positive")
-    if config.stop.eta_tol < 0:
-        raise ConfigurationError("eta_tol must be nonnegative")
-    if config.theta_schedule is not None:
-        for theta in config.theta_schedule:
-            if not 0.0 < float(theta) <= 1.0:
-                raise ConfigurationError("theta_schedule entry out of (0, 1]")
-    if config.problem.manufactured is not None and config.domain != "unit_square":
-        raise ConfigurationError(
-            "manufactured solutions are defined on the unit square only")
-
-
 def _marking_for_level(config, level):
     if config.theta_schedule:
         theta = float(config.theta_schedule[min(level, len(config.theta_schedule) - 1)])
@@ -199,7 +206,6 @@ def run_adaptive(config, keep_records=False, level_sink=None):
     before the next level is refined and assembled, so at most one level's
     system and factor are alive at a time.
     """
-    _validate_config(config)
     problem = make_problem(config.problem)
     est_order = config.quadrature.resolved_estimator_order()
 

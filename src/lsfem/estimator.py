@@ -25,19 +25,7 @@ from .quadrature import quadrature_rule
 
 @dataclass
 class EstimatorReport:
-    """Per-element indicators and their l2 total."""
-
-    per_element: np.ndarray
-    total: float
-
-    def subset_total(self, element_indices):
-        idx = np.asarray(element_indices, dtype=np.intp)
-        return float(np.sqrt(np.sum(self.per_element[idx] ** 2)))
-
-
-@dataclass
-class VNormReport:
-    """Per-element full-norm errors (H1 for u, H(div) for sigma) and total."""
+    """Per-element indicators, or per-element errors, and their l2 total."""
 
     per_element: np.ndarray
     total: float
@@ -88,7 +76,10 @@ def compute_error_norms(mesh, dofmap, coef, exact, quad_order=6):
     """Errors against a manufactured solution in the natural product norm.
 
     Per element: ||u - u_h||_{H1(T)}^2 + ||sigma - sigma_h||_{H(div,T)}^2,
-    both full norms (values plus derivatives).
+    both full norms (values plus derivatives).  An ``exact`` whose sigma
+    half is zero (``problems._zero_exact``) with a coefficient vector whose
+    flux block is zero measures the H1 error of the scalar alone, and the
+    other way round for H(div).
     """
     fields = QuadFields(mesh, dofmap, quadrature_rule(quad_order))
     u, grad, sigma, div = fields.evaluate(coef)
@@ -101,8 +92,8 @@ def compute_error_norms(mesh, dofmap, coef, exact, quad_order=6):
     sq = (du ** 2 + dg[..., 0] ** 2 + dg[..., 1] ** 2
           + ds[..., 0] ** 2 + ds[..., 1] ** 2 + dd ** 2)
     squares = np.maximum(np.einsum("tq,tq->t", sq, fields.w_abs), 0.0)
-    return VNormReport(per_element=np.sqrt(squares),
-                       total=float(np.sqrt(squares.sum())))
+    return EstimatorReport(per_element=np.sqrt(squares),
+                           total=float(np.sqrt(squares.sum())))
 
 
 def discrete_v_norm(mesh, dofmap, coef, quad_order=4):

@@ -98,7 +98,8 @@ def config_from_dict(data):
     """Build a typed run configuration from plain nested dicts.
 
     Keys, types, required keys and defaults come from the spec dataclasses'
-    fields; value checks (names, ranges) happen in ``run_adaptive``.
+    fields; the values (names, ranges, combinations) each spec checks itself
+    when it is built.
     """
     return _spec_from_dict(AdaptiveConfig, data, "")
 

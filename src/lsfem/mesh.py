@@ -232,6 +232,10 @@ _L_SHAPE_VERTICES = [(-1.0, -1.0), (0.0, -1.0), (-1.0, 0.0), (0.0, 0.0),
 _L_SHAPE_ELEMENTS = [(0, 1, 3), (0, 3, 2), (2, 3, 5), (5, 3, 6),
                      (3, 4, 7), (3, 7, 6)]
 
+# the shipped initial meshes by name: (vertices, elements)
+DOMAINS = {"unit_square": (_UNIT_SQUARE_VERTICES, _UNIT_SQUARE_ELEMENTS),
+           "l_shape": (_L_SHAPE_VERTICES, _L_SHAPE_ELEMENTS)}
+
 
 def builtin_domain(name):
     """Construct one of the shipped initial meshes.
@@ -240,12 +244,9 @@ def builtin_domain(name):
     vertex-index pair breaking ties; on both shipped domains this picks the
     square diagonals, which each pair of neighbours shares.
     """
-    if name == "unit_square":
-        raw_v, raw_e = _UNIT_SQUARE_VERTICES, _UNIT_SQUARE_ELEMENTS
-    elif name == "l_shape":
-        raw_v, raw_e = _L_SHAPE_VERTICES, _L_SHAPE_ELEMENTS
-    else:
+    if name not in DOMAINS:
         raise ConfigurationError(f"unknown domain {name!r}")
+    raw_v, raw_e = DOMAINS[name]
     vertices = np.array(raw_v, dtype=float)
     elements = [_rotate_longest_edge_first(vertices, tri) for tri in raw_e]
     return Mesh(vertices, elements)

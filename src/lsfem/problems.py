@@ -11,7 +11,7 @@ residual F - L(u_h, sigma_h) drives both the solve and the error estimator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -19,8 +19,7 @@ import numpy as np
 from .errors import ConfigurationError
 
 _KINDS = ("poisson", "general")
-_SPD_SAMPLE = np.stack(np.meshgrid(np.linspace(-1, 1, 7),
-                                   np.linspace(-1, 1, 7)), axis=-1).reshape(-1, 2)
+_MANUFACTURED = ("poly_bubble", "sine", "zero")
 
 
 @dataclass(frozen=True)
@@ -42,6 +41,63 @@ class ProblemSpec:
     b: Optional[tuple[float, float]] = None
     c: Optional[float] = None
     omega: Optional[float] = None
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ConfigurationError(f"unknown problem kind {self.kind!r}")
+        if self.kind == "poisson":
+            for name in ("a", "b", "c", "omega"):
+                if getattr(self, name) is not None:
+                    raise ConfigurationError(
+                        f"problem key {name!r} is not allowed for kind 'poisson'")
+        if self.omega is not None and self.c is not None:
+            raise ConfigurationError("give either c or omega, not both")
+        try:
+            a, b, c = _coefficients(self)
+            f = 0.0 if self.f is None else float(self.f)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigurationError(
+                "problem coefficients and load must be numbers") from None
+        if a.shape != (2, 2):
+            raise ConfigurationError("coefficient a must be a 2x2 matrix")
+        if b.shape != (2,):
+            raise ConfigurationError("coefficient b must be a 2-vector")
+        if not (np.isfinite(a).all() and np.isfinite(b).all()
+                and np.isfinite(c) and np.isfinite(f)):
+            raise ConfigurationError(
+                "problem coefficients and load must be finite")
+        if not np.allclose(a, a.T, atol=1e-14):
+            raise ConfigurationError("coefficient a must be symmetric")
+        eigs = np.linalg.eigvalsh(a)
+        if eigs.min() <= 1e-12:
+            raise ConfigurationError(
+                f"coefficient a is not uniformly positive definite "
+                f"(smallest eigenvalue {eigs.min():.3e})")
+        if self.manufactured is None:
+            if self.f is None:
+                raise ConfigurationError(
+                    "problem needs either a load f or a manufactured case")
+        elif self.f is not None:
+            raise ConfigurationError(
+                "manufactured problems derive f; do not give it explicitly")
+        elif self.manufactured not in _MANUFACTURED:
+            raise ConfigurationError(
+                f"unknown manufactured case {self.manufactured!r}")
+        elif self.manufactured == "poly_bubble" and self.kind != "poisson":
+            raise ConfigurationError(
+                "manufactured case 'poly_bubble' requires kind 'poisson'")
+
+
+def _coefficients(spec):
+    """The constant coefficients (a, b, c) of a spec, defaults filled in:
+    a the identity, b zero, c zero or -omega^2."""
+    a = np.eye(2) if spec.a is None else np.asarray(spec.a, dtype=float)
+    b = np.zeros(2) if spec.b is None else np.asarray(spec.b, dtype=float)
+    if spec.omega is not None:
+        c = -float(spec.omega) ** 2
+    else:
+        c = 0.0 if spec.c is None else float(spec.c)
+    return a, b, c
 
 
 @dataclass(frozen=True)
@@ -108,7 +164,7 @@ def _bubble_exact():
     return ExactSolution(u=u, grad_u=grad, sigma=grad, div_sigma=div_sigma)
 
 
-def _sine_exact(a, b, c):
+def _sine_exact(a):
     """u = sin(pi x) sin(pi y) with sigma = A grad u for constant A."""
     a = np.asarray(a, dtype=float)
 
@@ -155,72 +211,23 @@ def _manufactured_f(exact, b, c):
 
 
 def make_problem(spec):
-    """Build a Problem from a ProblemSpec (or an equivalent dict)."""
-    if isinstance(spec, dict):
-        unknown = set(spec) - {f.name for f in fields(ProblemSpec)}
-        if unknown:
-            raise ConfigurationError(
-                f"unknown problem key(s): {', '.join(sorted(unknown))}")
-        if "kind" not in spec:
-            raise ConfigurationError("problem kind is required")
-        spec = ProblemSpec(**spec)
-    if spec.kind not in _KINDS:
-        raise ConfigurationError(f"unknown problem kind {spec.kind!r}")
+    """Build the coefficient evaluators of a ProblemSpec.
 
-    if spec.kind == "poisson":
-        for name in ("a", "b", "c", "omega"):
-            if getattr(spec, name) is not None:
-                raise ConfigurationError(
-                    f"problem key {name!r} is not allowed for kind 'poisson'")
-        a, b, c = np.eye(2), np.zeros(2), 0.0
-    else:
-        if spec.omega is not None and spec.c is not None:
-            raise ConfigurationError("give either c or omega, not both")
-        a = np.eye(2) if spec.a is None else np.asarray(spec.a, dtype=float)
-        b = np.zeros(2) if spec.b is None else np.asarray(spec.b, dtype=float)
-        if spec.omega is not None:
-            c = -float(spec.omega) ** 2
-        else:
-            c = 0.0 if spec.c is None else float(spec.c)
-        if a.shape != (2, 2):
-            raise ConfigurationError("coefficient a must be a 2x2 matrix")
-        if b.shape != (2,):
-            raise ConfigurationError("coefficient b must be a 2-vector")
-        if not np.allclose(a, a.T, atol=1e-14):
-            raise ConfigurationError("coefficient a must be symmetric")
-        eigs = np.linalg.eigvalsh(a)
-        if eigs.min() <= 1e-12:
-            raise ConfigurationError(
-                f"coefficient a is not uniformly positive definite "
-                f"(smallest eigenvalue {eigs.min():.3e})")
-
+    The spec checked its values when it was built; a manufactured case is
+    self-checked here against the load it derives.
+    """
+    a, b, c = _coefficients(spec)
     exact = None
-    if spec.manufactured is not None:
-        if spec.f is not None:
-            raise ConfigurationError(
-                "manufactured problems derive f; do not give it explicitly")
+    if spec.manufactured is None:
+        f_fn = _const_scalar(spec.f)
+    else:
         if spec.manufactured == "poly_bubble":
-            if spec.kind != "poisson":
-                raise ConfigurationError(
-                    "manufactured case 'poly_bubble' requires kind 'poisson'")
             exact = _bubble_exact()
         elif spec.manufactured == "sine":
-            exact = _sine_exact(a, b, c)
-        elif spec.manufactured == "zero":
-            exact = _zero_exact()
+            exact = _sine_exact(a)
         else:
-            raise ConfigurationError(
-                f"unknown manufactured case {spec.manufactured!r}")
+            exact = _zero_exact()
         f_fn = _manufactured_f(exact, b, c)
-    else:
-        if spec.f is None:
-            raise ConfigurationError(
-                "problem needs either a load f or a manufactured case")
-        try:
-            f_val = float(spec.f)
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"load f must be a number, got {spec.f!r}")
-        f_fn = _const_scalar(f_val)
 
     problem = Problem(kind=spec.kind, a_fn=_const_matrix(a),
                       b_fn=_const_vector(b), c_fn=_const_scalar(c),

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assembly import QuadFields, assemble_system
+from .assembly import assemble_system
 from .driver import (AdaptiveConfig, QuadSpec, SolverSpec, StopSpec,
                      run_adaptive)
 from .errors import IdentityViolationError
@@ -26,8 +26,7 @@ from .estimator import (LevelEstimator, compute_error_norms,
 from .marking import MarkingSpec, doerfler_bruteforce, mark, verify_marking_axiom
 from .mesh import (ancestor_map, builtin_domain, element_geometry, patch,
                    refine_nvb, refine_uniform, validate)
-from .problems import ProblemSpec, make_problem
-from .quadrature import quadrature_rule
+from .problems import ProblemSpec, _zero_exact, make_problem
 from .solver import FixedSteps, ResidualTol, estimate_pcg_contraction, exact_solve, pcg_run
 from .spaces import build_dofmap, prolongation_matrix
 
@@ -316,28 +315,6 @@ def discrete_reliability_check(problem, coarse_mesh, coarse_dm, coarse_coef,
 
 # -- interpolation rates --------------------------------------------------------
 
-def _h1_seminorm_error(mesh, dofmap, coef, u_fn, grad_fn, quad_order=8):
-    """Full H1 error of the scalar part of a coefficient vector."""
-    fields = QuadFields(mesh, dofmap, quadrature_rule(quad_order))
-    u, grad, _, _ = fields.evaluate(coef)
-    flat = fields.phys.reshape(-1, 2)
-    du = u_fn(flat).reshape(u.shape) - u
-    dg = grad_fn(flat).reshape(u.shape + (2,)) - grad[:, None, :]
-    sq = du ** 2 + dg[..., 0] ** 2 + dg[..., 1] ** 2
-    return float(np.sqrt(max(np.einsum("tq,tq->", sq, fields.w_abs), 0.0)))
-
-
-def _hdiv_error(mesh, dofmap, coef, tau_fn, div_fn, quad_order=8):
-    """Full H(div) error of the vector part of a coefficient vector."""
-    fields = QuadFields(mesh, dofmap, quadrature_rule(quad_order))
-    _, _, sigma, div = fields.evaluate(coef)
-    flat = fields.phys.reshape(-1, 2)
-    ds = tau_fn(flat).reshape(sigma.shape) - sigma
-    dd = div_fn(flat).reshape(sigma.shape[:2]) - div[:, None]
-    sq = ds[..., 0] ** 2 + ds[..., 1] ** 2 + dd ** 2
-    return float(np.sqrt(max(np.einsum("tq,tq->", sq, fields.w_abs), 0.0)))
-
-
 def nodal_interpolation(mesh, dofmap, u_fn):
     """Coefficients of the vertex interpolant (edge block zero)."""
     coef = np.zeros(dofmap.n_total)
@@ -388,9 +365,11 @@ def interpolation_rate_check(levels=5, quad_order=8):
     def const_fn(p):
         return np.tile([1.0, 2.0], (len(p), 1))
 
-    def zero_fn(p):
-        return np.zeros(len(p))
-
+    # each interpolant has one block zero, so it is measured against an
+    # exact solution whose other half is zero
+    scalar = replace(_zero_exact(), u=u_fn, grad_u=grad_fn)
+    flux = replace(_zero_exact(), sigma=grad_fn, div_sigma=div_fn)
+    constant = replace(_zero_exact(), sigma=const_fn)
     hs, h1_errors, hdiv_errors = [], [], []
     # two burn-in rounds: the 8-element mesh is pre-asymptotic for the
     # interpolation constants and would pollute the rate fit
@@ -402,17 +381,17 @@ def interpolation_rate_check(levels=5, quad_order=8):
         hs.append(max(element_geometry(mesh, t).diam
                       for t in range(mesh.n_elements)))
         coef = nodal_interpolation(mesh, dofmap, u_fn)
-        h1_errors.append(_h1_seminorm_error(mesh, dofmap, coef, u_fn, grad_fn,
-                                            quad_order))
+        h1_errors.append(compute_error_norms(mesh, dofmap, coef, scalar,
+                                             quad_order).total)
         coef_rt = edge_moment_interpolation(mesh, dofmap, grad_fn)
-        hdiv_errors.append(_hdiv_error(mesh, dofmap, coef_rt, grad_fn, div_fn,
-                                       quad_order))
+        hdiv_errors.append(compute_error_norms(mesh, dofmap, coef_rt, flux,
+                                               quad_order).total)
         # constant fields live in the lowest-order edge space, so the
         # interpolant must reproduce them to rounding
         coef_const = edge_moment_interpolation(mesh, dofmap, const_fn)
         reproduction_defect = max(
             reproduction_defect,
-            _hdiv_error(mesh, dofmap, coef_const, const_fn, zero_fn, 4))
+            compute_error_norms(mesh, dofmap, coef_const, constant, 4).total)
 
     return {
         "nodal_h1": _loglog_fit(hs, h1_errors),

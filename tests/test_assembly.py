@@ -5,9 +5,9 @@ import pytest
 import scipy.sparse as sp
 
 import lsfem.assembly
-from lsfem import (SparseSpd, assemble_system, builtin_domain, build_dofmap,
-                   discrete_state, eval_discrete, exact_solve, make_problem,
-                   quadrature_rule, refine_nvb, refine_uniform)
+from lsfem import (ProblemSpec, SparseSpd, assemble_system, builtin_domain,
+                   build_dofmap, discrete_state, eval_discrete, exact_solve,
+                   make_problem, quadrature_rule, refine_nvb, refine_uniform)
 from lsfem.assembly import _scatter_csr
 from lsfem.errors import SolverError
 from lsfem.problems import eval_data, eval_operator
@@ -18,11 +18,11 @@ def _fixture(kind="general"):
     mesh = refine_uniform(builtin_domain("unit_square"), rounds=2)
     dm = build_dofmap(mesh)
     if kind == "general":
-        prob = make_problem({"kind": "general", "f": 1.0,
-                             "a": [[2.0, 0.5], [0.5, 1.0]],
-                             "b": [0.3, -0.7], "c": 1.5})
+        prob = make_problem(ProblemSpec(kind="general", f=1.0,
+                                        a=[[2.0, 0.5], [0.5, 1.0]],
+                                        b=[0.3, -0.7], c=1.5))
     else:
-        prob = make_problem({"kind": "poisson", "f": 1.0})
+        prob = make_problem(ProblemSpec(kind="poisson", f=1.0))
     return mesh, dm, prob
 
 
@@ -106,7 +106,7 @@ def test_exact_solve_residual():
 def test_zero_load_solves_to_zero():
     mesh = refine_nvb(builtin_domain("unit_square"), [0, 1])
     dm = build_dofmap(mesh)
-    prob = make_problem({"kind": "poisson", "manufactured": "zero"})
+    prob = make_problem(ProblemSpec(kind="poisson", manufactured="zero"))
     system, rhs = assemble_system(mesh, dm, prob)
     np.testing.assert_array_equal(rhs, np.zeros(dm.n_total))
     np.testing.assert_array_equal(exact_solve(system, rhs),
@@ -201,8 +201,9 @@ def test_assembly_memory_peak_bounded():
     """
     mesh = refine_uniform(builtin_domain("l_shape"), rounds=12)
     dm = build_dofmap(mesh)
-    prob = make_problem({"kind": "general", "f": 1.0,
-                         "a": [[1.05, 0.02], [0.02, 0.97]], "b": [0.03, -0.07]})
+    prob = make_problem(ProblemSpec(kind="general", f=1.0,
+                                    a=[[1.05, 0.02], [0.02, 0.97]],
+                                    b=[0.03, -0.07]))
     geometry_tables(mesh)                           # cached level data
     tracemalloc.start()
     try:

@@ -211,24 +211,42 @@ def test_eta_ref_initial_accepted():
     assert history.n_levels >= 2
 
 
+NAN = float("nan")
+
+
+# (spec class, constructor kwargs); an AdaptiveConfig case replaces fields
+# of SMOOTH
 @pytest.mark.parametrize("mutate", [
-    dict(domain="disk"),
-    dict(solver=SolverSpec(kind="cg")),
-    dict(solver=SolverSpec(kind="pcg")),                        # neither
-    dict(solver=SolverSpec(kind="pcg", n_steps=1, lam=0.1)),    # both
-    dict(solver=SolverSpec(kind="pcg", n_steps=0)),
-    dict(solver=SolverSpec(kind="pcg", lam=-0.1)),
-    dict(solver=SolverSpec(kind="pcg", n_steps=1, precond="ilu")),
-    dict(solver=SolverSpec(kind="pcg", n_steps=1, eta_ref="final")),
-    dict(quadrature=QuadSpec(assembly_order=11)),
-    dict(quadrature=QuadSpec(assembly_order=4, estimator_order=0)),
-    dict(stop=StopSpec(max_ndof=0)),
-    dict(stop=StopSpec(max_levels=-1)),
-    dict(stop=StopSpec(eta_tol=-1.0)),
-    dict(theta_schedule=(0.5, 0.0)),
-    dict(domain="l_shape"),             # manufactured needs the unit square
+    (AdaptiveConfig, dict(domain="disk")),
+    (SolverSpec, dict(kind="cg")),
+    (SolverSpec, dict(kind="pcg")),                         # neither
+    (SolverSpec, dict(kind="pcg", n_steps=1, lam=0.1)),     # both
+    (SolverSpec, dict(kind="pcg", n_steps=0)),
+    (SolverSpec, dict(kind="pcg", lam=-0.1)),
+    (SolverSpec, dict(kind="pcg", n_steps=1, precond="ilu")),
+    (SolverSpec, dict(kind="pcg", n_steps=1, eta_ref="final")),
+    (QuadSpec, dict(assembly_order=11)),
+    (QuadSpec, dict(assembly_order=4, estimator_order=0)),
+    (StopSpec, dict(max_ndof=0)),
+    (StopSpec, dict(max_levels=-1)),
+    (StopSpec, dict(eta_tol=-1.0)),
+    (AdaptiveConfig, dict(theta_schedule=(0.5, 0.0))),
+    (AdaptiveConfig, dict(domain="l_shape")),   # manufactured: unit square
+    (SolverSpec, dict(kind="pcg", lam=0.1, max_steps=0)),
+    # the ranges and names hold for every kind, not only for pcg
+    (SolverSpec, dict(kind="exact", lam=-3)),
+    (SolverSpec, dict(kind="exact", n_steps=0)),
+    (SolverSpec, dict(kind="exact", precond="ilu")),
+    (SolverSpec, dict(kind="exact", eta_ref="final")),
+    # NaN fails every range check
+    (SolverSpec, dict(kind="pcg", lam=NAN)),
+    (StopSpec, dict(eta_tol=NAN)),
+    (AdaptiveConfig, dict(theta_schedule=(0.5, NAN))),
 ])
 def test_invalid_configs_rejected(mutate):
+    spec, kwargs = mutate
     with pytest.raises(ConfigurationError):
-        run_adaptive(replace(SMOOTH, **mutate))
-
+        if spec is AdaptiveConfig:
+            replace(SMOOTH, **kwargs)
+        else:
+            spec(**kwargs)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from lsfem import (LevelEstimator, assemble_system, builtin_domain,
-                   build_dofmap, compute_error_norms, compute_indicators,
-                   discrete_v_norm, eval_discrete, exact_solve, make_problem,
-                   quadrature_rule, refine_nvb, refine_uniform)
+from lsfem import (LevelEstimator, ProblemSpec, assemble_system,
+                   builtin_domain, build_dofmap, compute_error_norms,
+                   compute_indicators, discrete_v_norm, eval_discrete,
+                   exact_solve, make_problem, quadrature_rule, refine_nvb,
+                   refine_uniform)
 from lsfem.problems import eval_operator
 
 
@@ -12,7 +13,7 @@ def test_zero_function_indicator_oracle():
     """With v = 0 and f = 1 the residual is the constant (1, 0, 0)."""
     mesh = builtin_domain("unit_square")
     dm = build_dofmap(mesh)
-    prob = make_problem({"kind": "poisson", "f": 1.0})
+    prob = make_problem(ProblemSpec(kind="poisson", f=1.0))
     report = compute_indicators(mesh, dm, prob, np.zeros(dm.n_total))
     np.testing.assert_allclose(report.per_element,
                                np.sqrt(0.5) * np.ones(2), atol=1e-15)
@@ -22,7 +23,7 @@ def test_zero_function_indicator_oracle():
 def test_indicator_additivity_and_subsets():
     mesh = refine_uniform(builtin_domain("l_shape"), rounds=2)
     dm = build_dofmap(mesh)
-    prob = make_problem({"kind": "poisson", "f": 1.0})
+    prob = make_problem(ProblemSpec(kind="poisson", f=1.0))
     system, rhs = assemble_system(mesh, dm, prob)
     coef = exact_solve(system, rhs)
     report = compute_indicators(mesh, dm, prob, coef)
@@ -42,7 +43,7 @@ def test_solution_minimizes_estimator():
     """The discrete minimizer has the smallest total among perturbations."""
     mesh = refine_uniform(builtin_domain("unit_square"), rounds=2)
     dm = build_dofmap(mesh)
-    prob = make_problem({"kind": "poisson", "f": 1.0})
+    prob = make_problem(ProblemSpec(kind="poisson", f=1.0))
     system, rhs = assemble_system(mesh, dm, prob)
     star = exact_solve(system, rhs)
     base = compute_indicators(mesh, dm, prob, star).total
@@ -86,7 +87,7 @@ def test_v_norm_scales_linearly():
 def test_error_norm_zero_for_zero_solution():
     mesh = refine_uniform(builtin_domain("unit_square"), rounds=1)
     dm = build_dofmap(mesh)
-    prob = make_problem({"kind": "poisson", "manufactured": "zero"})
+    prob = make_problem(ProblemSpec(kind="poisson", manufactured="zero"))
     report = compute_error_norms(mesh, dm, np.zeros(dm.n_total), prob.exact)
     assert report.total == 0.0
 
@@ -95,7 +96,7 @@ def test_error_and_estimator_comparable_on_solved_problem():
     """Both quantities measure the same distance up to fixed constants."""
     mesh = refine_uniform(builtin_domain("unit_square"), rounds=3)
     dm = build_dofmap(mesh)
-    prob = make_problem({"kind": "poisson", "manufactured": "poly_bubble"})
+    prob = make_problem(ProblemSpec(kind="poisson", manufactured="poly_bubble"))
     system, rhs = assemble_system(mesh, dm, prob)
     coef = exact_solve(system, rhs)
     eta = compute_indicators(mesh, dm, prob, coef).total
@@ -107,9 +108,9 @@ def test_residual_matches_pointwise_operator():
     """Indicators square-integrate F - L v; cross-check one element."""
     mesh = builtin_domain("unit_square")
     dm = build_dofmap(mesh)
-    prob = make_problem({"kind": "general", "f": 2.0,
-                         "a": [[1.5, 0.25], [0.25, 1.0]],
-                         "b": [1.0, 0.5], "c": 0.75})
+    prob = make_problem(ProblemSpec(kind="general", f=2.0,
+                                    a=[[1.5, 0.25], [0.25, 1.0]],
+                                    b=[1.0, 0.5], c=0.75))
     rng = np.random.default_rng(23)
     coef = rng.standard_normal(dm.n_total)
     report = compute_indicators(mesh, dm, prob, coef, quad_order=4)
@@ -126,7 +127,7 @@ def test_residual_matches_pointwise_operator():
 
 
 def test_error_norm_shrinks_under_refinement():
-    prob = make_problem({"kind": "poisson", "manufactured": "poly_bubble"})
+    prob = make_problem(ProblemSpec(kind="poisson", manufactured="poly_bubble"))
     totals = []
     mesh = builtin_domain("unit_square")
     for _ in range(3):
@@ -148,7 +149,7 @@ def test_level_estimator_reuse_matches_fresh_calls(spec):
     mesh = refine_nvb(refine_uniform(builtin_domain("l_shape"), rounds=2),
                       [0, 5, 9])
     dm = build_dofmap(mesh)
-    prob = make_problem(spec)
+    prob = make_problem(ProblemSpec(**spec))
     system, rhs = assemble_system(mesh, dm, prob)
     vectors = [np.zeros(dm.n_total),
                np.random.default_rng(3).standard_normal(dm.n_total),

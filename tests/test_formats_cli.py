@@ -110,20 +110,36 @@ def test_non_finite_numbers_rejected(override):
         config_from_dict({**MINIMAL, **override})
 
 
-# every field of every spec set, in declaration order; the values need not
-# make a runnable combination, since parsing checks types, not values
-FULL = {
-    "domain": "l_shape",
-    "problem": {"kind": "general", "manufactured": "sine", "f": 2.5,
-                "a": [[2.0, 0.5], [0.5, 1.0]], "b": [0.25, -0.5],
-                "c": 1.5, "omega": 3.0},
-    "marking": {"strategy": "maximum", "theta": 0.7},
-    "solver": {"kind": "pcg", "precond": "none", "eta_ref": "initial",
-               "nested": False, "max_steps": 40, "n_steps": 3, "lam": 0.1},
-    "quadrature": {"assembly_order": 3, "estimator_order": 5},
-    "stop": {"max_ndof": 1234, "max_levels": 7, "eta_tol": 0.001},
-    "theta_schedule": [0.3, 0.6, 0.9],
-}
+# two valid configs that between them set every field of every spec off its
+# default, keys in declaration order; two are needed because each spec
+# checks its values when it is built, and the pairs c/omega,
+# f/manufactured and n_steps/lam exclude each other
+FULL = [
+    {
+        "domain": "unit_square",
+        "problem": {"kind": "general", "manufactured": "sine",
+                    "a": [[2.0, 0.5], [0.5, 1.0]], "b": [0.25, -0.5],
+                    "omega": 3.0},
+        "marking": {"strategy": "maximum", "theta": 0.7},
+        "solver": {"kind": "pcg", "precond": "none", "eta_ref": "initial",
+                   "nested": False, "max_steps": 40, "lam": 0.1},
+        "quadrature": {"assembly_order": 3, "estimator_order": 5},
+        "stop": {"max_ndof": 1234, "max_levels": 7, "eta_tol": 0.001},
+        "theta_schedule": [0.3, 0.6, 0.9],
+    },
+    {
+        "domain": "l_shape",
+        "problem": {"kind": "general", "f": 2.5,
+                    "a": [[1.5, -0.25], [-0.25, 1.0]], "b": [-0.1, 0.2],
+                    "c": 1.5},
+        "marking": {"strategy": "equilibration", "theta": 0.4},
+        "solver": {"kind": "pcg", "precond": "none", "eta_ref": "initial",
+                   "nested": False, "max_steps": 60, "n_steps": 3},
+        "quadrature": {"assembly_order": 2, "estimator_order": 7},
+        "stop": {"max_ndof": 4321, "max_levels": 9, "eta_tol": 0.25},
+        "theta_schedule": [0.8],
+    },
+]
 
 
 def _fields_at_default(spec, where=""):
@@ -136,13 +152,15 @@ def _fields_at_default(spec, where=""):
 
 
 def test_fully_populated_config_roundtrips(tmp_path):
-    config = config_from_dict(FULL)
-    assert list(_fields_at_default(config)) == []
-    text = serialize_config(config)
-    assert text == yaml.safe_dump(FULL, sort_keys=False)
-    path = tmp_path / "full.yaml"
-    path.write_text(text, encoding="utf-8")
-    assert parse_config(path) == config
+    configs = [config_from_dict(data) for data in FULL]
+    at_default = [set(_fields_at_default(config)) for config in configs]
+    assert set.intersection(*at_default) == set()
+    for i, (data, config) in enumerate(zip(FULL, configs)):
+        text = serialize_config(config)
+        assert text == yaml.safe_dump(data, sort_keys=False)
+        path = tmp_path / f"full{i}.yaml"
+        path.write_text(text, encoding="utf-8")
+        assert parse_config(path) == config
 
 
 def test_history_roundtrip(tmp_path):
@@ -315,6 +333,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert ".nan" in nan_tol.read_text(encoding="utf-8")
     assert main(["run", "--config", str(nan_tol),
                  "--out", str(tmp_path / "o")]) == 2
+    # a value error is found while the config is read, before --out exists
+    for name, override in [
+            ("no_steps", {"solver": {"kind": "pcg", "lam": 0.1,
+                                     "max_steps": 0}}),
+            ("exact_lam", {"solver": {"kind": "exact", "lam": -3}}),
+            ("disk", {"domain": "disk"})]:
+        config = _write_tiny_config(tmp_path / f"{name}.yaml", **override)
+        out = tmp_path / f"{name}_out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
     capsys.readouterr()
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from lsfem import (FixedSteps, IncrementStop, ResidualTol, SolverError,
-                   assemble_system, builtin_domain, build_dofmap,
+from lsfem import (FixedSteps, IncrementStop, ProblemSpec, ResidualTol,
+                   SolverError, assemble_system, builtin_domain, build_dofmap,
                    estimate_pcg_contraction, exact_solve, make_problem,
                    pcg_run, refine_uniform)
 
@@ -17,7 +17,7 @@ def _random_spd(n, seed):
 def _lsfem_system(rounds=2):
     mesh = refine_uniform(builtin_domain("unit_square"), rounds=rounds)
     dm = build_dofmap(mesh)
-    prob = make_problem({"kind": "poisson", "f": 1.0})
+    prob = make_problem(ProblemSpec(kind="poisson", f=1.0))
     return assemble_system(mesh, dm, prob)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lsfem import (assemble_system, builtin_domain, build_dofmap,
+from lsfem import (ProblemSpec, assemble_system, builtin_domain, build_dofmap,
                    exact_solve, make_problem, refine_nvb, refine_uniform)
 from lsfem.driver import AdaptiveHistory, HistoryRow
 from lsfem.verify import (BUDGETS, SUITE_NAMES, check_smooth_run,
@@ -81,7 +81,7 @@ def _solved(mesh, prob):
 
 def test_pythagoras_zero_for_minimizer_perturbations():
     mesh = refine_uniform(builtin_domain("unit_square"), rounds=2)
-    prob = make_problem({"kind": "poisson", "f": 1.0})
+    prob = make_problem(ProblemSpec(kind="poisson", f=1.0))
     dm, _ = _solved(mesh, prob)
     defect = pythagoras_check(mesh, dm, prob, trials=10)
     assert defect <= BUDGETS["pythagoras_defect"]
@@ -89,7 +89,7 @@ def test_pythagoras_zero_for_minimizer_perturbations():
 
 def test_galerkin_orthogonality_between_levels():
     coarse = refine_uniform(builtin_domain("unit_square"), rounds=1)
-    prob = make_problem({"kind": "poisson", "f": 1.0})
+    prob = make_problem(ProblemSpec(kind="poisson", f=1.0))
     cdm = build_dofmap(coarse)
     fine = refine_nvb(coarse, [0, 3])
     fdm = build_dofmap(fine)
@@ -100,14 +100,14 @@ def test_galerkin_orthogonality_between_levels():
 def test_local_efficiency_requires_exact_solution():
     mesh = builtin_domain("unit_square")
     dm = build_dofmap(mesh)
-    prob = make_problem({"kind": "poisson", "f": 1.0})
+    prob = make_problem(ProblemSpec(kind="poisson", f=1.0))
     with pytest.raises(ValueError):
         local_efficiency_check(mesh, dm, prob, np.zeros(dm.n_total))
 
 
 def test_local_efficiency_bounded_on_solved_fixture():
     mesh = refine_uniform(builtin_domain("unit_square"), rounds=3)
-    prob = make_problem({"kind": "poisson", "manufactured": "poly_bubble"})
+    prob = make_problem(ProblemSpec(kind="poisson", manufactured="poly_bubble"))
     dm, coef = _solved(mesh, prob)
     result = local_efficiency_check(mesh, dm, prob, coef)
     assert result.per_element.shape == (mesh.n_elements,)
@@ -117,7 +117,7 @@ def test_local_efficiency_bounded_on_solved_fixture():
 
 def test_drel_degenerate_without_refinement():
     mesh = refine_uniform(builtin_domain("unit_square"), rounds=1)
-    prob = make_problem({"kind": "poisson", "f": 1.0})
+    prob = make_problem(ProblemSpec(kind="poisson", f=1.0))
     dm, coef = _solved(mesh, prob)
     result = discrete_reliability_check(prob, mesh, dm, coef, mesh, dm, coef)
     assert result.degenerate
@@ -127,7 +127,7 @@ def test_drel_degenerate_without_refinement():
 def test_drel_uniform_refinement_covers_everything():
     """Bisecting every element puts every coarse element in the zone."""
     coarse = refine_uniform(builtin_domain("unit_square"), rounds=1)
-    prob = make_problem({"kind": "poisson", "f": 1.0})
+    prob = make_problem(ProblemSpec(kind="poisson", f=1.0))
     cdm, ccoef = _solved(coarse, prob)
     fine = refine_nvb(coarse, np.arange(coarse.n_elements))
     fdm, fcoef = _solved(fine, prob)
@@ -141,7 +141,7 @@ def test_drel_uniform_refinement_covers_everything():
 
 def test_drel_local_refinement_zone_is_partial():
     coarse = refine_uniform(builtin_domain("unit_square"), rounds=3)
-    prob = make_problem({"kind": "poisson", "f": 1.0})
+    prob = make_problem(ProblemSpec(kind="poisson", f=1.0))
     cdm, ccoef = _solved(coarse, prob)
     fine = refine_nvb(coarse, [0])
     fdm, fcoef = _solved(fine, prob)
