@@ -21,8 +21,8 @@ from .formats import (parse_config, read_history, read_mesh_text,
                       write_vtk)
 from .marking import MarkingSpec, doerfler_bruteforce, mark, verify_marking_axiom
 from .mesh import (Mesh, MeshDiagnostics, ancestor_map, builtin_domain,
-                   element_geometry, is_refinement_of, patch, refine_nvb,
-                   refine_uniform, validate)
+                   element_geometry, patch, refine_nvb, refine_uniform,
+                   validate)
 from .problems import ExactSolution, Problem, ProblemSpec, make_problem
 from .quadrature import QuadRule, quadrature_rule
 from .solver import (FixedSteps, IncrementStop, PcgResult, ResidualTol,
@@ -48,7 +48,7 @@ __all__ = [
     "read_mesh_text", "serialize_config", "write_history", "write_mesh_text",
     "write_vtk", "MarkingSpec", "doerfler_bruteforce", "mark",
     "verify_marking_axiom", "Mesh", "MeshDiagnostics", "ancestor_map",
-    "builtin_domain", "element_geometry", "is_refinement_of", "patch",
+    "builtin_domain", "element_geometry", "patch",
     "refine_nvb", "refine_uniform", "validate", "ExactSolution", "Problem",
     "ProblemSpec", "make_problem", "QuadRule", "quadrature_rule", "FixedSteps",
     "IncrementStop", "PcgResult", "ResidualTol", "estimate_pcg_contraction",

@@ -190,8 +190,7 @@ def _solve_level(config, problem, mesh, dofmap, system, rhs, prev):
         estimate = LevelEstimator(mesh, dofmap, problem, est_order)
         stop = IncrementStop(solver.lam, lambda x: estimate(x).total,
                              solver.max_steps)
-    result = pcg_run(system, rhs, precond=solver.precond, x0=x0,
-                     stop=stop, keep_iterates=False)
+    result = pcg_run(system, rhs, precond=solver.precond, x0=x0, stop=stop)
     increment_final = result.increments[-1] if result.increments else 0.0
     return result.x, result.iterations, increment_final
 

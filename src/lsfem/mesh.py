@@ -61,8 +61,7 @@ class Mesh:
         forest rooted in the initial mesh.
     """
 
-    def __init__(self, vertices, elements, parent_mesh=None, parent=None,
-                 generation=0):
+    def __init__(self, vertices, elements, parent_mesh=None, parent=None):
         vertices = np.array(vertices, dtype=float)
         elements = np.array(elements, dtype=np.intp)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
@@ -82,7 +81,6 @@ class Mesh:
         self.elements.setflags(write=False)
         self.parent_mesh = parent_mesh
         self.parent = None if parent is None else np.asarray(parent, dtype=np.intp)
-        self.generation = generation
         self._cache = {}
         areas = self.signed_areas()
         if np.any(areas <= 0.0):
@@ -290,61 +288,73 @@ def patch(mesh, elem):
 def refine_nvb(mesh, marked):
     """Bisect the marked elements and close the mesh to conformity.
 
-    Closure iterates "bisect every element one of whose edges has been
-    split" to a fixed point; each pass bisects an element once, through its
-    own refinement edge, so elements hit by closure may end up bisected more
-    than once per call.  New vertices are appended per pass in the sorted
-    order of their parent-edge vertex pairs, which makes the result a pure
-    function of the input.
+    ``marked`` holds integer element indices; booleans, floats and
+    indices out of range raise ``ValueError``, and an empty ``marked``
+    returns ``mesh`` itself.
+
+    Closure marks edges of ``mesh.edges``: ``level[e]`` is the pass in
+    which edge ``e`` gets its midpoint, 0 while it stays unsplit.  The
+    refinement edges of the marked elements get level 1; pass ``k + 1``
+    gives level ``k + 1`` to the refinement edge of every element that
+    has a split edge but an unsplit refinement edge, and closure ends when
+    no such element is left.  Every pass splits at least one new edge, so
+    the loop ends.  Only edges of ``mesh`` are ever split: a child's
+    refinement edge is one of its parent's edges, and no edge of a
+    grandchild is split within one call.
+
+    The output is a pure function of the input.  New vertices are numbered
+    ``n_vertices + rank``, split edges ranked by ``(level, edge index)``.
+    Each element ``(p0, p1, p2)`` is replaced in place by its children;
+    with ``m``, ``m1`` and ``m0`` the midpoints of ``p0-p1``, ``p2-p0`` and
+    ``p1-p2``, an element with no split edge stays as it is, and otherwise
+    its children are ``(m, p2, m1), (p0, m, m1)`` if ``p2-p0`` is split,
+    else ``(p2, p0, m)``, followed by ``(m, p1, m0), (p2, m, m0)`` if
+    ``p1-p2`` is split, else ``(p1, p2, m)``.  ``parent`` repeats each
+    element's index once per child.
     """
-    marked = np.unique(np.asarray(list(marked), dtype=np.intp))
+    marked = np.asarray(marked)
     if marked.size == 0:
         return mesh
+    if marked.dtype.kind not in "iu":
+        raise ValueError("marked must hold integer element indices, "
+                         f"not {marked.dtype}")
     if marked.min() < 0 or marked.max() >= mesh.n_elements:
         raise ValueError("marked element index out of range")
 
-    vx = [float(x) for x in mesh.vertices[:, 0]]
-    vy = [float(y) for y in mesh.vertices[:, 1]]
-    elements = [tuple(tri) for tri in mesh.elements.tolist()]
-    ancestor = list(range(mesh.n_elements))
-    midpoint = {}
+    # local edge 2 is the refinement edge p0-p1, 1 is p2-p0, 0 is p1-p2
+    elem_edges = mesh.elem_edges
+    level = np.zeros(len(mesh.edges), dtype=np.intp)
+    new = elem_edges[marked, 2]
+    k = 1
+    while new.size:
+        level[new] = k
+        k += 1
+        # a neighbour of an edge split in an earlier pass has its own
+        # refinement edge split by now, so only this pass's can need closure
+        touched = mesh.edge_elements[new].ravel()
+        ref = elem_edges[touched[touched >= 0], 2]
+        new = ref[level[ref] == 0]
 
-    def pair(a, b):
-        return (a, b) if a < b else (b, a)
+    split = np.flatnonzero(level)
+    split = split[np.argsort(level[split], kind="stable")]
+    mid = np.full(len(level), -1, dtype=np.intp)
+    mid[split] = mesh.n_vertices + np.arange(split.size)
+    ends = mesh.vertices[mesh.edges[split]]
+    vertices = np.vstack([mesh.vertices, 0.5 * (ends[:, 0] + ends[:, 1])])
 
-    to_bisect = sorted(set(int(t) for t in marked))
-    guard = 0
-    while to_bisect:
-        guard += 1
-        if guard > 10000:
-            raise MeshValidityError("refinement closure did not terminate")
-        needed = sorted({pair(elements[t][0], elements[t][1]) for t in to_bisect})
-        for a, b in needed:
-            if (a, b) not in midpoint:
-                midpoint[(a, b)] = len(vx)
-                vx.append(0.5 * (vx[a] + vx[b]))
-                vy.append(0.5 * (vy[a] + vy[b]))
-        bis = set(to_bisect)
-        next_elements = []
-        next_ancestor = []
-        for t, (p0, p1, p2) in enumerate(elements):
-            if t in bis:
-                m = midpoint[pair(p0, p1)]
-                next_elements.append((p2, p0, m))
-                next_elements.append((p1, p2, m))
-                next_ancestor.extend((ancestor[t], ancestor[t]))
-            else:
-                next_elements.append((p0, p1, p2))
-                next_ancestor.append(ancestor[t])
-        elements = next_elements
-        ancestor = next_ancestor
-        to_bisect = [t for t, (p0, p1, p2) in enumerate(elements)
-                     if pair(p0, p1) in midpoint or pair(p1, p2) in midpoint
-                     or pair(p2, p0) in midpoint]
-
-    vertices = np.column_stack([np.array(vx), np.array(vy)])
-    return Mesh(vertices, elements, parent_mesh=mesh, parent=ancestor,
-                generation=mesh.generation + 1)
+    p0, p1, p2 = mesh.elements.T
+    m, m1, m0 = mid[elem_edges].T[::-1]
+    bisected, left, right = m >= 0, m1 >= 0, m0 >= 0
+    # four child slots per element, kept where the element has that child
+    slots = np.stack([
+        np.where(left, [m, p2, m1], [p2, p0, m]),
+        [p0, m, m1],
+        np.where(right, [m, p1, m0], [p1, p2, m]),
+        [p2, m, m0]]).transpose(2, 0, 1)
+    slots[~bisected, 0] = mesh.elements[~bisected]
+    keep = np.column_stack([np.ones_like(bisected), left, bisected, right])
+    return Mesh(vertices, slots[keep], parent_mesh=mesh,
+                parent=np.nonzero(keep)[0])
 
 
 def refine_uniform(mesh, rounds=1):
@@ -372,14 +382,6 @@ def ancestor_map(fine, coarse):
         idx = m.parent[idx]
         m = m.parent_mesh
     return idx
-
-
-def is_refinement_of(fine, coarse):
-    try:
-        ancestor_map(fine, coarse)
-    except ValueError:
-        return False
-    return True
 
 
 # -- validation --------------------------------------------------------------

@@ -66,16 +66,12 @@ class ResidualTol:
 
 @dataclass
 class PcgResult:
-    iterates: list                      # [x_0, ..., x_n] (or [x_n] if not kept)
+    x: np.ndarray                       # the final iterate x_n
     iterations: int
-    residual_norms: list                # aligned with the iterates
+    residual_norms: list                # of x_0, ..., x_n
     increments: list                    # A-norm of each step, length = iterations
-    energy_errors: Optional[list]       # aligned with iterates when reference given
+    energy_errors: Optional[list]       # of x_0, ..., x_n when reference given
     stop_reason: str                    # max_iter | increment_criterion | residual_tol
-
-    @property
-    def x(self):
-        return self.iterates[-1]
 
 
 def _as_system(matrix):
@@ -112,10 +108,10 @@ def _apply_precond(system, precond):
 
 
 def pcg_run(system, rhs, precond="jacobi", x0=None, stop=FixedSteps(1),
-            reference=None, keep_iterates=True):
+            reference=None):
     """Preconditioned conjugate gradients with pluggable stopping rules.
 
-    Always performs at least one step.  Returns the iterate trajectory along
+    Always performs at least one step.  Returns the final iterate along
     with residual norms, A-norm increments, and (if ``reference`` is given)
     energy-norm errors per iterate.  A search direction with d.Ad <= 0 while
     the residual is nonzero raises ``SolverError``.
@@ -140,7 +136,6 @@ def pcg_run(system, rhs, precond="jacobi", x0=None, stop=FixedSteps(1),
     z = apply_p(r)
     d = z.copy()
     rz = float(r @ z)
-    iterates = [x.copy()]
     residuals = [float(np.linalg.norm(r))]
     increments = []
     energies = None if reference is None else [energy_error(x)]
@@ -174,10 +169,6 @@ def pcg_run(system, rhs, precond="jacobi", x0=None, stop=FixedSteps(1),
             increment = abs(alpha) * float(np.sqrt(max(dad, 0.0)))
         n_steps += 1
         increments.append(increment)
-        if keep_iterates:
-            iterates.append(x.copy())
-        else:
-            iterates = [x.copy()]
         residuals.append(float(np.linalg.norm(r)))
         if energies is not None:
             energies.append(energy_error(x))
@@ -192,7 +183,7 @@ def pcg_run(system, rhs, precond="jacobi", x0=None, stop=FixedSteps(1),
                 stop_reason = "residual_tol"
                 break
 
-    return PcgResult(iterates=iterates, iterations=n_steps,
+    return PcgResult(x=x, iterations=n_steps,
                      residual_norms=residuals, increments=increments,
                      energy_errors=energies, stop_reason=stop_reason)
 

@@ -528,7 +528,7 @@ def check_pcg_contraction(runs):
     for system, rhs, precond, steps in runs:
         _, q_ctr = estimate_pcg_contraction(system, precond)
         run = pcg_run(system, rhs, precond=precond, stop=FixedSteps(steps),
-                      reference=exact_solve(system, rhs), keep_iterates=False)
+                      reference=exact_solve(system, rhs))
         e = np.array(run.energy_errors)
         active = e[:-1] > BUDGETS["pcg_energy_floor"] * e[0]
         if not active.any():

@@ -1,9 +1,10 @@
-"""Per-level histories of two shipped configs against committed references.
+"""Per-level histories of the shipped configs against committed references.
 
 ``tests/data/<config>_history.json`` holds the rows of a reference run.
-Both configs are sensitive to last-bit changes of the indicators: Doerfler
-marking on symmetric meshes meets ties, and a flipped tie changes every
-later mesh.  Integers must match exactly, the estimator and the error to
+The adaptive configs are sensitive to last-bit changes of the indicators:
+Doerfler marking on symmetric meshes meets ties, and a flipped tie changes
+every later mesh.  A change that renumbers mesh entities must keep every
+history.  Integers must match exactly, the estimator and the error to
 1e-12 relative.
 """
 
@@ -24,7 +25,9 @@ def _close(got, want):
     return abs(got - want) <= 1e-12 * abs(want)
 
 
-@pytest.mark.parametrize("name", ["smooth_poisson_pcg", "lshape_adaptive"])
+@pytest.mark.parametrize("name", ["smooth_poisson_pcg", "lshape_adaptive",
+                                  "helmholtz", "lshape_uniform",
+                                  "smooth_poisson"])
 def test_history_matches_reference(name):
     with open(os.path.join(REPO, "tests", "data", f"{name}_history.json")) as fh:
         reference = json.load(fh)["rows"]

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from lsfem import (Mesh, MeshValidityError, ancestor_map, builtin_domain,
-                   element_geometry, is_refinement_of, patch, refine_nvb,
-                   refine_uniform, validate)
+                   element_geometry, patch, refine_nvb, refine_uniform,
+                   validate)
 
 
 def test_unit_square_layout():
@@ -77,6 +77,19 @@ def test_h_contraction_factor():
 def test_refine_empty_marked_is_identity():
     mesh = builtin_domain("l_shape")
     assert refine_nvb(mesh, []) is mesh
+    assert refine_nvb(mesh, np.array([], dtype=np.intp)) is mesh
+
+
+@pytest.mark.parametrize("marked, message", [
+    ([False] * 5 + [True], "integer element indices"),
+    (np.ones(6, dtype=bool), "integer element indices"),
+    ([4.9], "integer element indices"),
+    ([5.0], "integer element indices"),
+    ([6], "out of range"),
+    ([-1], "out of range")])
+def test_refine_rejects_bad_marked(marked, message):
+    with pytest.raises(ValueError, match=message):
+        refine_nvb(builtin_domain("l_shape"), marked)
 
 
 def test_refinement_is_deterministic():
@@ -117,11 +130,93 @@ def test_uniform_refinement_counts_and_angles():
     assert all(a >= min_angles[1] - 1e-12 for a in min_angles[1:])
 
 
-def test_generation_counter_and_parents():
+def _refine_nvb_reference(mesh, marked):
+    """Reference bisection: closure over Python lists and a midpoint dict.
+
+    Returns the ``(vertices, elements, parent)`` arrays of the refined mesh.
+    """
+    marked = np.unique(np.asarray(list(marked), dtype=np.intp))
+    vx = [float(x) for x in mesh.vertices[:, 0]]
+    vy = [float(y) for y in mesh.vertices[:, 1]]
+    elements = [tuple(tri) for tri in mesh.elements.tolist()]
+    ancestor = list(range(mesh.n_elements))
+    midpoint = {}
+
+    def pair(a, b):
+        return (a, b) if a < b else (b, a)
+
+    to_bisect = sorted(set(int(t) for t in marked))
+    while to_bisect:
+        needed = sorted({pair(elements[t][0], elements[t][1]) for t in to_bisect})
+        for a, b in needed:
+            if (a, b) not in midpoint:
+                midpoint[(a, b)] = len(vx)
+                vx.append(0.5 * (vx[a] + vx[b]))
+                vy.append(0.5 * (vy[a] + vy[b]))
+        bis = set(to_bisect)
+        next_elements = []
+        next_ancestor = []
+        for t, (p0, p1, p2) in enumerate(elements):
+            if t in bis:
+                m = midpoint[pair(p0, p1)]
+                next_elements.append((p2, p0, m))
+                next_elements.append((p1, p2, m))
+                next_ancestor.extend((ancestor[t], ancestor[t]))
+            else:
+                next_elements.append((p0, p1, p2))
+                next_ancestor.append(ancestor[t])
+        elements = next_elements
+        ancestor = next_ancestor
+        to_bisect = [t for t, (p0, p1, p2) in enumerate(elements)
+                     if pair(p0, p1) in midpoint or pair(p1, p2) in midpoint
+                     or pair(p2, p0) in midpoint]
+    return (np.column_stack([np.array(vx), np.array(vy)]),
+            np.array(elements, dtype=np.intp), np.array(ancestor, dtype=np.intp))
+
+
+def _refine_like_reference(mesh, marked, where):
+    fine = refine_nvb(mesh, marked)
+    vertices, elements, parent = _refine_nvb_reference(mesh, marked)
+    np.testing.assert_array_equal(fine.vertices, vertices, err_msg=where)
+    np.testing.assert_array_equal(fine.elements, elements, err_msg=where)
+    np.testing.assert_array_equal(fine.parent, parent, err_msg=where)
+    return fine
+
+
+@pytest.mark.parametrize("domain", ["unit_square", "l_shape"])
+def test_refine_matches_reference_on_random_sequences(domain):
+    rng = np.random.default_rng(2020)
+    for seq in range(6):
+        mesh = builtin_domain(domain)
+        for step in range(12):
+            k = int(rng.integers(1, mesh.n_elements // 2 + 2))
+            marked = rng.choice(mesh.n_elements, size=k, replace=False)
+            mesh = _refine_like_reference(mesh, marked,
+                                          f"{domain} sequence {seq} step {step}")
+
+
+def test_refine_matches_reference_on_corner_grading():
+    """One marked element at the reentrant corner: closure takes up to six
+    passes once the mesh is graded."""
+    mesh = builtin_domain("l_shape")
+    corner = 3                                  # the vertex at the origin
+    for step in range(30):
+        marked = mesh.vertex_elements(corner)[:1]
+        mesh = _refine_like_reference(mesh, marked, f"corner step {step}")
+
+
+@pytest.mark.parametrize("domain", ["unit_square", "l_shape"])
+def test_refine_matches_reference_on_uniform_rounds(domain):
+    mesh = builtin_domain(domain)
+    for rnd in range(7):
+        mesh = _refine_like_reference(mesh, np.arange(mesh.n_elements),
+                                      f"{domain} round {rnd}")
+
+
+def test_parent_links():
     mesh = builtin_domain("unit_square")
     fine = refine_nvb(mesh, [0])
-    assert mesh.generation == 0
-    assert fine.generation == 1
+    assert mesh.parent_mesh is None and mesh.parent is None
     assert fine.parent_mesh is mesh
     assert fine.parent.shape == (fine.n_elements,)
     assert set(fine.parent.tolist()) == {0, 1}
@@ -141,8 +236,8 @@ def test_ancestor_map_composes():
         m = np.column_stack([anc[1] - anc[0], anc[2] - anc[0]])
         lam = np.linalg.solve(m, centroid - anc[0])
         assert lam.min() >= -1e-12 and lam.sum() <= 1 + 1e-12
-    assert is_refinement_of(fine, coarse)
-    assert not is_refinement_of(coarse, fine)
+    with pytest.raises(ValueError):
+        ancestor_map(coarse, fine)
 
 
 def test_ancestor_map_rejects_unrelated():
