@@ -9,7 +9,7 @@ exactly through a sparse factorization or inexactly by a contractive
 preconditioned conjugate gradient iteration with nested warm starts.
 """
 
-from .assembly import SparseSpd, assemble_system, discrete_state, eval_discrete
+from .assembly import SparseSpd, assemble_system, eval_discrete
 from .driver import (AdaptiveConfig, AdaptiveHistory, HistoryRow, LevelRecord,
                      QuadSpec, SolverSpec, StopSpec, run_adaptive)
 from .errors import (ConfigurationError, IdentityViolationError,
@@ -21,8 +21,7 @@ from .formats import (parse_config, read_history, read_mesh_text,
                       write_vtk)
 from .marking import MarkingSpec, doerfler_bruteforce, mark, verify_marking_axiom
 from .mesh import (Mesh, MeshDiagnostics, ancestor_map, builtin_domain,
-                   element_geometry, patch, refine_nvb, refine_uniform,
-                   validate)
+                   refine_nvb, refine_uniform, validate)
 from .problems import ExactSolution, Problem, ProblemSpec, make_problem
 from .quadrature import QuadRule, quadrature_rule
 from .solver import (FixedSteps, IncrementStop, PcgResult, ResidualTol,
@@ -38,7 +37,7 @@ from .verify import (BUDGETS, RateFit, discrete_reliability_check, fit_rate,
 __version__ = "0.1.0"
 
 __all__ = [
-    "SparseSpd", "assemble_system", "discrete_state", "eval_discrete",
+    "SparseSpd", "assemble_system", "eval_discrete",
     "AdaptiveConfig", "AdaptiveHistory", "HistoryRow", "LevelRecord",
     "QuadSpec", "SolverSpec", "StopSpec", "run_adaptive",
     "ConfigurationError", "IdentityViolationError", "MeshValidityError",
@@ -48,8 +47,8 @@ __all__ = [
     "read_mesh_text", "serialize_config", "write_history", "write_mesh_text",
     "write_vtk", "MarkingSpec", "doerfler_bruteforce", "mark",
     "verify_marking_axiom", "Mesh", "MeshDiagnostics", "ancestor_map",
-    "builtin_domain", "element_geometry", "patch",
-    "refine_nvb", "refine_uniform", "validate", "ExactSolution", "Problem",
+    "builtin_domain", "refine_nvb", "refine_uniform", "validate",
+    "ExactSolution", "Problem",
     "ProblemSpec", "make_problem", "QuadRule", "quadrature_rule", "FixedSteps",
     "IncrementStop", "PcgResult", "ResidualTol", "estimate_pcg_contraction",
     "exact_solve", "pcg_run", "DofMap", "build_dofmap", "eval_local_basis",

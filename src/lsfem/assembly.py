@@ -24,7 +24,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import SolverError
 from .quadrature import quadrature_rule
-from .spaces import eval_local_basis, geometry_tables
+from .spaces import eval_local_basis
 
 MAX_DOFS = 200_000
 # Elements per assembly block: bounds the (block, nq, 6, 3) operator images
@@ -77,9 +77,9 @@ class SparseSpd:
 def _quad_points(mesh, rule, block=slice(None)):
     """Physical quadrature points (nb, nq, 2) and absolute weights (nb, nq)
     of the elements in ``block``, all of them by default."""
-    tables = geometry_tables(mesh)
-    phys = np.einsum("qi,tid->tqd", rule.points, tables["coords"][block])
-    w_abs = rule.weights[None, :] * tables["area"][block, None]
+    geometry = mesh.geometry
+    phys = np.einsum("qi,tid->tqd", rule.points, geometry["coords"][block])
+    w_abs = rule.weights[None, :] * geometry["area"][block, None]
     return phys, w_abs
 
 
@@ -91,7 +91,7 @@ def operator_basis_images(mesh, problem, rule, block):
     hats then the three edge fields, and the last axis carries the operator
     components (scalar row, two vector rows).
     """
-    tables = geometry_tables(mesh)
+    geometry = mesh.geometry
     phys, w_abs = _quad_points(mesh, rule, block)
     nb, nq = w_abs.shape
     flat = phys.reshape(-1, 2)
@@ -99,7 +99,7 @@ def operator_basis_images(mesh, problem, rule, block):
     b_vals = problem.b_fn(flat).reshape(nb, nq, 2)
     c_vals = problem.c_fn(flat).reshape(nb, nq)
 
-    grads = tables["hat_grads"][block]                  # (nb, 3, 2)
+    grads = geometry["hat_grads"][block]                # (nb, 3, 2)
     images = np.zeros((nb, nq, 6, 3))
     # hats: state (lambda_j, grad lambda_j, 0, 0)
     hat_vals = rule.points                              # (nq, 3)
@@ -109,9 +109,8 @@ def operator_basis_images(mesh, problem, rule, block):
     images[:, :, :3, 1] = a_grad[..., 0]
     images[:, :, :3, 2] = a_grad[..., 1]
     # edge fields: state (0, 0, psi_i, div psi_i)
-    scale = (mesh.edge_signs[block] * tables["edge_len"][block]
-             / (2.0 * tables["area"][block])[:, None])  # (nb, 3)
-    rel = phys[:, :, None, :] - tables["opp"][block, None, :, :]  # (nb, nq, 3, 2)
+    scale = mesh.rt_scale[block]                        # (nb, 3)
+    rel = phys[:, :, None, :] - geometry["coords"][block, None]   # (nb, nq, 3, 2)
     psi = scale[:, None, :, None] * rel
     images[:, :, 3:, 0] = -2.0 * scale[:, None, :]
     images[:, :, 3:, 1] = -psi[..., 0]
@@ -205,15 +204,14 @@ class QuadFields:
     """
 
     def __init__(self, mesh, dofmap, rule):
-        tables = geometry_tables(mesh)
+        coords = mesh.geometry["coords"]
         self.dofmap = dofmap
         self.hat_values = rule.points                   # (nq, 3)
-        self.hat_grads = tables["hat_grads"]            # (nt, 3, 2)
+        self.hat_grads = mesh.geometry["hat_grads"]     # (nt, 3, 2)
         self.phys, self.w_abs = _quad_points(mesh, rule)
-        self.scale = (mesh.edge_signs * tables["edge_len"]
-                      / (2.0 * tables["area"])[:, None])       # (nt, 3)
+        self.scale = mesh.rt_scale                      # (nt, 3)
         # x - (opposite vertex of edge i), one (nt, nq, 2) array per edge
-        self.rel = [self.phys - tables["opp"][:, None, i, :] for i in range(3)]
+        self.rel = [self.phys - coords[:, None, i, :] for i in range(3)]
 
     def evaluate(self, coef):
         """Fields of the discrete function ``coef``.
@@ -231,18 +229,6 @@ class QuadFields:
                  + self.rel[2] * scaled[:, None, 2, None])
         div = (2.0 * scaled).sum(axis=1)
         return u, grad, sigma, div
-
-
-def discrete_state(mesh, dofmap, coef, rule):
-    """Fields of a discrete function at quadrature points.
-
-    Returns (u, grad_u, sigma, div_sigma) with shapes (nt, nq), (nt, nq, 2),
-    (nt, nq, 2), (nt, nq).
-    """
-    u, grad, sigma, div = QuadFields(mesh, dofmap, rule).evaluate(coef)
-    nt, nq = u.shape
-    return (u, np.broadcast_to(grad[:, None, :], (nt, nq, 2)), sigma,
-            np.broadcast_to(div[:, None], (nt, nq)))
 
 
 def eval_discrete(mesh, dofmap, coef, elem, point):

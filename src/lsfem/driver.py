@@ -24,6 +24,7 @@ from .mesh import DOMAINS, builtin_domain, refine_nvb
 from .problems import ProblemSpec, make_problem
 from .solver import PRECONDS, FixedSteps, IncrementStop, exact_solve, pcg_run
 from .spaces import build_dofmap, prolongate
+from .typecheck import check_fields
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,7 @@ class SolverSpec:
     lam: Optional[float] = None         # increment criterion factor
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in ("exact", "pcg"):
             raise ConfigurationError(f"unknown solver kind {self.kind!r}")
         if self.kind == "pcg" and (self.n_steps is None) == (self.lam is None):
@@ -61,6 +63,7 @@ class QuadSpec:
     estimator_order: Optional[int] = None   # defaults to assembly_order + 2
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("assembly_order", "estimator_order"):
             value = getattr(self, name)
             if value is not None and not 1 <= value <= 10:
@@ -78,6 +81,7 @@ class StopSpec:
     eta_tol: float = 0.0
 
     def __post_init__(self):
+        check_fields(self)
         if not (self.max_ndof >= 1 and self.max_levels >= 0):
             raise ConfigurationError("stop limits must be positive")
         if not self.eta_tol >= 0:
@@ -102,6 +106,7 @@ class AdaptiveConfig:
     theta_schedule: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
+        check_fields(self)
         if self.domain not in DOMAINS:
             raise ConfigurationError(f"unknown domain {self.domain!r}")
         if self.theta_schedule is not None:

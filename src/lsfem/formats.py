@@ -8,10 +8,8 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import os
-from dataclasses import MISSING, fields, is_dataclass
-from typing import Union, get_args, get_origin, get_type_hints
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import yaml
@@ -19,6 +17,7 @@ import yaml
 from .driver import AdaptiveConfig, HistoryRow
 from .errors import ConfigurationError
 from .mesh import Mesh
+from .typecheck import spec_from_dict
 
 HISTORY_HEADER = ("level,n_elements,n_dofs,eta_total,error_V,marked_count,"
                   "solver_iterations,wall_time_s")
@@ -30,70 +29,6 @@ def _fmt(x):
     return "%.17g" % float(x)
 
 
-_SCALARS = {bool: "a boolean", int: "an integer", float: "a number",
-            str: "a string"}
-
-
-def _convert(tp, value, where):
-    """Check ``value`` against the field annotation ``tp``; return it typed.
-
-    A bool is only a bool (never an int or a float), an int is accepted as
-    a float, and floats must be finite.
-    """
-    if is_dataclass(tp):
-        return _spec_from_dict(tp, value, where)
-    origin, args = get_origin(tp), get_args(tp)
-    if origin is Union:             # Optional[X]
-        if value is None:
-            return None
-        (tp,) = [a for a in args if a is not type(None)]
-        return _convert(tp, value, where)
-    if origin is tuple:
-        if not isinstance(value, (list, tuple)) or not value:
-            raise ConfigurationError(f"{where} must be a non-empty list")
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        elif len(value) != len(args):
-            raise ConfigurationError(
-                f"{where} must be a list of {len(args)} entries")
-        return tuple(_convert(t, v, f"{where}[{i}]")
-                     for i, (t, v) in enumerate(zip(args, value)))
-    accepted = (int, float) if tp is float else tp
-    if isinstance(value, bool) is not (tp is bool) or not isinstance(value, accepted):
-        raise ConfigurationError(f"{where} must be {_SCALARS[tp]}")
-    if tp is float:
-        try:
-            value = float(value)
-        except OverflowError:       # an int beyond the float range
-            value = math.inf
-        if not math.isfinite(value):
-            raise ConfigurationError(f"{where} must be finite")
-    return value
-
-
-def _spec_from_dict(cls, data, where):
-    """Build the spec dataclass ``cls`` from a mapping; a missing or null
-    section gives the defaults and a field without a default is required."""
-    section = where or "config"
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{section} must be a mapping")
-    extra = set(data) - {f.name for f in fields(cls)}
-    if extra:
-        raise ConfigurationError(
-            f"unknown key(s) in {section}: {sorted(extra)}")
-    types = get_type_hints(cls)
-    kwargs = {}
-    for f in fields(cls):
-        path = f"{where}.{f.name}" if where else f.name
-        if f.name in data:
-            kwargs[f.name] = _convert(types[f.name], data[f.name], path)
-        elif f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigurationError(f"{path} is required")
-    return cls(**kwargs)
-
-
 def config_from_dict(data):
     """Build a typed run configuration from plain nested dicts.
 
@@ -101,7 +36,7 @@ def config_from_dict(data):
     fields; the values (names, ranges, combinations) each spec checks itself
     when it is built.
     """
-    return _spec_from_dict(AdaptiveConfig, data, "")
+    return spec_from_dict(AdaptiveConfig, data, "")
 
 
 def parse_config(path):

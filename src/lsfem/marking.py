@@ -13,6 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConfigurationError
+from .typecheck import check_fields
 
 STRATEGIES = ("maximum", "equilibration", "doerfler", "uniform")
 
@@ -23,6 +24,7 @@ class MarkingSpec:
     theta: float = 0.5
 
     def __post_init__(self):
+        check_fields(self)
         if self.strategy not in STRATEGIES:
             raise ConfigurationError(
                 f"unknown marking strategy {self.strategy!r}")

@@ -20,16 +20,6 @@ from .errors import ConfigurationError, MeshValidityError
 _LOCAL_EDGES = np.array([[1, 2], [2, 0], [0, 1]], dtype=np.intp)
 
 
-@dataclass(frozen=True)
-class ElementGeometry:
-    """Shape data of a single triangle."""
-
-    area: float
-    h: float            # area ** 0.5
-    diam: float         # longest edge length
-    min_angle: float    # radians
-
-
 @dataclass
 class MeshDiagnostics:
     """Report produced by :func:`validate`."""
@@ -103,11 +93,48 @@ class Mesh:
         """Vertex coordinates per element, shape (nt, 3, 2)."""
         return self.vertices[self.elements]
 
+    @property
+    def geometry(self):
+        """Per-element geometry, computed once per mesh (read-only arrays).
+
+        A dict with:
+          coords    (nt, 3, 2) vertex coordinates
+          area      (nt,) signed area, positive for a valid element
+          edge_len  (nt, 3) length of local edge i, opposite vertex i
+          hat_grads (nt, 3, 2) gradient of the hat of local vertex i
+        """
+        if "geometry" not in self._cache:
+            coords = self.element_coords()
+            d1 = coords[:, 1] - coords[:, 0]
+            d2 = coords[:, 2] - coords[:, 0]
+            area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+            # local edge i runs from vertex i + 1 to vertex i + 2 (np.take
+            # gathers along the middle axis several times faster than [])
+            edge_vec = (np.take(coords, [2, 0, 1], axis=1)
+                        - np.take(coords, [1, 2, 0], axis=1))
+            edge_len = np.hypot(edge_vec[..., 0], edge_vec[..., 1])
+            # grad of hat i is perp(edge i) / (2 area), perp(x, y) = (-y, x)
+            hat_grads = np.stack([-edge_vec[..., 1], edge_vec[..., 0]], axis=-1)
+            # the constructor rejects a degenerate element right after this
+            with np.errstate(divide="ignore", invalid="ignore"):
+                hat_grads /= (2.0 * area)[:, None, None]
+            geometry = {"coords": coords, "area": area, "edge_len": edge_len,
+                        "hat_grads": hat_grads}
+            for array in geometry.values():
+                array.setflags(write=False)
+            self._cache["geometry"] = geometry
+        return self._cache["geometry"]
+
     def signed_areas(self):
-        c = self.element_coords()
-        d1 = c[:, 1] - c[:, 0]
-        d2 = c[:, 2] - c[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return self.geometry["area"]
+
+    @property
+    def rt_scale(self):
+        """(nt, 3) factor of the RT0 edge fields: the field of local edge i
+        is ``rt_scale[:, i] * (x - coords[:, i])``, its divergence twice
+        the factor.  Computed on each call, not stored."""
+        return self.edge_signs * self.geometry["edge_len"] / (
+            2.0 * self.geometry["area"])[:, None]
 
     # -- cached topology ---------------------------------------------------
 
@@ -191,16 +218,6 @@ class Mesh:
             self._cache["boundary_vertices"] = mask
         return self._cache["boundary_vertices"]
 
-    def vertex_elements(self, v):
-        """Indices of elements touching vertex v, ascending."""
-        if "vertex_elements" not in self._cache:
-            flat = self.elements.ravel()
-            order = np.argsort(flat, kind="stable")
-            start = np.searchsorted(flat[order], np.arange(self.n_vertices + 1))
-            self._cache["vertex_elements"] = (order // 3, start)
-        owners, start = self._cache["vertex_elements"]
-        return owners[start[v]:start[v + 1]]
-
 
 # -- construction ----------------------------------------------------------
 
@@ -248,39 +265,6 @@ def builtin_domain(name):
     vertices = np.array(raw_v, dtype=float)
     elements = [_rotate_longest_edge_first(vertices, tri) for tri in raw_e]
     return Mesh(vertices, elements)
-
-
-# -- per-element geometry ----------------------------------------------------
-
-def element_geometry(mesh, elem):
-    """Area, mesh size h = area**0.5, diameter, and minimum angle."""
-    if not 0 <= elem < mesh.n_elements:
-        raise ValueError(f"element index {elem} out of range")
-    c = mesh.vertices[mesh.elements[elem]]
-    d1 = c[1] - c[0]
-    d2 = c[2] - c[0]
-    area = 0.5 * (d1[0] * d2[1] - d1[1] * d2[0])
-    if area <= 0.0:
-        raise MeshValidityError(f"element {elem} is degenerate")
-    sides = c[[1, 2, 0]] - c
-    lengths = np.hypot(sides[:, 0], sides[:, 1])
-    angles = []
-    for i in range(3):
-        u = c[(i + 1) % 3] - c[i]
-        w = c[(i + 2) % 3] - c[i]
-        cosang = np.dot(u, w) / (np.linalg.norm(u) * np.linalg.norm(w))
-        angles.append(np.arccos(np.clip(cosang, -1.0, 1.0)))
-    return ElementGeometry(area=float(area), h=float(np.sqrt(area)),
-                           diam=float(lengths.max()),
-                           min_angle=float(min(angles)))
-
-
-def patch(mesh, elem):
-    """Indices of all elements sharing at least one vertex with ``elem``."""
-    if not 0 <= elem < mesh.n_elements:
-        raise ValueError(f"element index {elem} out of range")
-    parts = [mesh.vertex_elements(int(v)) for v in mesh.elements[elem]]
-    return np.unique(np.concatenate(parts))
 
 
 # -- refinement --------------------------------------------------------------
@@ -430,9 +414,7 @@ def validate(mesh):
     violations += [f"vertex {used_ids[order[pos[e]]]} hangs on edge "
                    f"({a[e]}, {b[e]})" for e in np.flatnonzero(hit)]
 
-    coords = mesh.element_coords()
-    sides = coords[:, [1, 2, 0]] - coords
-    diam = np.hypot(sides[..., 0], sides[..., 1]).max(axis=1)
+    diam = mesh.geometry["edge_len"].max(axis=1)
     positive = areas > 0.0
     ratios = diam[positive] * diam[positive] / areas[positive]
 

@@ -17,6 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError
+from .typecheck import check_fields
 
 _KINDS = ("poisson", "general")
 _MANUFACTURED = ("poly_bubble", "sine", "zero")
@@ -43,6 +44,7 @@ class ProblemSpec:
     omega: Optional[float] = None
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in _KINDS:
             raise ConfigurationError(f"unknown problem kind {self.kind!r}")
         if self.kind == "poisson":
@@ -52,20 +54,12 @@ class ProblemSpec:
                         f"problem key {name!r} is not allowed for kind 'poisson'")
         if self.omega is not None and self.c is not None:
             raise ConfigurationError("give either c or omega, not both")
+        # the field types are checked, so only c = -omega^2 can fail
         try:
-            a, b, c = _coefficients(self)
-            f = 0.0 if self.f is None else float(self.f)
-        except (TypeError, ValueError, OverflowError):
+            a, _, _ = _coefficients(self)
+        except OverflowError:
             raise ConfigurationError(
                 "problem coefficients and load must be numbers") from None
-        if a.shape != (2, 2):
-            raise ConfigurationError("coefficient a must be a 2x2 matrix")
-        if b.shape != (2,):
-            raise ConfigurationError("coefficient b must be a 2-vector")
-        if not (np.isfinite(a).all() and np.isfinite(b).all()
-                and np.isfinite(c) and np.isfinite(f)):
-            raise ConfigurationError(
-                "problem coefficients and load must be finite")
         if not np.allclose(a, a.T, atol=1e-14):
             raise ConfigurationError("coefficient a must be symmetric")
         eigs = np.linalg.eigvalsh(a)

@@ -46,33 +46,6 @@ def build_dofmap(mesh):
     return DofMap(mesh)
 
 
-def geometry_tables(mesh):
-    """Per-element arrays shared by basis evaluation and assembly.
-
-    coords (nt,3,2), area (nt,), hat_grads (nt,3,2), edge_len (nt,3) and the
-    opposite-vertex coordinates opp (nt,3,2) for the edge fields.
-    """
-    if "geometry_tables" in mesh._cache:
-        return mesh._cache["geometry_tables"]
-    coords = mesh.element_coords()
-    d1 = coords[:, 1] - coords[:, 0]
-    d2 = coords[:, 2] - coords[:, 0]
-    area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    # grad of hat i is perp(c_{i+2} - c_{i+1}) / (2 area), perp(x,y) = (-y,x)
-    hat_grads = np.empty((mesh.n_elements, 3, 2))
-    for i in range(3):
-        e = coords[:, (i + 2) % 3] - coords[:, (i + 1) % 3]
-        hat_grads[:, i, 0] = -e[:, 1]
-        hat_grads[:, i, 1] = e[:, 0]
-    hat_grads /= (2.0 * area)[:, None, None]
-    edge_vec = coords[:, [2, 0, 1]] - coords[:, [1, 2, 0]]
-    edge_len = np.hypot(edge_vec[..., 0], edge_vec[..., 1])
-    tables = {"coords": coords, "area": area, "hat_grads": hat_grads,
-              "edge_len": edge_len, "opp": coords}
-    mesh._cache["geometry_tables"] = tables
-    return tables
-
-
 @dataclass
 class LocalBasis:
     """All six local shape functions of one element at one point."""
@@ -100,8 +73,8 @@ def eval_local_basis(mesh, dofmap, elem, point):
     """
     if not 0 <= elem < mesh.n_elements:
         raise ValueError(f"element index {elem} out of range")
-    tables = geometry_tables(mesh)
-    coords = tables["coords"][elem]
+    geometry = mesh.geometry
+    coords = geometry["coords"][elem]
     point = np.asarray(point, dtype=float)
     if point.shape == (3,):
         lam = point
@@ -114,9 +87,9 @@ def eval_local_basis(mesh, dofmap, elem, point):
     if lam.min() < -_BARY_TOL or lam.max() > 1.0 + _BARY_TOL:
         raise ValueError(f"point {phys} lies outside element {elem}")
 
-    area = tables["area"][elem]
+    area = geometry["area"][elem]
     signs = mesh.edge_signs[elem]
-    edge_len = tables["edge_len"][elem]
+    edge_len = geometry["edge_len"][elem]
     rt_values = np.empty((3, 2))
     rt_divs = np.empty(3)
     for i in range(3):
@@ -124,7 +97,7 @@ def eval_local_basis(mesh, dofmap, elem, point):
         rt_values[i] = scale * (phys - coords[i])
         rt_divs[i] = 2.0 * scale
     return LocalBasis(hat_values=lam,
-                      hat_grads=tables["hat_grads"][elem].copy(),
+                      hat_grads=geometry["hat_grads"][elem].copy(),
                       rt_values=rt_values,
                       rt_divs=rt_divs,
                       dofs=dofmap.element_dofs[elem].copy())
@@ -146,7 +119,7 @@ def prolongation_matrix(coarse_mesh, coarse_dofmap, fine_mesh, fine_dofmap):
     of refine_nvb generations.
     """
     amap = ancestor_map(fine_mesh, coarse_mesh)
-    ct = geometry_tables(coarse_mesh)
+    ct = coarse_mesh.geometry
     c_edofs = coarse_dofmap.element_dofs
 
     verts = fine_dofmap.interior_vertices
@@ -161,9 +134,8 @@ def prolongation_matrix(coarse_mesh, coarse_dofmap, fine_mesh, fine_dofmap):
 
     mid = fine_mesh.vertices[fine_mesh.edges].mean(axis=1)
     t_e = amap[fine_mesh.edge_elements[:, 0]]
-    scale = (coarse_mesh.edge_signs[t_e] * ct["edge_len"][t_e]
-             / (2.0 * ct["area"][t_e])[:, None])
-    psi = scale[..., None] * (mid[:, None] - ct["coords"][t_e])
+    psi = (coarse_mesh.rt_scale[t_e][..., None]
+           * (mid[:, None] - ct["coords"][t_e]))
     flux = np.einsum("ejk,ek->ej", psi, fine_mesh.edge_normals)
 
     # fine dofs in order: interior vertices ascending, then edges

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from .assembly import assemble_system
 from .driver import (AdaptiveConfig, QuadSpec, SolverSpec, StopSpec,
@@ -24,8 +25,8 @@ from .errors import IdentityViolationError
 from .estimator import (LevelEstimator, compute_error_norms,
                         compute_indicators, discrete_v_norm)
 from .marking import MarkingSpec, doerfler_bruteforce, mark, verify_marking_axiom
-from .mesh import (ancestor_map, builtin_domain, element_geometry, patch,
-                   refine_nvb, refine_uniform, validate)
+from .mesh import (ancestor_map, builtin_domain, refine_nvb, refine_uniform,
+                   validate)
 from .problems import ProblemSpec, _zero_exact, make_problem
 from .solver import FixedSteps, ResidualTol, estimate_pcg_contraction, exact_solve, pcg_run
 from .spaces import build_dofmap, prolongation_matrix
@@ -229,6 +230,16 @@ class LocalEfficiencyResult:
     global_ratio: float
 
 
+def _patch_sums(mesh, values):
+    """Per element, the sum of ``values`` over its patch: the elements that
+    share at least one vertex with it."""
+    nt = mesh.n_elements
+    incidence = sp.csr_matrix(
+        (np.ones(3 * nt), mesh.elements.ravel(), np.arange(0, 3 * nt + 1, 3)),
+        shape=(nt, mesh.n_vertices))
+    return ((incidence @ incidence.T) > 0) @ values
+
+
 def local_efficiency_check(mesh, dofmap, problem, coef, quad_order=8):
     """eta_T against the exact error on the element patch.
 
@@ -239,20 +250,16 @@ def local_efficiency_check(mesh, dofmap, problem, coef, quad_order=8):
         raise ValueError("local efficiency needs a manufactured solution")
     report = compute_indicators(mesh, dofmap, problem, coef, quad_order)
     errors = compute_error_norms(mesh, dofmap, coef, problem.exact, quad_order)
-    err_sq = errors.per_element ** 2
+    eta = report.per_element
+    patch_err = np.sqrt(_patch_sums(mesh, errors.per_element ** 2))
+    zero = patch_err == 0.0
+    violations = np.flatnonzero(zero & (eta > 1e-12 * max(report.total, 1e-300)))
+    if violations.size:
+        t = violations[0]
+        raise IdentityViolationError(
+            f"element {t}: indicator {eta[t]:.3e} with zero patch error")
     ratios = np.zeros(mesh.n_elements)
-    scale = max(report.total, 1e-300)
-    for t in range(mesh.n_elements):
-        neighborhood = patch(mesh, t)
-        patch_err = float(np.sqrt(err_sq[neighborhood].sum()))
-        if patch_err == 0.0:
-            if report.per_element[t] > 1e-12 * scale:
-                raise IdentityViolationError(
-                    f"element {t}: indicator {report.per_element[t]:.3e} "
-                    f"with zero patch error")
-            ratios[t] = 0.0
-        else:
-            ratios[t] = report.per_element[t] / patch_err
+    ratios[~zero] = eta[~zero] / patch_err[~zero]
     global_ratio = (report.total / errors.total) if errors.total > 0 else 0.0
     return LocalEfficiencyResult(per_element=ratios,
                                  max_ratio=float(ratios.max()),
@@ -378,8 +385,7 @@ def interpolation_rate_check(levels=5, quad_order=8):
     for _ in range(levels):
         mesh = refine_uniform(mesh, rounds=2)
         dofmap = build_dofmap(mesh)
-        hs.append(max(element_geometry(mesh, t).diam
-                      for t in range(mesh.n_elements)))
+        hs.append(float(mesh.geometry["edge_len"].max()))
         coef = nodal_interpolation(mesh, dofmap, u_fn)
         h1_errors.append(compute_error_norms(mesh, dofmap, coef, scalar,
                                              quad_order).total)
@@ -645,12 +651,22 @@ def check_refinement_pairs(pairs):
         f"counts 0, |h ratio - 2^(-1/2)| <= {_b('h_ratio_defect')}")]
 
 
+def _min_angle(mesh):
+    """The smallest interior angle of all elements, in radians."""
+    coords, length = mesh.geometry["coords"], mesh.geometry["edge_len"]
+    # the angle at vertex i lies between local edges i + 2 and i + 1
+    u = coords[:, [1, 2, 0]] - coords
+    w = coords[:, [2, 0, 1]] - coords
+    cos = (np.einsum("tid,tid->ti", u, w)
+           / (length[:, [2, 0, 1]] * length[:, [1, 2, 0]]))
+    return float(np.arccos(np.clip(cos, -1.0, 1.0)).min())
+
+
 def check_angle_lock(meshes):
     """Shape regularity: ``meshes`` are successive uniform refinements, the
     first refined once; from the second on, the minimum angle never drops
     below the second mesh's."""
-    minima = [min(element_geometry(mesh, t).min_angle
-                  for t in range(mesh.n_elements)) for mesh in meshes]
+    minima = [_min_angle(mesh) for mesh in meshes]
     later = min(minima[2:])
     return [CheckResult(
         "shape regularity: minimum angle locks after two uniform rounds",

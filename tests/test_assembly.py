@@ -6,12 +6,11 @@ import scipy.sparse as sp
 
 import lsfem.assembly
 from lsfem import (ProblemSpec, SparseSpd, assemble_system, builtin_domain,
-                   build_dofmap, discrete_state, eval_discrete, exact_solve,
-                   make_problem, quadrature_rule, refine_nvb, refine_uniform)
-from lsfem.assembly import _scatter_csr
+                   build_dofmap, eval_discrete, exact_solve, make_problem,
+                   quadrature_rule, refine_nvb, refine_uniform)
+from lsfem.assembly import QuadFields, _scatter_csr
 from lsfem.errors import SolverError
 from lsfem.problems import eval_data, eval_operator
-from lsfem.spaces import geometry_tables
 
 
 def _fixture(kind="general"):
@@ -78,21 +77,21 @@ def test_energy_and_load_against_pointwise_quadrature(kind):
     assert abs(float(rhs @ coef) - load) < 1e-12 * max(1.0, abs(load))
 
 
-def test_discrete_state_matches_pointwise_eval():
+def test_quad_fields_match_pointwise_eval():
     mesh, dm, prob = _fixture()
     rng = np.random.default_rng(7)
     coef = rng.standard_normal(dm.n_total)
     rule = quadrature_rule(3)
-    u, grad, sigma, div = discrete_state(mesh, dm, coef, rule)
+    u, grad, sigma, div = QuadFields(mesh, dm, rule).evaluate(coef)
     for t in (0, mesh.n_elements // 2, mesh.n_elements - 1):
         coords = mesh.vertices[mesh.elements[t]]
         for q in (0, len(rule.weights) - 1):
             point = rule.points[q] @ coords
             pu, pg, ps, pd = eval_discrete(mesh, dm, coef, t, point)
             assert abs(u[t, q] - pu) < 1e-13
-            np.testing.assert_allclose(grad[t, q], pg, atol=1e-13)
+            np.testing.assert_allclose(grad[t], pg, atol=1e-13)
             np.testing.assert_allclose(sigma[t, q], ps, atol=1e-13)
-            assert abs(div[t, q] - pd) < 1e-13
+            assert abs(div[t] - pd) < 1e-13
 
 
 def test_exact_solve_residual():
@@ -204,7 +203,7 @@ def test_assembly_memory_peak_bounded():
     prob = make_problem(ProblemSpec(kind="general", f=1.0,
                                     a=[[1.05, 0.02], [0.02, 0.97]],
                                     b=[0.03, -0.07]))
-    geometry_tables(mesh)                           # cached level data
+    mesh.geometry                                   # cached level data
     tracemalloc.start()
     try:
         system, _ = assemble_system(mesh, dm, prob)

@@ -242,6 +242,17 @@ NAN = float("nan")
     (SolverSpec, dict(kind="pcg", lam=NAN)),
     (StopSpec, dict(eta_tol=NAN)),
     (AdaptiveConfig, dict(theta_schedule=(0.5, NAN))),
+    # specs built in Python are type-checked like YAML input
+    (ProblemSpec, dict(kind="general", f=1.0, a=[[1, 0], [0, True]])),
+    (ProblemSpec, dict(kind="poisson", f="1")),
+    (ProblemSpec, dict(kind="poisson", f=True)),
+    (SolverSpec, dict(kind="pcg", n_steps=True)),
+    (StopSpec, dict(max_ndof=1.5)),
+    (QuadSpec, dict(assembly_order=4.0)),
+    (SolverSpec, dict(kind="pcg", lam="0.1")),
+    (MarkingSpec, dict(theta="0.5")),
+    (AdaptiveConfig, dict(domain=["l_shape"])),
+    (AdaptiveConfig, dict(problem={"kind": "poisson", "f": 1.0})),
 ])
 def test_invalid_configs_rejected(mutate):
     spec, kwargs = mutate

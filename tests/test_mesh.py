@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from lsfem import (Mesh, MeshValidityError, ancestor_map, builtin_domain,
-                   element_geometry, patch, refine_nvb, refine_uniform,
-                   validate)
+                   refine_nvb, refine_uniform, validate)
+from lsfem.verify import _min_angle, _patch_sums, check_angle_lock
 
 
 def test_unit_square_layout():
@@ -68,10 +68,9 @@ def test_single_bisection_oracle():
 def test_h_contraction_factor():
     mesh = builtin_domain("unit_square")
     fine = refine_nvb(mesh, [0, 1])
-    for child, parent in enumerate(fine.parent):
-        hc = element_geometry(fine, child).h
-        hp = element_geometry(mesh, parent).h
-        assert abs(hc / hp - 2.0 ** -0.5) < 5e-16
+    hc = np.sqrt(fine.signed_areas())
+    hp = np.sqrt(mesh.signed_areas())[fine.parent]
+    assert np.abs(hc / hp - 2.0 ** -0.5).max() < 5e-16
 
 
 def test_refine_empty_marked_is_identity():
@@ -117,17 +116,17 @@ def test_marked_elements_disappear():
 def test_uniform_refinement_counts_and_angles():
     mesh = builtin_domain("unit_square")
     counts = [mesh.n_elements]
-    min_angles = []
+    meshes = []
     for _ in range(10):
         mesh = refine_uniform(mesh)
         counts.append(mesh.n_elements)
-        min_angles.append(min(element_geometry(mesh, t).min_angle
-                              for t in range(mesh.n_elements)))
+        meshes.append(mesh)
         assert validate(mesh).ok
     # criss-cross squares: every round bisects each element exactly once
     assert counts == [2 * 2 ** k for k in range(11)]
     # shape regularity: minimum angle never drops below the generation-2 value
-    assert all(a >= min_angles[1] - 1e-12 for a in min_angles[1:])
+    (result,) = check_angle_lock(meshes)
+    assert result.passed, result.render()
 
 
 def _refine_nvb_reference(mesh, marked):
@@ -201,7 +200,7 @@ def test_refine_matches_reference_on_corner_grading():
     mesh = builtin_domain("l_shape")
     corner = 3                                  # the vertex at the origin
     for step in range(30):
-        marked = mesh.vertex_elements(corner)[:1]
+        marked = np.flatnonzero((mesh.elements == corner).any(axis=1))[:1]
         mesh = _refine_like_reference(mesh, marked, f"corner step {step}")
 
 
@@ -251,16 +250,17 @@ def test_patch_of_once_refined_square():
     """All four children share the center vertex, so every patch is global."""
     mesh = refine_nvb(builtin_domain("unit_square"), [0, 1])
     assert mesh.n_elements == 4
-    for t in range(4):
-        assert sorted(patch(mesh, t).tolist()) == [0, 1, 2, 3]
-    # on a graded mesh: the incidence lists ascend and match a direct scan
+    values = np.array([1.0, 2.0, 4.0, 8.0])
+    np.testing.assert_array_equal(_patch_sums(mesh, values), np.full(4, 15.0))
+    # on a graded mesh each sum matches a direct scan; integer values keep
+    # every sum exact, whatever the summation order
     mesh = refine_nvb(refine_uniform(builtin_domain("l_shape"), 2), [0, 5, 9])
-    for v in range(mesh.n_vertices):
-        expected = np.flatnonzero((mesh.elements == v).any(axis=1))
-        np.testing.assert_array_equal(mesh.vertex_elements(v), expected)
-    t = 7
-    touching = np.isin(mesh.elements, mesh.elements[t]).any(axis=1)
-    np.testing.assert_array_equal(patch(mesh, t), np.flatnonzero(touching))
+    values = np.random.default_rng(3).integers(0, 1000, mesh.n_elements)
+    values = values.astype(float)
+    sums = _patch_sums(mesh, values)
+    for t in range(mesh.n_elements):
+        touching = np.isin(mesh.elements, mesh.elements[t]).any(axis=1)
+        assert sums[t] == values[touching].sum(), t
 
 
 def test_validate_flags_duplicates():
@@ -345,13 +345,18 @@ def test_edge_tables_consistent():
     assert np.all((np.abs(x) > 1) | (np.abs(y) > 1) | ((x > 0) & (y < 0)))
 
 
-def test_element_geometry_values():
+def test_geometry_table_values():
     mesh = builtin_domain("unit_square")
-    geo = element_geometry(mesh, 0)
-    assert geo.area == 0.5
-    assert geo.h == np.sqrt(0.5)
-    assert np.isclose(geo.diam, np.sqrt(2.0))
-    assert np.isclose(np.degrees(geo.min_angle), 45.0)
+    geometry = mesh.geometry
+    np.testing.assert_array_equal(geometry["area"], [0.5, 0.5])
+    assert mesh.signed_areas() is geometry["area"]
+    np.testing.assert_allclose(geometry["edge_len"].max(axis=1), np.sqrt(2.0))
+    assert np.isclose(np.degrees(_min_angle(mesh)), 45.0)
+    # the hats sum to one, so their gradients sum to zero
+    np.testing.assert_allclose(geometry["hat_grads"].sum(axis=1), 0.0,
+                               atol=1e-15)
+    with pytest.raises(ValueError):
+        geometry["area"][0] = 1.0
 
 
 def test_mesh_immutable():

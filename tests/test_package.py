@@ -37,3 +37,47 @@ def test_no_unused_imports():
     unused = {p.name: _unused_imports(p.read_text(encoding="utf-8"))
               for p in modules}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def _private_definitions(tree):
+    """Module-level private functions, classes and constants: name -> line."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        found.update((name, node.lineno) for name in names
+                     if name.startswith("_") and not name.endswith("__"))
+    return found
+
+
+def _references(tree):
+    """Names a module reads, looks up as attributes or imports."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_no_unreferenced_private_helpers():
+    """Every private module-level name is used somewhere in the package, so
+    a removal leaves no stale helper behind."""
+    package = pathlib.Path(lsfem.__file__).parent
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(package.glob("*.py"))}
+    used = set().union(*(_references(tree) for tree in trees.values()))
+    stale = sorted(f"{module}: {name} (line {line})"
+                   for module, tree in trees.items()
+                   for name, line in _private_definitions(tree).items()
+                   if name not in used)
+    assert stale == []

@@ -4,7 +4,7 @@ import pytest
 from lsfem import (builtin_domain, build_dofmap, eval_local_basis,
                    prolongation_matrix, prolongate, refine_nvb,
                    refine_uniform)
-from lsfem.spaces import barycentric, geometry_tables
+from lsfem.spaces import barycentric
 from lsfem.verify import edge_moment_interpolation, nodal_interpolation
 
 
@@ -49,9 +49,8 @@ def test_rt_basis_normal_flux_is_kronecker():
     """Mean normal flux of the edge basis along the global edge normal."""
     mesh = refine_nvb(builtin_domain("l_shape"), [0, 2, 4])
     dm = build_dofmap(mesh)
-    tables = geometry_tables(mesh)
     for t in range(mesh.n_elements):
-        coords = tables["coords"][t]
+        coords = mesh.geometry["coords"][t]
         for i in range(3):
             e = mesh.elem_edges[t, i]
             midpoint = 0.5 * (coords[(i + 1) % 3] + coords[(i + 2) % 3])

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from lsfem import (ProblemSpec, assemble_system, builtin_domain, build_dofmap,
                    exact_solve, make_problem, refine_nvb, refine_uniform)
 from lsfem.driver import AdaptiveHistory, HistoryRow
+from lsfem.errors import IdentityViolationError
+from lsfem.problems import _zero_exact
 from lsfem.verify import (BUDGETS, SUITE_NAMES, check_smooth_run,
                           discrete_reliability_check, fit_rate,
                           galerkin_orthogonality_check,
@@ -113,6 +117,18 @@ def test_local_efficiency_bounded_on_solved_fixture():
     assert result.per_element.shape == (mesh.n_elements,)
     assert result.max_ratio <= (BUDGETS["local_efficiency_factor"]
                                 * result.global_ratio)
+
+
+def test_local_efficiency_rejects_indicator_with_zero_patch_error():
+    """A zero discrete function against a zero 'exact' solution has no
+    error anywhere, while f = 1 leaves a residual on every element."""
+    mesh = refine_uniform(builtin_domain("unit_square"), rounds=1)
+    dm = build_dofmap(mesh)
+    prob = replace(make_problem(ProblemSpec(kind="poisson", f=1.0)),
+                   exact=_zero_exact())
+    with pytest.raises(IdentityViolationError,
+                       match=r"^element 0: indicator .* with zero patch error$"):
+        local_efficiency_check(mesh, dm, prob, np.zeros(dm.n_total))
 
 
 def test_drel_degenerate_without_refinement():
