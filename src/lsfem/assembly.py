@@ -8,7 +8,10 @@ matrices are exact Gram matrices and the accumulation order of the (j, k)
 and (k, j) contributions is identical) and positive definite whenever the
 continuous problem is well posed.  Assembly does not factorize: the
 exact solver builds the factor on first use, and that factorization is the
-positive-definiteness proof on the exact path.
+positive-definiteness proof on the exact path.  Its pivots, the diagonal
+of U, are read in place from SuperLU's supernodal storage of L; ``lu.L``
+and ``lu.U`` are never read, because reading either one converts both
+factors to CSC and caches the copies on the factor for its whole life.
 
 ``QuadFields`` splits the evaluation of a discrete function at the
 quadrature points into a level part (points, weights and the edge-field
@@ -18,9 +21,11 @@ tables, built once per mesh, dof map and rule) and a coefficient part
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import SuperLU, splu
 
 from .errors import SolverError
 from .quadrature import quadrature_rule
@@ -31,6 +36,60 @@ MAX_DOFS = 200_000
 # and their companions, which would otherwise exceed the returned matrix.
 _BLOCK = 4096
 
+# SuperLU's storage types and value type (supermatrix.h)
+_SLU_NC, _SLU_SC, _SLU_D = 0, 3, 1
+_INT_P = ctypes.POINTER(ctypes.c_int)
+
+
+class _SuperMatrix(ctypes.Structure):
+    _fields_ = [("Stype", ctypes.c_int), ("Dtype", ctypes.c_int),
+                ("Mtype", ctypes.c_int), ("nrow", ctypes.c_int),
+                ("ncol", ctypes.c_int), ("Store", ctypes.c_void_p)]
+
+
+class _SCformat(ctypes.Structure):
+    """Supernodal storage of L; the diagonal block of a supernode holds
+    the diagonal of U."""
+    _fields_ = [("nnz", ctypes.c_int), ("nsuper", ctypes.c_int),
+                ("nzval", ctypes.POINTER(ctypes.c_double)),
+                ("nzval_colptr", _INT_P), ("rowind", _INT_P),
+                ("rowind_colptr", _INT_P), ("col_to_sup", _INT_P),
+                ("sup_to_col", _INT_P)]
+
+
+class _SuperLUObject(ctypes.Structure):
+    """Leading fields of scipy's ``SuperLUObject`` (_superluobject.h),
+    whose ``SuperMatrix L, U`` are named ``lower`` and ``upper`` here."""
+    _fields_ = [("head", ctypes.c_byte * object.__basicsize__),
+                ("m", ctypes.c_ssize_t), ("n", ctypes.c_ssize_t),
+                ("lower", _SuperMatrix), ("upper", _SuperMatrix)]
+
+
+def _pivots(lu):
+    """Diagonal of U of a real square ``SuperLU`` factor, as a new array.
+
+    Read in place from the supernodal storage of L: column j belongs to the
+    supernode starting at column s, which stores its diagonal block first,
+    so U[j, j] is entry j - s of column j there.  Raises ``SolverError``
+    when the object's header is not the layout read here.
+    """
+    if not isinstance(lu, SuperLU):
+        raise SolverError(f"expected a SuperLU factor, got {type(lu).__name__}")
+    n = lu.shape[0]
+    head = _SuperLUObject.from_address(id(lu))
+    lower, upper = head.lower, head.upper
+    if not (head.m == head.n == n
+            and lower.Stype == _SLU_SC and lower.Dtype == _SLU_D
+            and lower.nrow == lower.ncol == n and upper.Stype == _SLU_NC):
+        raise SolverError("unrecognised SuperLU factor layout")
+    store = _SCformat.from_address(lower.Store)
+    colptr = np.ctypeslib.as_array(store.nzval_colptr, (n + 1,))
+    col_to_sup = np.ctypeslib.as_array(store.col_to_sup, (n,))
+    sup_to_col = np.ctypeslib.as_array(store.sup_to_col, (store.nsuper + 1,))
+    nzval = np.ctypeslib.as_array(store.nzval, (colptr[n],))
+    # fancy indexing copies, so nothing returned points into ``lu``
+    return nzval[colptr[:n] + np.arange(n) - sup_to_col[col_to_sup]]
+
 
 class SparseSpd:
     """CSR matrix wrapper with a cached sparse factorization.
@@ -38,7 +97,9 @@ class SparseSpd:
     The factorization is a symmetric-mode LU with the diagonal pivot
     threshold disabled, so for a symmetric matrix it acts as a Cholesky-type
     decomposition: any non-positive pivot proves the matrix indefinite and
-    is rejected.
+    is rejected.  The pivots are read from SuperLU's supernodal storage;
+    ``lu.L`` and ``lu.U`` are never read, because reading either one caches
+    CSC copies of both factors for as long as the factor lives.
     """
 
     def __init__(self, matrix):
@@ -66,7 +127,7 @@ class SparseSpd:
                           options={"SymmetricMode": True})
             except RuntimeError as exc:     # singular factor
                 raise SolverError(f"factorization failed: {exc}") from exc
-            pivots = lu.U.diagonal()
+            pivots = _pivots(lu)
             if not np.all(np.isfinite(pivots)) or pivots.min() <= 0.0:
                 raise SolverError(
                     "matrix is not positive definite (non-positive pivot)")
@@ -83,13 +144,15 @@ def _quad_points(mesh, rule, block=slice(None)):
     return phys, w_abs
 
 
-def operator_basis_images(mesh, problem, rule, block):
+def operator_basis_images(mesh, problem, rule, block, scale):
     """Operator images of all local shape functions at quadrature points.
 
-    Covers the elements in the slice ``block``.  Returns (images, w_abs,
-    phys) where images has shape (nb, nq, 6, 3): local dofs are the three
-    hats then the three edge fields, and the last axis carries the operator
-    components (scalar row, two vector rows).
+    Covers the elements in the slice ``block``; ``scale`` is
+    ``mesh.rt_scale[block]`` (the caller computes ``rt_scale`` once, not
+    once per block).  Returns (images, w_abs, phys) where images has shape
+    (nb, nq, 6, 3): local dofs are the three hats then the three edge
+    fields, and the last axis carries the operator components (scalar row,
+    two vector rows).
     """
     geometry = mesh.geometry
     phys, w_abs = _quad_points(mesh, rule, block)
@@ -109,7 +172,6 @@ def operator_basis_images(mesh, problem, rule, block):
     images[:, :, :3, 1] = a_grad[..., 0]
     images[:, :, :3, 2] = a_grad[..., 1]
     # edge fields: state (0, 0, psi_i, div psi_i)
-    scale = mesh.rt_scale[block]                        # (nb, 3)
     rel = phys[:, :, None, :] - geometry["coords"][block, None]   # (nb, nq, 3, 2)
     psi = scale[:, None, :, None] * rel
     images[:, :, 3:, 0] = -2.0 * scale[:, None, :]
@@ -170,9 +232,11 @@ def assemble_system(mesh, dofmap, problem, quad_order=4):
     nt, n = mesh.n_elements, dofmap.n_total
     local = np.empty((nt, 6, 6))
     local_rhs = np.empty((nt, 6))
+    scale = mesh.rt_scale
     for start in range(0, nt, _BLOCK):
         block = slice(start, start + _BLOCK)
-        images, w_abs, phys = operator_basis_images(mesh, problem, rule, block)
+        images, w_abs, phys = operator_basis_images(mesh, problem, rule, block,
+                                                    scale[block])
         local[block] = np.einsum("tqjc,tqkc,tq->tjk", images, images, w_abs)
         local_rhs[block] = np.einsum("tqc,tqjc,tq->tj",
                                      data_images(problem, phys), images, w_abs)

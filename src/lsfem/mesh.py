@@ -176,7 +176,8 @@ class Mesh:
         signs[lowest] = 1
         # right-hand perp of the CCW tangent of local edge i points out
         coords = self.element_coords()
-        tangent = coords[:, [2, 0, 1]] - coords[:, [1, 2, 0]]
+        tangent = (np.take(coords, [2, 0, 1], axis=1)
+                   - np.take(coords, [1, 2, 0], axis=1))
         normal = tangent[..., ::-1] * [1.0, -1.0]
         normal /= np.hypot(tangent[..., 0], tangent[..., 1])[..., None]
         self._cache.update(edges=edges, elem_edges=elem_edges,

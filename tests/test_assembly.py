@@ -3,12 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 import lsfem.assembly
 from lsfem import (ProblemSpec, SparseSpd, assemble_system, builtin_domain,
                    build_dofmap, eval_discrete, exact_solve, make_problem,
                    quadrature_rule, refine_nvb, refine_uniform)
-from lsfem.assembly import QuadFields, _scatter_csr
+from lsfem.assembly import QuadFields, _pivots, _scatter_csr, _SuperLUObject
 from lsfem.errors import SolverError
 from lsfem.problems import eval_data, eval_operator
 
@@ -118,6 +119,86 @@ def test_spd_wrapper_rejects_indefinite_and_nonsquare():
     indefinite = SparseSpd(np.diag([1.0, -1.0]))
     with pytest.raises(SolverError):
         indefinite.factor()
+
+
+def test_factor_rejects_non_finite_pivot():
+    with pytest.raises(SolverError, match="non-positive pivot"):
+        SparseSpd(np.diag([1.0, np.inf])).factor()
+
+
+# SparseSpd.factor's options, then scipy's defaults (row pivoting)
+_SPLU_OPTIONS = [dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                      options={"SymmetricMode": True}), {}]
+
+
+def _pivot_test_matrices():
+    for kind in ("general", "poisson"):
+        mesh, dm, prob = _fixture(kind)
+        yield kind, assemble_system(mesh, dm, prob)[0].matrix
+    rng = np.random.default_rng(11)
+    b = rng.standard_normal((60, 60))
+    yield "random spd", sp.csr_matrix(b @ b.T + 60.0 * np.eye(60))
+    sym = sp.random(80, 80, density=0.1, random_state=12)
+    yield "symmetric indefinite", sp.csr_matrix(sym + sym.T + sp.eye(80))
+    yield "1x1", sp.csr_matrix([[2.5]])
+
+
+@pytest.mark.parametrize("options", _SPLU_OPTIONS)
+def test_pivots_match_scipy_u_diagonal(options):
+    """The reader of SuperLU's private layout agrees with scipy's own U bit
+    for bit, so a scipy release that changes that layout fails here."""
+    for name, matrix in _pivot_test_matrices():
+        lu = splu(matrix.tocsc(), **options)
+        pivots = _pivots(lu)                    # before lu.U exists
+        expected = lu.U.diagonal()
+        np.testing.assert_array_equal(pivots.view(np.uint64),
+                                      expected.view(np.uint64), err_msg=name)
+        if name == "symmetric indefinite":
+            assert (pivots < 0).any()
+
+
+@pytest.mark.parametrize("part, field, value", [
+    (None, "m", 5), (None, "n", 5), ("lower", "Stype", 0),
+    ("lower", "Dtype", 0), ("lower", "nrow", 5), ("upper", "Stype", 3)])
+def test_pivot_reader_rejects_unexpected_layout(part, field, value):
+    """Each header field the reader checks is altered in place on a live
+    factor, then restored."""
+    lu = splu(sp.csc_matrix(np.diag([1.0, 2.0, 3.0])))
+    head = _SuperLUObject.from_address(id(lu))
+    target = getattr(head, part) if part else head
+    saved = getattr(target, field)
+    setattr(target, field, value)
+    try:
+        with pytest.raises(SolverError, match="layout"):
+            _pivots(lu)
+    finally:
+        setattr(target, field, saved)
+    np.testing.assert_array_equal(_pivots(lu), [1.0, 2.0, 3.0])
+
+
+def test_pivot_reader_rejects_other_objects():
+    with pytest.raises(SolverError, match="SuperLU"):
+        _pivots(sp.eye(3))
+
+
+def test_factor_keeps_no_csc_copies():
+    """The factor holds only SuperLU's own storage, which tracemalloc does
+    not see.  Reading ``lu.U`` would leave CSC copies of both factors on it
+    (8.7 MiB of numpy buffers here, which tracemalloc does see)."""
+    mesh = refine_uniform(builtin_domain("l_shape"), rounds=10)
+    dm = build_dofmap(mesh)
+    prob = make_problem(ProblemSpec(kind="general", f=1.0,
+                                    a=[[1.05, 0.02], [0.02, 0.97]],
+                                    b=[0.03, -0.07]))
+    system, _ = assemble_system(mesh, dm, prob)
+    assert dm.n_total == 12_289
+    tracemalloc.start()
+    try:
+        system.factor()
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert current < 2 ** 20
 
 
 def test_matrix_positive_definite_on_fixture():

@@ -81,3 +81,14 @@ def test_no_unreferenced_private_helpers():
                    for name, line in _private_definitions(tree).items()
                    if name not in used)
     assert stale == []
+
+
+def test_no_factor_reads_l_or_u():
+    """No module reads ``.L`` or ``.U`` of a SuperLU factor: either read
+    converts both factors to CSC and caches the copies on the factor."""
+    package = pathlib.Path(lsfem.__file__).parent
+    found = sorted(f"{path.name}: .{node.attr} (line {node.lineno})"
+                   for path in sorted(package.glob("*.py"))
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.Attribute) and node.attr in ("L", "U"))
+    assert found == []
