@@ -6,12 +6,25 @@ functions, and the load vector tests F = (f, 0) against the same operator
 images.  The assembled matrix is symmetric entry for entry (the local
 matrices are exact Gram matrices and the accumulation order of the (j, k)
 and (k, j) contributions is identical) and positive definite whenever the
-continuous problem is well posed.  Assembly does not factorize: the
-exact solver builds the factor on first use, and that factorization is the
-positive-definiteness proof on the exact path.  Its pivots, the diagonal
-of U, are read in place from SuperLU's supernodal storage of L; ``lu.L``
-and ``lu.U`` are never read, because reading either one converts both
-factors to CSC and caches the copies on the factor for its whole life.
+continuous problem is well posed.
+
+The element kernels keep the element index as the last, contiguous axis,
+so every numpy operation runs over a whole block of elements.  Each local
+entry is summed in one fixed order: the products ``(a * b) * w`` of two
+operator components and the absolute weight, the three components summed
+inside, the quadrature points summed outside, starting from +0.0.  The load
+sums ``(f * a) * w`` over the points in the same way.  That is the order of
+``np.einsum("tqjc,tqkc,tq->tjk")``, which the tests keep as the reference,
+and it is what keeps the matrix bits: another association or a fused
+multiply-add moves entries by rounding, and with them which elements the
+marking picks when indicators tie.
+
+Assembly does not factorize: the exact solver builds the factor on first
+use, and that factorization is the positive-definiteness proof on the
+exact path.  Its pivots, the diagonal of U, are read in place from
+SuperLU's supernodal storage of L; ``lu.L`` and ``lu.U`` are never read,
+because reading either one converts both factors to CSC and caches the
+copies on the factor for its whole life.
 
 ``QuadFields`` splits the evaluation of a discrete function at the
 quadrature points into a level part (points, weights and the edge-field
@@ -32,7 +45,7 @@ from .quadrature import quadrature_rule
 from .spaces import eval_local_basis
 
 MAX_DOFS = 200_000
-# Elements per assembly block: bounds the (block, nq, 6, 3) operator images
+# Elements per assembly block: bounds the (nq, 3, 6, block) operator images
 # and their companions, which would otherwise exceed the returned matrix.
 _BLOCK = 4096
 
@@ -135,57 +148,90 @@ class SparseSpd:
         return self._factor
 
 
-def _quad_points(mesh, rule, block=slice(None)):
-    """Physical quadrature points (nb, nq, 2) and absolute weights (nb, nq)
-    of the elements in ``block``, all of them by default."""
-    geometry = mesh.geometry
-    phys = np.einsum("qi,tid->tqd", rule.points, geometry["coords"][block])
-    w_abs = rule.weights[None, :] * geometry["area"][block, None]
-    return phys, w_abs
+def _quad_points(rule, corners, out):
+    """Physical points of ``rule`` on a set of elements, written to ``out``.
+
+    ``corners[i]`` holds vertex i of every element, and ``out[q]`` receives
+    point q in the same layout.  Each coordinate is summed as
+    ``0.0 + l0 * x0 + l1 * x1 + l2 * x2``, one point at a time, so no
+    temporary is larger than one point's worth.
+    """
+    for q, (l0, l1, l2) in enumerate(rule.points):
+        out[q] = 0.0 + l0 * corners[0] + l1 * corners[1] + l2 * corners[2]
+    return out
 
 
-def operator_basis_images(mesh, problem, rule, block, scale):
-    """Operator images of all local shape functions at quadrature points.
+def _operator_images(mesh, problem, rule, block, scale):
+    """Operator images of the six local shape functions, element axis last.
 
     Covers the elements in the slice ``block``; ``scale`` is
     ``mesh.rt_scale[block]`` (the caller computes ``rt_scale`` once, not
-    once per block).  Returns (images, w_abs, phys) where images has shape
-    (nb, nq, 6, 3): local dofs are the three hats then the three edge
-    fields, and the last axis carries the operator components (scalar row,
-    two vector rows).
+    once per block).  Returns (images, w, f): images has shape
+    (nq, 3, 6, nb) for quadrature point, operator component (scalar row,
+    two vector rows), local dof (the three hats, then the three edge
+    fields) and element; w and f, the absolute weights and the load at the
+    points, have shape (nq, nb).  The coefficients see the points as one
+    (element, point)-ordered array.
     """
     geometry = mesh.geometry
-    phys, w_abs = _quad_points(mesh, rule, block)
-    nb, nq = w_abs.shape
-    flat = phys.reshape(-1, 2)
-    a_vals = problem.a_fn(flat).reshape(nb, nq, 2, 2)
-    b_vals = problem.b_fn(flat).reshape(nb, nq, 2)
-    c_vals = problem.c_fn(flat).reshape(nb, nq)
-
-    grads = geometry["hat_grads"][block]                # (nb, 3, 2)
-    images = np.zeros((nb, nq, 6, 3))
+    corners = np.ascontiguousarray(
+        geometry["coords"][block].transpose(1, 2, 0))         # (3, 2, nb)
+    nq, nb = len(rule.weights), corners.shape[-1]
+    phys = _quad_points(rule, corners, np.empty((nq, 2, nb)))
+    w = rule.weights[:, None] * geometry["area"][block]
+    flat = phys.transpose(2, 0, 1).reshape(-1, 2)
+    a = problem.a_fn(flat).reshape(nb, nq, 2, 2).transpose(1, 2, 3, 0)
+    b = problem.b_fn(flat).reshape(nb, nq, 2).transpose(1, 2, 0)
+    c = problem.c_fn(flat).reshape(nb, nq).T
+    f = problem.f_fn(flat).reshape(nb, nq).T
+    grads = geometry["hat_grads"][block].transpose(1, 2, 0)    # (3, 2, nb)
+    images = np.empty((nq, 3, 6, nb))
+    hats, edges = images[:, :, :3], images[:, :, 3:]
     # hats: state (lambda_j, grad lambda_j, 0, 0)
-    hat_vals = rule.points                              # (nq, 3)
-    images[:, :, :3, 0] = (np.einsum("tqd,tjd->tqj", b_vals, grads)
-                           + c_vals[:, :, None] * hat_vals[None, :, :])
-    a_grad = np.einsum("tqde,tje->tqjd", a_vals, grads)
-    images[:, :, :3, 1] = a_grad[..., 0]
-    images[:, :, :3, 2] = a_grad[..., 1]
-    # edge fields: state (0, 0, psi_i, div psi_i)
-    rel = phys[:, :, None, :] - geometry["coords"][block, None]   # (nb, nq, 3, 2)
-    psi = scale[:, None, :, None] * rel
-    images[:, :, 3:, 0] = -2.0 * scale[:, None, :]
-    images[:, :, 3:, 1] = -psi[..., 0]
-    images[:, :, 3:, 2] = -psi[..., 1]
-    return images, w_abs, phys
+    hats[:, 0] = ((0.0 + b[:, None, 0] * grads[:, 0]
+                   + b[:, None, 1] * grads[:, 1])
+                  + c[:, None] * rule.points[:, :, None])
+    hats[:, 1:] = (0.0 + a[:, :, None, 0] * grads[:, 0]
+                   + a[:, :, None, 1] * grads[:, 1])
+    # edge fields: state (0, 0, psi_i, div psi_i), psi_i = scale_i (x - x_i)
+    scale = scale.T
+    edges[:, 0] = -2.0 * scale
+    np.subtract(phys[:, :, None], corners.transpose(1, 0, 2), out=edges[:, 1:])
+    edges[:, 1:] *= -scale
+    return images, w, f
 
 
-def data_images(problem, phys):
-    """F = (f, 0) at the quadrature points, shape (nt, nq, 3)."""
-    nt, nq = phys.shape[:2]
-    F = np.zeros((nt, nq, 3))
-    F[:, :, 0] = problem.f_fn(phys.reshape(-1, 2)).reshape(nt, nq)
-    return F
+# the upper triangle of a local matrix, row by row; row j starts at _STARTS[j]
+_ROWS, _COLS = np.triu_indices(6)
+_STARTS = np.flatnonzero(_ROWS == _COLS)
+
+
+def _local_system(images, w, f):
+    """Local matrices (nb, 6, 6) and loads (nb, 6) from ``_operator_images``.
+
+    Every entry is summed in the order of the module docstring.  The +0.0
+    that starts each sum over components is left out: it can only change
+    the sign of a zero sum, and the accumulator, which starts from +0.0,
+    erases that sign.
+    """
+    nb = images.shape[-1]
+    gram = np.zeros((len(_ROWS), nb))
+    load = np.zeros((6, nb))
+    prod = np.empty((3, len(_ROWS), nb))
+    part = np.empty((len(_ROWS), nb))
+    for img, wq, fq in zip(images, w, f):
+        for j, start in enumerate(_STARTS):
+            np.multiply(img[:, j, None], img[:, j:],
+                        out=prod[:, start:start + 6 - j])
+        prod *= wq
+        np.add(prod[0], prod[1], out=part)
+        part += prod[2]
+        gram += part
+        load += (fq * img[0]) * wq
+    local = np.empty((nb, 6, 6))
+    local[:, _ROWS, _COLS] = gram.T
+    local[:, _COLS, _ROWS] = gram.T
+    return local, load.T
 
 
 def _scatter_csr(rows, cols, vals, n):
@@ -235,11 +281,8 @@ def assemble_system(mesh, dofmap, problem, quad_order=4):
     scale = mesh.rt_scale
     for start in range(0, nt, _BLOCK):
         block = slice(start, start + _BLOCK)
-        images, w_abs, phys = operator_basis_images(mesh, problem, rule, block,
-                                                    scale[block])
-        local[block] = np.einsum("tqjc,tqkc,tq->tjk", images, images, w_abs)
-        local_rhs[block] = np.einsum("tqc,tqjc,tq->tj",
-                                     data_images(problem, phys), images, w_abs)
+        local[block], local_rhs[block] = _local_system(
+            *_operator_images(mesh, problem, rule, block, scale[block]))
 
     gdofs = dofmap.element_dofs                          # (nt, 6)
     rhs = np.zeros(n)
@@ -272,7 +315,10 @@ class QuadFields:
         self.dofmap = dofmap
         self.hat_values = rule.points                   # (nq, 3)
         self.hat_grads = mesh.geometry["hat_grads"]     # (nt, 3, 2)
-        self.phys, self.w_abs = _quad_points(mesh, rule)
+        self.phys = np.empty((mesh.n_elements, len(rule.weights), 2))
+        _quad_points(rule, coords.transpose(1, 0, 2),
+                     self.phys.transpose(1, 0, 2))
+        self.w_abs = rule.weights[None, :] * mesh.geometry["area"][:, None]
         self.scale = mesh.rt_scale                      # (nt, 3)
         # x - (opposite vertex of edge i), one (nt, nq, 2) array per edge
         self.rel = [self.phys - coords[:, None, i, :] for i in range(3)]

@@ -7,7 +7,6 @@ through text.
 from __future__ import annotations
 
 import csv
-import io
 import os
 from dataclasses import fields, is_dataclass
 
@@ -27,6 +26,12 @@ _HISTORY_FIELDS = HISTORY_HEADER.split(",")
 
 def _fmt(x):
     return "%.17g" % float(x)
+
+
+def _format_rows(fmt, rows):
+    """``fmt`` applied to each row of ``rows`` (each value of a 1-d array),
+    in one ``%`` over plain Python numbers."""
+    return (fmt * len(rows)) % tuple(np.ravel(rows).tolist())
 
 
 def config_from_dict(data):
@@ -157,14 +162,11 @@ def read_history(path):
 
 def write_mesh_text(path, mesh):
     """Vertex/element listing; the stored vertex order fixes refinement edges."""
-    buf = io.StringIO()
-    buf.write(f"{mesh.n_vertices} {mesh.n_elements}\n")
-    for x, y in mesh.vertices:
-        buf.write(f"{_fmt(x)} {_fmt(y)}\n")
-    for tri in mesh.elements:
-        buf.write(f"{tri[0]} {tri[1]} {tri[2]}\n")
+    text = (f"{mesh.n_vertices} {mesh.n_elements}\n"
+            + _format_rows("%.17g %.17g\n", mesh.vertices)
+            + _format_rows("%d %d %d\n", mesh.elements))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
+        fh.write(text)
 
 
 def read_mesh_text(path):
@@ -188,27 +190,21 @@ def read_mesh_text(path):
 
 def write_vtk(path, mesh, eta=None, title="adaptive solve"):
     """Legacy ASCII VTK unstructured grid with per-element indicators."""
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII",
-             "DATASET UNSTRUCTURED_GRID",
-             f"POINTS {mesh.n_vertices} double"]
-    for x, y in mesh.vertices:
-        lines.append(f"{_fmt(x)} {_fmt(y)} 0")
     nt = mesh.n_elements
-    lines.append(f"CELLS {nt} {4 * nt}")
-    for tri in mesh.elements:
-        lines.append(f"3 {tri[0]} {tri[1]} {tri[2]}")
-    lines.append(f"CELL_TYPES {nt}")
-    lines.extend(["5"] * nt)
+    parts = [f"# vtk DataFile Version 3.0\n{title}\nASCII\n"
+             f"DATASET UNSTRUCTURED_GRID\nPOINTS {mesh.n_vertices} double\n",
+             _format_rows("%.17g %.17g 0\n", mesh.vertices),
+             f"CELLS {nt} {4 * nt}\n",
+             _format_rows("3 %d %d %d\n", mesh.elements),
+             f"CELL_TYPES {nt}\n", "5\n" * nt]
     if eta is not None:
         eta = np.asarray(eta, dtype=float)
         if eta.shape != (nt,):
             raise ValueError("eta must hold one value per element")
-        lines.append(f"CELL_DATA {nt}")
-        lines.append("SCALARS eta double 1")
-        lines.append("LOOKUP_TABLE default")
-        lines.extend(_fmt(v) for v in eta)
+        parts += [f"CELL_DATA {nt}\nSCALARS eta double 1\nLOOKUP_TABLE default\n",
+                  _format_rows("%.17g\n", eta)]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(parts))
 
 
 def ensure_dir(path):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 MAX_ORDER = 10
 
@@ -57,6 +56,9 @@ _TABLES = {
 
 def _conical_rule(degree):
     """Collapsed-square product rule, exact for total degree <= 2n-1."""
+    # imported here: only orders above 6 need it, and it slows ``import lsfem``
+    from scipy.special import roots_jacobi
+
     n = (degree + 2) // 2
     xg, wg = np.polynomial.legendre.leggauss(n)
     xg = 0.5 * (xg + 1.0)

@@ -294,3 +294,105 @@ def test_assembly_memory_peak_bounded():
     m = system.matrix
     assert mesh.n_elements == 24_576
     assert peak <= 8 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
+
+
+def _operator_basis_images_reference(mesh, problem, rule, scale):
+    """The einsum formulation of the operator images, element axis first:
+    images (nt, nq, 6, 3), absolute weights (nt, nq) and points (nt, nq, 2)."""
+    geometry = mesh.geometry
+    phys = np.einsum("qi,tid->tqd", rule.points, geometry["coords"])
+    w_abs = rule.weights[None, :] * geometry["area"][:, None]
+    nt, nq = w_abs.shape
+    flat = phys.reshape(-1, 2)
+    a_vals = problem.a_fn(flat).reshape(nt, nq, 2, 2)
+    b_vals = problem.b_fn(flat).reshape(nt, nq, 2)
+    c_vals = problem.c_fn(flat).reshape(nt, nq)
+    grads = geometry["hat_grads"]
+    images = np.zeros((nt, nq, 6, 3))
+    images[:, :, :3, 0] = (np.einsum("tqd,tjd->tqj", b_vals, grads)
+                           + c_vals[:, :, None] * rule.points[None, :, :])
+    a_grad = np.einsum("tqde,tje->tqjd", a_vals, grads)
+    images[:, :, :3, 1] = a_grad[..., 0]
+    images[:, :, :3, 2] = a_grad[..., 1]
+    rel = phys[:, :, None, :] - geometry["coords"][:, None]
+    psi = scale[:, None, :, None] * rel
+    images[:, :, 3:, 0] = -2.0 * scale[:, None, :]
+    images[:, :, 3:, 1] = -psi[..., 0]
+    images[:, :, 3:, 2] = -psi[..., 1]
+    return images, w_abs, phys
+
+
+def _assemble_reference(mesh, dm, problem, quad_order):
+    """``assemble_system`` with the einsum kernels, all elements at once."""
+    rule = quadrature_rule(quad_order)
+    images, w_abs, phys = _operator_basis_images_reference(
+        mesh, problem, rule, mesh.rt_scale)
+    data = np.zeros(w_abs.shape + (3,))
+    data[:, :, 0] = problem.f_fn(phys.reshape(-1, 2)).reshape(w_abs.shape)
+    local = np.einsum("tqjc,tqkc,tq->tjk", images, images, w_abs)
+    local_rhs = np.einsum("tqc,tqjc,tq->tj", data, images, w_abs)
+    gdofs = dm.element_dofs
+    rhs = np.zeros(dm.n_total)
+    keep = gdofs.ravel() >= 0
+    np.add.at(rhs, gdofs.ravel()[keep], local_rhs.ravel()[keep])
+    matrix = _scatter_csr(np.repeat(gdofs, 6, axis=1).ravel(),
+                          np.tile(gdofs, (1, 6)).ravel(), local.ravel(),
+                          dm.n_total)
+    return matrix, rhs
+
+
+_ORACLE_PROBLEMS = {
+    "general": ProblemSpec(kind="general", f=1.0, a=[[2.0, 0.5], [0.5, 1.0]],
+                           b=[0.3, -0.7], c=1.5),
+    # c = -omega^2 < 0 and a non-constant load
+    "helmholtz": ProblemSpec(kind="general", manufactured="sine", omega=3.0),
+    "manufactured_poisson": ProblemSpec(kind="poisson",
+                                        manufactured="poly_bubble"),
+}
+
+
+def _assert_same_bytes(mesh, dm, spec, quad_order):
+    prob = make_problem(spec)
+    system, rhs = assemble_system(mesh, dm, prob, quad_order=quad_order)
+    matrix, ref_rhs = _assemble_reference(mesh, dm, prob, quad_order)
+    for name in ("indptr", "indices", "data"):
+        assert (getattr(system.matrix, name).tobytes()
+                == getattr(matrix, name).tobytes()), name
+    assert rhs.tobytes() == ref_rhs.tobytes()
+
+
+@pytest.mark.parametrize("order", range(1, 11))
+@pytest.mark.parametrize("kind", sorted(_ORACLE_PROBLEMS))
+def test_assembly_bytes_match_einsum_reference(kind, order):
+    """The element-last kernels keep einsum's summation order, so the CSR
+    arrays and the load agree with the einsum formulation byte for byte,
+    zero signs included."""
+    mesh = refine_nvb(refine_uniform(builtin_domain("unit_square"), rounds=4),
+                      [0, 3, 5])                    # graded, 36 elements
+    dm = build_dofmap(mesh)
+    assert (dm.element_dofs < 0).any()
+    _assert_same_bytes(mesh, dm, _ORACLE_PROBLEMS[kind], order)
+
+
+def _one_past_a_block():
+    mesh = refine_uniform(builtin_domain("unit_square"), rounds=11)
+    return refine_nvb(mesh, [666])                  # one boundary bisection
+
+
+def _graded_three_blocks():
+    mesh = refine_uniform(builtin_domain("l_shape"), rounds=10)
+    return refine_nvb(mesh, list(range(0, mesh.n_elements, 4)))
+
+
+@pytest.mark.parametrize("make_mesh, n_elements", [
+    (_one_past_a_block, lsfem.assembly._BLOCK + 1),
+    (_graded_three_blocks, 9_216)])
+def test_blocked_assembly_bytes_match_einsum_reference(make_mesh, n_elements):
+    """Meshes of more than one block, the last one partial."""
+    mesh = make_mesh()
+    assert mesh.n_elements == n_elements
+    dm = build_dofmap(mesh)
+    assert (dm.element_dofs < 0).any()
+    for kind, order in (("general", 4), ("helmholtz", 6),
+                        ("manufactured_poisson", 3)):
+        _assert_same_bytes(mesh, dm, _ORACLE_PROBLEMS[kind], order)

@@ -1,4 +1,5 @@
 import glob
+import io
 import os
 from dataclasses import fields, is_dataclass
 
@@ -6,8 +7,8 @@ import numpy as np
 import pytest
 import yaml
 
-from lsfem import (ConfigurationError, MeshValidityError, builtin_domain,
-                   refine_nvb)
+from lsfem import (ConfigurationError, Mesh, MeshValidityError,
+                   builtin_domain, refine_nvb, refine_uniform)
 from lsfem.cli import main
 from lsfem.driver import HistoryRow, run_adaptive
 from lsfem.formats import (HISTORY_HEADER, HistoryWriter, config_from_dict,
@@ -255,6 +256,79 @@ def test_vtk_structure(tmp_path):
     # indicators are optional
     write_vtk(tmp_path / "plain.vtk", mesh)
     assert "SCALARS" not in (tmp_path / "plain.vtk").read_text("utf-8")
+
+
+def _fmt_reference(x):
+    return "%.17g" % float(x)
+
+
+def _write_mesh_text_reference(path, mesh):
+    """The per-value mesh writer that ``write_mesh_text`` replaced."""
+    buf = io.StringIO()
+    buf.write(f"{mesh.n_vertices} {mesh.n_elements}\n")
+    for x, y in mesh.vertices:
+        buf.write(f"{_fmt_reference(x)} {_fmt_reference(y)}\n")
+    for tri in mesh.elements:
+        buf.write(f"{tri[0]} {tri[1]} {tri[2]}\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(buf.getvalue())
+
+
+def _write_vtk_reference(path, mesh, eta=None, title="adaptive solve"):
+    """The per-value VTK writer that ``write_vtk`` replaced."""
+    lines = ["# vtk DataFile Version 3.0", title, "ASCII",
+             "DATASET UNSTRUCTURED_GRID",
+             f"POINTS {mesh.n_vertices} double"]
+    for x, y in mesh.vertices:
+        lines.append(f"{_fmt_reference(x)} {_fmt_reference(y)} 0")
+    nt = mesh.n_elements
+    lines.append(f"CELLS {nt} {4 * nt}")
+    for tri in mesh.elements:
+        lines.append(f"3 {tri[0]} {tri[1]} {tri[2]}")
+    lines.append(f"CELL_TYPES {nt}")
+    lines.extend(["5"] * nt)
+    if eta is not None:
+        lines.append(f"CELL_DATA {nt}")
+        lines.append("SCALARS eta double 1")
+        lines.append("LOOKUP_TABLE default")
+        lines.extend(_fmt_reference(v) for v in np.asarray(eta, dtype=float))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+# values whose %.17g text is easy to get wrong: a negative zero, the
+# smallest subnormal, a tiny normal, a non-terminating fraction and an
+# integer above 2**53
+_AWKWARD = [-0.0, 5e-324, 1e-300, 1 / 3, 2.0 ** 53 + 2]
+
+
+def _awkward_mesh():
+    return Mesh(np.array([[-0.0, 1 / 3], [2.0 ** 53 + 2, 1e-300],
+                          [5e-324, 2.0 ** 53 + 2]]), np.array([[0, 1, 2]]))
+
+
+def test_writers_match_per_value_reference(tmp_path):
+    graded = refine_nvb(refine_uniform(builtin_domain("l_shape"), rounds=3),
+                        [0, 5, 17])
+    eta = np.random.default_rng(3).random(graded.n_elements)
+    eta[:len(_AWKWARD)] = _AWKWARD
+    new, ref = tmp_path / "new", tmp_path / "ref"
+    for mesh, values in ((_awkward_mesh(), np.array([-0.0])), (graded, eta)):
+        write_mesh_text(new, mesh)
+        _write_mesh_text_reference(ref, mesh)
+        assert new.read_bytes() == ref.read_bytes()
+        for cell_data in (values, None):
+            write_vtk(new, mesh, eta=cell_data)
+            _write_vtk_reference(ref, mesh, eta=cell_data)
+            assert new.read_bytes() == ref.read_bytes()
+
+
+def test_mesh_text_of_awkward_values(tmp_path):
+    path = tmp_path / "awkward.txt"
+    write_mesh_text(path, _awkward_mesh())
+    assert path.read_text(encoding="utf-8") == (
+        "3 1\n-0 0.33333333333333331\n9007199254740994 1e-300\n"
+        "4.9406564584124654e-324 9007199254740994\n0 1 2\n")
 
 
 def _write_tiny_config(path, **overrides):

@@ -1,8 +1,13 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lsfem
 from lsfem import quadrature_rule
 from lsfem.quadrature import MAX_ORDER
 
@@ -59,3 +64,17 @@ def test_rules_cached_and_frozen():
     assert quadrature_rule(4) is rule
     with pytest.raises(ValueError):
         rule.points[0, 0] = 0.0
+
+
+def test_import_leaves_scipy_special_unloaded():
+    """Only the rules above the tabulated orders use ``roots_jacobi``, so
+    starting the command line does not pay for ``scipy.special``."""
+    src = str(pathlib.Path(lsfem.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, lsfem.cli; "
+            "assert lsfem.__file__.startswith(sys.argv[1]), lsfem.__file__; "
+            "print('scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
