@@ -19,12 +19,13 @@ and it is what keeps the matrix bits: another association or a fused
 multiply-add moves entries by rounding, and with them which elements the
 marking picks when indicators tie.
 
-Assembly does not factorize: the exact solver builds the factor on first
-use, and that factorization is the positive-definiteness proof on the
-exact path.  Its pivots, the diagonal of U, are read in place from
-SuperLU's supernodal storage of L; ``lu.L`` and ``lu.U`` are never read,
-because reading either one converts both factors to CSC and caches the
-copies on the factor for its whole life.
+Assembly does not factorize: ``exact_solve`` asks ``SparseSpd.factor`` for
+a new factor, uses it for its one solve and drops it, and that
+factorization is the positive-definiteness proof on the exact path.  Its
+pivots, the diagonal of U, are read in place from SuperLU's supernodal
+storage of L; ``lu.L`` and ``lu.U`` are never read, because reading either
+one converts both factors to CSC and caches the copies on the factor for
+its whole life.
 
 ``QuadFields`` splits the evaluation of a discrete function at the
 quadrature points into a level part (points, weights and the edge-field
@@ -105,21 +106,34 @@ def _pivots(lu):
 
 
 class SparseSpd:
-    """CSR matrix wrapper with a cached sparse factorization.
+    """CSR matrix wrapper that factorizes on request.
 
-    The factorization is a symmetric-mode LU with the diagonal pivot
-    threshold disabled, so for a symmetric matrix it acts as a Cholesky-type
-    decomposition: any non-positive pivot proves the matrix indefinite and
-    is rejected.  The pivots are read from SuperLU's supernodal storage;
-    ``lu.L`` and ``lu.U`` are never read, because reading either one caches
-    CSC copies of both factors for as long as the factor lives.
+    The matrix must be symmetric entry for entry, as ``assemble_system``
+    builds it.  ``factor`` builds a new factorization on every call and
+    keeps none: it is a symmetric-mode LU with the diagonal pivot threshold
+    disabled, so for a symmetric matrix it acts as a Cholesky-type
+    decomposition, and any non-positive pivot proves the matrix indefinite
+    and is rejected.
+
+    SuperLU gets the transpose of the CSR matrix, which is a CSC matrix over
+    the same three arrays (no copy; 26.4 MiB at 196,609 dofs) and, by
+    symmetry, the same matrix.  Supernode relaxation is off (``relax=1``):
+    the default relaxation merges small supernodes by storing explicit
+    zeros, about as many as the true fill, while the MMD ordering stays the
+    same and only rounding changes.  On the uniform L-shape with BLAS on one
+    thread that took the factorization from 3.53 s to 1.26-1.46 s and the
+    factor from 22,183,244 to 11,050,626 nonzeros at 196,609 dofs, from
+    0.58 s to 0.22 s at 49,153 dofs and from 0.056 s to 0.037 s at 12,289.
+
+    The pivots are read from SuperLU's supernodal storage; ``lu.L`` and
+    ``lu.U`` are never read, because reading either one caches CSC copies of
+    both factors for as long as the factor lives.
     """
 
     def __init__(self, matrix):
         self.matrix = sp.csr_matrix(matrix)
         if self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError("matrix must be square")
-        self._factor = None
 
     @property
     def n(self):
@@ -132,20 +146,20 @@ class SparseSpd:
         return self.matrix @ x
 
     def factor(self):
-        if self._factor is None:
-            try:
-                lu = splu(self.matrix.tocsc(),
-                          permc_spec="MMD_AT_PLUS_A",
-                          diag_pivot_thresh=0.0,
-                          options={"SymmetricMode": True})
-            except RuntimeError as exc:     # singular factor
-                raise SolverError(f"factorization failed: {exc}") from exc
-            pivots = _pivots(lu)
-            if not np.all(np.isfinite(pivots)) or pivots.min() <= 0.0:
-                raise SolverError(
-                    "matrix is not positive definite (non-positive pivot)")
-            self._factor = lu
-        return self._factor
+        """A new ``SuperLU`` factor of the matrix with positive pivots."""
+        try:
+            lu = splu(self.matrix.T,
+                      permc_spec="MMD_AT_PLUS_A",
+                      diag_pivot_thresh=0.0,
+                      relax=1,
+                      options={"SymmetricMode": True})
+        except RuntimeError as exc:     # singular factor
+            raise SolverError(f"factorization failed: {exc}") from exc
+        pivots = _pivots(lu)
+        if not np.all(np.isfinite(pivots)) or pivots.min() <= 0.0:
+            raise SolverError(
+                "matrix is not positive definite (non-positive pivot)")
+        return lu
 
 
 def _quad_points(rule, corners, out):
@@ -267,8 +281,8 @@ def assemble_system(mesh, dofmap, problem, quad_order=4):
 
     Local contributions are accumulated in element order (then local dof
     order), so reassembling the same inputs reproduces the same matrix bit
-    for bit.  No factorization happens here; ``SparseSpd.factor`` builds it
-    on the first exact solve and rejects a matrix that is not positive
+    for bit.  No factorization happens here; ``SparseSpd.factor`` builds one
+    for each exact solve and rejects a matrix that is not positive
     definite.
     """
     if dofmap.n_total > MAX_DOFS:

@@ -1,11 +1,11 @@
 """The adaptive loop: solve, estimate, mark, refine.
 
 ``run_adaptive`` runs the loop; ``config.solver.kind`` picks the solve:
-``exact`` factorizes every level's system, ``pcg`` runs PCG per level,
-warm-started by prolongating the previous level's final iterate (nested
-iteration) unless that is switched off.  Every level appends one history
-row; the final level is the first one hitting a stopping rule and marks
-nothing.
+``exact`` factorizes every level's system once, for its one solve, and
+keeps no factor; ``pcg`` runs PCG per level, warm-started by prolongating
+the previous level's final iterate (nested iteration) unless that is
+switched off.  Every level appends one history row; the final level is the
+first one hitting a stopping rule and marks nothing.
 """
 
 from __future__ import annotations
@@ -132,8 +132,9 @@ class HistoryRow:
 
 @dataclass
 class LevelRecord:
-    """Full state of one level: mesh, dof map, system with its factor (if
-    the level was solved exactly), solution and reports.
+    """Full state of one level: mesh, dof map, system, solution and
+    reports.  No factor is kept: an exact solve drops its factor when it
+    returns.
 
     ``run_adaptive`` returns the last level's record as
     ``AdaptiveHistory.final`` and every level's only with ``keep_records``.
@@ -205,10 +206,10 @@ def run_adaptive(config, keep_records=False, level_sink=None):
 
     Returns an ``AdaptiveHistory`` with one row per level and the last
     level's ``LevelRecord`` as ``final``.  With ``keep_records`` every
-    level's record is kept in ``records``, and with it every level's system
-    and factor; otherwise a level's system, load and reports are released
+    level's record is kept in ``records``, and with it every level's
+    system; otherwise a level's system, load and reports are released
     before the next level is refined and assembled, so at most one level's
-    system and factor are alive at a time.
+    system is alive at a time.  A factor lives only inside ``exact_solve``.
     """
     problem = make_problem(config.problem)
     est_order = config.quadrature.resolved_estimator_order()
@@ -263,8 +264,8 @@ def run_adaptive(config, keep_records=False, level_sink=None):
         if final:
             break
         prev = (mesh, dofmap, coef)
-        # unless kept in records, the system and its factor die here,
-        # before the next level is built
+        # unless kept in records, the system dies here, before the next
+        # level is built
         del record, system, rhs, report, error_report
         mesh = refine_nvb(mesh, marked)
         level += 1

@@ -1,4 +1,4 @@
-"""Linear solvers: cached sparse factorization and preconditioned CG.
+"""Linear solvers: sparse factorization and preconditioned CG.
 
 The PCG loop tracks the quantities the adaptive driver consumes: the
 A-norm of each increment (for the lambda stopping rule), the l2 residual
@@ -81,7 +81,11 @@ def _as_system(matrix):
 
 
 def exact_solve(system, rhs):
-    """Solve with the cached factorization and re-verify the residual."""
+    """Solve with a new factorization and re-verify the residual.
+
+    The factor lives only for this call: nothing solves one system twice,
+    so keeping it would only hold its memory through the rest of the level.
+    """
     system = _as_system(system)
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (system.n,):

@@ -126,9 +126,12 @@ def test_factor_rejects_non_finite_pivot():
         SparseSpd(np.diag([1.0, np.inf])).factor()
 
 
-# SparseSpd.factor's options, then scipy's defaults (row pivoting)
-_SPLU_OPTIONS = [dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                      options={"SymmetricMode": True}), {}]
+# SparseSpd.factor's options, the same with SuperLU's default supernode
+# relaxation, then scipy's defaults (row pivoting)
+_FACTOR_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       relax=1, options={"SymmetricMode": True})
+_RELAXED_OPTIONS = dict(_FACTOR_OPTIONS, relax=None)
+_SPLU_OPTIONS = [_FACTOR_OPTIONS, _RELAXED_OPTIONS, {}]
 
 
 def _pivot_test_matrices():
@@ -181,24 +184,50 @@ def test_pivot_reader_rejects_other_objects():
         _pivots(sp.eye(3))
 
 
-def test_factor_keeps_no_csc_copies():
-    """The factor holds only SuperLU's own storage, which tracemalloc does
-    not see.  Reading ``lu.U`` would leave CSC copies of both factors on it
-    (8.7 MiB of numpy buffers here, which tracemalloc does see)."""
+@pytest.fixture(scope="module")
+def lshape_system():
+    """System and load of a ``general`` problem on the uniform L-shape with
+    12,289 dofs."""
     mesh = refine_uniform(builtin_domain("l_shape"), rounds=10)
     dm = build_dofmap(mesh)
     prob = make_problem(ProblemSpec(kind="general", f=1.0,
                                     a=[[1.05, 0.02], [0.02, 0.97]],
                                     b=[0.03, -0.07]))
-    system, _ = assemble_system(mesh, dm, prob)
+    system, rhs = assemble_system(mesh, dm, prob)
     assert dm.n_total == 12_289
+    return system, rhs
+
+
+def test_factor_keeps_no_csc_copies(lshape_system):
+    """The factor holds only SuperLU's own storage, which tracemalloc does
+    not see.  Reading ``lu.U`` would leave CSC copies of both factors on it
+    (8.7 MiB of numpy buffers here, which tracemalloc does see).  Nor is
+    the matrix copied on the way in: a ``tocsc()`` copy (1.7 MiB here)
+    would show in the peak."""
+    system, _ = lshape_system
+    matrix = system.matrix
+    matrix_bytes = (matrix.data.nbytes + matrix.indices.nbytes
+                    + matrix.indptr.nbytes)
     tracemalloc.start()
     try:
         system.factor()
-        current = tracemalloc.get_traced_memory()[0]
+        current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert current < 2 ** 20
+    assert peak < 0.5 * matrix_bytes
+
+
+def test_factor_without_supernode_relaxation(lshape_system):
+    """Without relaxed supernodes the factor stores 456,066 entries here,
+    against 748,362 with SuperLU's default relaxation and the same
+    ordering, and the solution changes only by rounding."""
+    system, rhs = lshape_system
+    lu = system.factor()
+    relaxed = splu(system.matrix.tocsc(), **_RELAXED_OPTIONS)
+    assert lu.nnz < 0.7 * relaxed.nnz
+    x, expected = lu.solve(rhs), relaxed.solve(rhs)
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_matrix_positive_definite_on_fixture():

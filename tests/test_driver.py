@@ -3,10 +3,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import SuperLU
 
 import lsfem.driver
 from lsfem import (AdaptiveConfig, ConfigurationError, MarkingSpec, QuadSpec,
-                   SolverSpec, StopSpec, run_adaptive)
+                   SolverSpec, SparseSpd, StopSpec, exact_solve, run_adaptive)
 from lsfem.driver import _marking_for_level
 from lsfem.problems import ProblemSpec
 
@@ -117,14 +118,46 @@ LAMBDA_PCG = replace(
     stop=StopSpec(max_ndof=800))
 
 
-def test_pcg_path_builds_no_factor():
-    history = run_adaptive(LAMBDA_PCG, keep_records=True)
+def _count_factor_calls(monkeypatch):
+    """Patch ``SparseSpd.factor`` to record the system of every call."""
+    calls = []
+    real_factor = SparseSpd.factor
+
+    def counting_factor(self):
+        calls.append(self)
+        return real_factor(self)
+
+    monkeypatch.setattr(SparseSpd, "factor", counting_factor)
+    return calls
+
+
+def test_pcg_path_builds_no_factor(monkeypatch):
+    calls = _count_factor_calls(monkeypatch)
+    history = run_adaptive(LAMBDA_PCG)
     assert history.n_levels >= 4
-    assert all(rec.system._factor is None for rec in history.records)
-    # the exact path builds its factor in the solve, not in assembly
-    exact = run_adaptive(replace(SMOOTH, stop=StopSpec(max_ndof=50)),
-                         keep_records=True)
-    assert all(rec.system._factor is not None for rec in exact.records)
+    assert calls == []
+
+
+def test_exact_path_factors_once_per_level(monkeypatch):
+    calls = _count_factor_calls(monkeypatch)
+    history = run_adaptive(SMOOTH, keep_records=True)
+    assert history.n_levels >= 4
+    assert len(calls) == history.n_levels
+    assert all(call is rec.system
+               for call, rec in zip(calls, history.records))
+
+
+def _holds_factor(system):
+    return any(isinstance(value, SuperLU) for value in vars(system).values())
+
+
+def test_no_factor_survives_the_solve():
+    history = run_adaptive(SMOOTH, keep_records=True)
+    assert history.n_levels >= 4
+    assert not any(_holds_factor(rec.system) for rec in history.records)
+    final = history.final
+    exact_solve(final.system, final.rhs)
+    assert not _holds_factor(final.system)
 
 
 @pytest.mark.parametrize("config", [SMOOTH, LAMBDA_PCG],
@@ -149,8 +182,8 @@ def test_final_record_matches_kept_records(config):
 @pytest.mark.parametrize("keep_records", [False, True])
 def test_old_systems_released_before_next_assembly(config, keep_records,
                                                    monkeypatch):
-    """Without records, no earlier level's system (and factor) is alive
-    while the next level is assembled."""
+    """Without records, no earlier level's system is alive while the next
+    level is assembled."""
     systems, alive = [], []
     real_assemble = lsfem.driver.assemble_system
 

@@ -92,3 +92,38 @@ def test_no_factor_reads_l_or_u():
                    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                    if isinstance(node, ast.Attribute) and node.attr in ("L", "U"))
     assert found == []
+
+
+def _calls_with_scope(tree):
+    """Every call in a module with the dotted name of the class and function
+    scopes around it (empty at module level)."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                yield from visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                yield child, ".".join(scope)
+            yield from visit(child, scope)
+    return visit(tree, ())
+
+
+def test_one_factorization_site():
+    """``SparseSpd.factor`` is the only caller of ``splu`` in the package,
+    and no call passes ``panel_size``: one probe with ``panel_size=40`` and
+    SuperLU's default relaxation at 49,153 dofs ended in a glibc
+    heap-corruption abort at exit."""
+    package = pathlib.Path(lsfem.__file__).parent
+    sites, panel = [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for call, scope in _calls_with_scope(tree):
+            where = (path.name, scope or "<module>")
+            if "splu" in (getattr(call.func, "id", None),
+                          getattr(call.func, "attr", None)):
+                sites.append(where)
+            if any(kw.arg == "panel_size" for kw in call.keywords):
+                panel.append((*where, call.lineno))
+    assert sites == [("assembly.py", "SparseSpd.factor")]
+    assert panel == []
