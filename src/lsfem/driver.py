@@ -179,7 +179,7 @@ def _solve_level(config, problem, mesh, dofmap, system, rhs, prev):
     solver = config.solver
     if solver.kind == "exact":
         return exact_solve(system, rhs), 0, None
-    if solver.nested and prev is not None:
+    if prev is not None:
         x0 = prolongate(prev[0], prev[1], mesh, dofmap, prev[2])
     else:
         x0 = np.zeros(dofmap.n_total)
@@ -207,15 +207,17 @@ def run_adaptive(config, keep_records=False, level_sink=None):
     Returns an ``AdaptiveHistory`` with one row per level and the last
     level's ``LevelRecord`` as ``final``.  With ``keep_records`` every
     level's record is kept in ``records``, and with it every level's
-    system; otherwise a level's system, load and reports are released
-    before the next level is refined and assembled, so at most one level's
-    system is alive at a time.  A factor lives only inside ``exact_solve``.
+    system and mesh; otherwise a level's system, load and reports are
+    released before the next level is refined and assembled, so at most one
+    level's system is alive at a time.  A factor lives only inside
+    ``exact_solve``.  Only nested PCG keeps an earlier level, the previous
+    one, whose final iterate it prolongates.
     """
     problem = make_problem(config.problem)
     est_order = config.quadrature.resolved_estimator_order()
 
     mesh = builtin_domain(config.domain)
-    prev = None                 # (mesh, dofmap, coef) of the previous level
+    prev = None     # (mesh, dofmap, coef) of the previous level, if nested
     rows = []
     records = [] if keep_records else None
 
@@ -263,9 +265,10 @@ def run_adaptive(config, keep_records=False, level_sink=None):
 
         if final:
             break
-        prev = (mesh, dofmap, coef)
+        if config.solver.kind == "pcg" and config.solver.nested:
+            prev = (mesh, dofmap, coef)
         # unless kept in records, the system dies here, before the next
-        # level is built
+        # level is built, and the mesh once the next dof map replaces its own
         del record, system, rhs, report, error_report
         mesh = refine_nvb(mesh, marked)
         level += 1

@@ -10,6 +10,7 @@ remaining edges and ``m`` sits opposite both of them.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,15 +44,13 @@ class Mesh:
     ----------
     vertices : (nv, 2) float array
     elements : (nt, 3) int array, counterclockwise, refinement edge first
-    parent_mesh : Mesh or None
-        The mesh this one was refined from, if any.
-    parent : (nt,) int array or None
-        For each element, the index of the containing element of
-        ``parent_mesh``.  Together with ``parent_mesh`` these links form a
-        forest rooted in the initial mesh.
+
+    A mesh returned by ``refine_nvb`` also has ``parent``: for each element,
+    its containing element in the mesh it was refined from, which it links
+    only weakly, so no mesh keeps another alive.  Elsewhere it is None.
     """
 
-    def __init__(self, vertices, elements, parent_mesh=None, parent=None):
+    def __init__(self, vertices, elements):
         vertices = np.array(vertices, dtype=float)
         elements = np.array(elements, dtype=np.intp)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
@@ -69,8 +68,8 @@ class Mesh:
         self.elements = elements
         self.vertices.setflags(write=False)
         self.elements.setflags(write=False)
-        self.parent_mesh = parent_mesh
-        self.parent = None if parent is None else np.asarray(parent, dtype=np.intp)
+        self.parent = None
+        self._refined_from = None       # weakref.ref, set by refine_nvb
         self._cache = {}
         areas = self.signed_areas()
         if np.any(areas <= 0.0):
@@ -338,8 +337,10 @@ def refine_nvb(mesh, marked):
         [p2, m, m0]]).transpose(2, 0, 1)
     slots[~bisected, 0] = mesh.elements[~bisected]
     keep = np.column_stack([np.ones_like(bisected), left, bisected, right])
-    return Mesh(vertices, slots[keep], parent_mesh=mesh,
-                parent=np.nonzero(keep)[0])
+    fine = Mesh(vertices, slots[keep])
+    fine.parent = np.nonzero(keep)[0]
+    fine._refined_from = weakref.ref(mesh)
+    return fine
 
 
 def refine_uniform(mesh, rounds=1):
@@ -352,21 +353,15 @@ def refine_uniform(mesh, rounds=1):
 def ancestor_map(fine, coarse):
     """For each element of ``fine``, its containing element in ``coarse``.
 
-    ``fine`` must have been produced from ``coarse`` by refine_nvb calls;
-    the parent links are walked and composed to verify that.
+    ``fine`` must be ``coarse`` or the result of one ``refine_nvb`` call on
+    it, checked by object identity; anything else, a grandchild or an
+    equal copy of ``coarse`` included, raises ``ValueError``.
     """
     if fine is coarse:
         return np.arange(fine.n_elements, dtype=np.intp)
-    if fine.parent_mesh is None:
-        raise ValueError("fine mesh is not a refinement of the coarse mesh")
-    idx = fine.parent
-    m = fine.parent_mesh
-    while m is not coarse:
-        if m.parent_mesh is None:
-            raise ValueError("fine mesh is not a refinement of the coarse mesh")
-        idx = m.parent[idx]
-        m = m.parent_mesh
-    return idx
+    if fine._refined_from is None or fine._refined_from() is not coarse:
+        raise ValueError("fine mesh is not one refinement of the coarse mesh")
+    return fine.parent
 
 
 # -- validation --------------------------------------------------------------

@@ -115,8 +115,9 @@ def prolongation_matrix(coarse_mesh, coarse_dofmap, fine_mesh, fine_dofmap):
     containing it.  The edge rows take the normal flux of the coarse field
     at each fine edge midpoint along ``fine_mesh.edge_normals``, evaluated
     in the ancestor of ``edge_elements[e, 0]``; the flux is constant along
-    the edge, so the midpoint value is exact.  Both hold across any number
-    of refine_nvb generations.
+    the edge, so the midpoint value is exact.  ``fine_mesh`` must be
+    ``coarse_mesh`` or one refine_nvb call on it, else ``ValueError``;
+    across several calls, multiply the one-level matrices.
     """
     amap = ancestor_map(fine_mesh, coarse_mesh)
     ct = coarse_mesh.geometry

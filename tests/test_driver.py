@@ -201,6 +201,40 @@ def test_old_systems_released_before_next_assembly(config, keep_records,
     assert history.final.system is systems[-1]()
 
 
+@pytest.mark.parametrize("config", [SMOOTH, LAMBDA_PCG],
+                         ids=["exact", "lambda_pcg"])
+@pytest.mark.parametrize("keep_records", [False, True])
+def test_old_meshes_released_before_next_assembly(config, keep_records,
+                                                  monkeypatch):
+    """Without records an exact run keeps only the current mesh alive while
+    it assembles, and nested PCG also the previous one; no mesh keeps its
+    parent alive."""
+    meshes, alive = [], []
+    real_build_dofmap = lsfem.driver.build_dofmap
+    real_assemble = lsfem.driver.assemble_system
+
+    def tracking_build_dofmap(mesh):
+        meshes.append(weakref.ref(mesh))
+        return real_build_dofmap(mesh)
+
+    def tracking_assemble(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in meshes))
+        return real_assemble(*args, **kwargs)
+
+    monkeypatch.setattr(lsfem.driver, "build_dofmap", tracking_build_dofmap)
+    monkeypatch.setattr(lsfem.driver, "assemble_system", tracking_assemble)
+    history = run_adaptive(config, keep_records=keep_records)
+    levels = range(history.n_levels)
+    assert history.n_levels >= 4
+    if keep_records:
+        assert alive == [level + 1 for level in levels]
+    elif config.solver.kind == "exact":
+        assert alive == [1] * history.n_levels
+    else:
+        assert alive == [min(level + 1, 2) for level in levels]
+    assert history.final.mesh is meshes[-1]()
+
+
 def test_lambda_rule_evaluates_data_once_per_level(monkeypatch):
     """The load is sampled a fixed number of times per level, not per step.
 

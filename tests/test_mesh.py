@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from lsfem import (Mesh, MeshValidityError, ancestor_map, builtin_domain,
-                   refine_nvb, refine_uniform, validate)
+from lsfem import (Mesh, MeshValidityError, ancestor_map, build_dofmap,
+                   builtin_domain, prolongation_matrix, refine_nvb,
+                   refine_uniform, validate)
 from lsfem.verify import _min_angle, _patch_sums, check_angle_lock
 
 
@@ -215,10 +216,14 @@ def test_refine_matches_reference_on_uniform_rounds(domain):
 def test_parent_links():
     mesh = builtin_domain("unit_square")
     fine = refine_nvb(mesh, [0])
-    assert mesh.parent_mesh is None and mesh.parent is None
-    assert fine.parent_mesh is mesh
+    assert mesh.parent is None
+    with pytest.raises(ValueError):
+        ancestor_map(mesh, fine)
+    assert ancestor_map(fine, mesh) is fine.parent
     assert fine.parent.shape == (fine.n_elements,)
     assert set(fine.parent.tolist()) == {0, 1}
+    with pytest.raises(ValueError):
+        ancestor_map(refine_nvb(fine, [0]), mesh)
 
 
 def test_ancestor_map_composes():
@@ -226,7 +231,10 @@ def test_ancestor_map_composes():
     coarse = builtin_domain("l_shape")
     mid = refine_nvb(coarse, rng.choice(coarse.n_elements, 3, replace=False))
     fine = refine_nvb(mid, rng.choice(mid.n_elements, 4, replace=False))
-    amap = ancestor_map(fine, coarse)
+    # one level per call: two refinements compose the parent arrays
+    with pytest.raises(ValueError):
+        ancestor_map(fine, coarse)
+    amap = mid.parent[fine.parent]
     assert amap.shape == (fine.n_elements,)
     # each fine element's centroid must lie inside its ancestor
     for t in range(fine.n_elements):
@@ -239,11 +247,24 @@ def test_ancestor_map_composes():
         ancestor_map(coarse, fine)
 
 
-def test_ancestor_map_rejects_unrelated():
-    a = builtin_domain("unit_square")
-    b = builtin_domain("l_shape")
+@pytest.mark.parametrize("kind", ["unrelated", "sibling", "copy", "reversed",
+                                  "grandchild"])
+def test_ancestor_map_rejects_unrelated(kind):
+    """Only the mesh itself or one refine_nvb call on it maps to a mesh."""
+    coarse = builtin_domain("unit_square")
+    child = refine_nvb(coarse, [0])
+    fine, coarse = {
+        "unrelated": (coarse, builtin_domain("l_shape")),
+        "sibling": (refine_nvb(coarse, [1]), child),
+        "copy": (child, Mesh(coarse.vertices, coarse.elements)),
+        "reversed": (coarse, child),
+        "grandchild": (refine_nvb(child, [0]), coarse),
+    }[kind]
     with pytest.raises(ValueError):
-        ancestor_map(a, b)
+        ancestor_map(fine, coarse)
+    with pytest.raises(ValueError):
+        prolongation_matrix(coarse, build_dofmap(coarse),
+                            fine, build_dofmap(fine))
 
 
 def test_patch_of_once_refined_square():
