@@ -9,7 +9,7 @@ exactly through a sparse factorization or inexactly by a contractive
 preconditioned conjugate gradient iteration with nested warm starts.
 """
 
-from .assembly import SparseSpd, assemble_system, eval_discrete
+from .assembly import assemble_system, eval_discrete
 from .driver import (AdaptiveConfig, AdaptiveHistory, HistoryRow, LevelRecord,
                      QuadSpec, SolverSpec, StopSpec, run_adaptive)
 from .errors import (ConfigurationError, IdentityViolationError,
@@ -25,7 +25,8 @@ from .mesh import (Mesh, MeshDiagnostics, ancestor_map, builtin_domain,
 from .problems import ExactSolution, Problem, ProblemSpec, make_problem
 from .quadrature import QuadRule, quadrature_rule
 from .solver import (FixedSteps, IncrementStop, PcgResult, ResidualTol,
-                     estimate_pcg_contraction, exact_solve, pcg_run)
+                     SparseSpd, estimate_pcg_contraction, exact_solve,
+                     pcg_run)
 from .spaces import (DofMap, build_dofmap, eval_local_basis,
                      prolongation_matrix, prolongate)
 from .verify import (BUDGETS, RateFit, discrete_reliability_check, fit_rate,

@@ -19,14 +19,6 @@ and it is what keeps the matrix bits: another association or a fused
 multiply-add moves entries by rounding, and with them which elements the
 marking picks when indicators tie.
 
-Assembly does not factorize: ``exact_solve`` asks ``SparseSpd.factor`` for
-a new factor, uses it for its one solve and drops it, and that
-factorization is the positive-definiteness proof on the exact path.  Its
-pivots, the diagonal of U, are read in place from SuperLU's supernodal
-storage of L; ``lu.L`` and ``lu.U`` are never read, because reading either
-one converts both factors to CSC and caches the copies on the factor for
-its whole life.
-
 ``QuadFields`` splits the evaluation of a discrete function at the
 quadrature points into a level part (points, weights and the edge-field
 tables, built once per mesh, dof map and rule) and a coefficient part
@@ -35,132 +27,17 @@ tables, built once per mesh, dof map and rule) and a coefficient part
 
 from __future__ import annotations
 
-import ctypes
-
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import SuperLU, splu
 
-from .errors import SolverError
 from .quadrature import quadrature_rule
+from .solver import SparseSpd
 from .spaces import eval_local_basis
 
 MAX_DOFS = 200_000
 # Elements per assembly block: bounds the (nq, 3, 6, block) operator images
 # and their companions, which would otherwise exceed the returned matrix.
 _BLOCK = 4096
-
-# SuperLU's storage types and value type (supermatrix.h)
-_SLU_NC, _SLU_SC, _SLU_D = 0, 3, 1
-_INT_P = ctypes.POINTER(ctypes.c_int)
-
-
-class _SuperMatrix(ctypes.Structure):
-    _fields_ = [("Stype", ctypes.c_int), ("Dtype", ctypes.c_int),
-                ("Mtype", ctypes.c_int), ("nrow", ctypes.c_int),
-                ("ncol", ctypes.c_int), ("Store", ctypes.c_void_p)]
-
-
-class _SCformat(ctypes.Structure):
-    """Supernodal storage of L; the diagonal block of a supernode holds
-    the diagonal of U."""
-    _fields_ = [("nnz", ctypes.c_int), ("nsuper", ctypes.c_int),
-                ("nzval", ctypes.POINTER(ctypes.c_double)),
-                ("nzval_colptr", _INT_P), ("rowind", _INT_P),
-                ("rowind_colptr", _INT_P), ("col_to_sup", _INT_P),
-                ("sup_to_col", _INT_P)]
-
-
-class _SuperLUObject(ctypes.Structure):
-    """Leading fields of scipy's ``SuperLUObject`` (_superluobject.h),
-    whose ``SuperMatrix L, U`` are named ``lower`` and ``upper`` here."""
-    _fields_ = [("head", ctypes.c_byte * object.__basicsize__),
-                ("m", ctypes.c_ssize_t), ("n", ctypes.c_ssize_t),
-                ("lower", _SuperMatrix), ("upper", _SuperMatrix)]
-
-
-def _pivots(lu):
-    """Diagonal of U of a real square ``SuperLU`` factor, as a new array.
-
-    Read in place from the supernodal storage of L: column j belongs to the
-    supernode starting at column s, which stores its diagonal block first,
-    so U[j, j] is entry j - s of column j there.  Raises ``SolverError``
-    when the object's header is not the layout read here.
-    """
-    if not isinstance(lu, SuperLU):
-        raise SolverError(f"expected a SuperLU factor, got {type(lu).__name__}")
-    n = lu.shape[0]
-    head = _SuperLUObject.from_address(id(lu))
-    lower, upper = head.lower, head.upper
-    if not (head.m == head.n == n
-            and lower.Stype == _SLU_SC and lower.Dtype == _SLU_D
-            and lower.nrow == lower.ncol == n and upper.Stype == _SLU_NC):
-        raise SolverError("unrecognised SuperLU factor layout")
-    store = _SCformat.from_address(lower.Store)
-    colptr = np.ctypeslib.as_array(store.nzval_colptr, (n + 1,))
-    col_to_sup = np.ctypeslib.as_array(store.col_to_sup, (n,))
-    sup_to_col = np.ctypeslib.as_array(store.sup_to_col, (store.nsuper + 1,))
-    nzval = np.ctypeslib.as_array(store.nzval, (colptr[n],))
-    # fancy indexing copies, so nothing returned points into ``lu``
-    return nzval[colptr[:n] + np.arange(n) - sup_to_col[col_to_sup]]
-
-
-class SparseSpd:
-    """CSR matrix wrapper that factorizes on request.
-
-    The matrix must be symmetric entry for entry, as ``assemble_system``
-    builds it.  ``factor`` builds a new factorization on every call and
-    keeps none: it is a symmetric-mode LU with the diagonal pivot threshold
-    disabled, so for a symmetric matrix it acts as a Cholesky-type
-    decomposition, and any non-positive pivot proves the matrix indefinite
-    and is rejected.
-
-    SuperLU gets the transpose of the CSR matrix, which is a CSC matrix over
-    the same three arrays (no copy; 26.4 MiB at 196,609 dofs) and, by
-    symmetry, the same matrix.  Supernode relaxation is off (``relax=1``):
-    the default relaxation merges small supernodes by storing explicit
-    zeros, about as many as the true fill, while the MMD ordering stays the
-    same and only rounding changes.  On the uniform L-shape with BLAS on one
-    thread that took the factorization from 3.53 s to 1.26-1.46 s and the
-    factor from 22,183,244 to 11,050,626 nonzeros at 196,609 dofs, from
-    0.58 s to 0.22 s at 49,153 dofs and from 0.056 s to 0.037 s at 12,289.
-
-    The pivots are read from SuperLU's supernodal storage; ``lu.L`` and
-    ``lu.U`` are never read, because reading either one caches CSC copies of
-    both factors for as long as the factor lives.
-    """
-
-    def __init__(self, matrix):
-        self.matrix = sp.csr_matrix(matrix)
-        if self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError("matrix must be square")
-
-    @property
-    def n(self):
-        return self.matrix.shape[0]
-
-    def diagonal(self):
-        return self.matrix.diagonal()
-
-    def matvec(self, x):
-        return self.matrix @ x
-
-    def factor(self):
-        """A new ``SuperLU`` factor of the matrix with positive pivots."""
-        try:
-            lu = splu(self.matrix.T,
-                      permc_spec="MMD_AT_PLUS_A",
-                      diag_pivot_thresh=0.0,
-                      relax=1,
-                      options={"SymmetricMode": True})
-        except RuntimeError as exc:     # singular factor
-            raise SolverError(f"factorization failed: {exc}") from exc
-        pivots = _pivots(lu)
-        if not np.all(np.isfinite(pivots)) or pivots.min() <= 0.0:
-            raise SolverError(
-                "matrix is not positive definite (non-positive pivot)")
-        return lu
-
 
 def _quad_points(rule, corners, out):
     """Physical points of ``rule`` on a set of elements, written to ``out``.
@@ -253,8 +130,12 @@ def _scatter_csr(rows, cols, vals, n):
 
     Entries with a negative row or column (constrained dofs) are dropped.
     The rest are ordered by (row, col) and, within one position, by input
-    order, then summed sequentially; the single key ``rows * n + cols``
-    under a stable sort gives exactly that order.
+    order; the single key ``rows * n + cols`` under a stable sort gives
+    exactly that order.  ``np.add.reduceat`` then sums the run c0, ..., ck
+    of one position as ``c0 + (c1 + ... + ck)``, the inner sum sequential
+    for runs of up to 8 values and pairwise in longer ones.  The final
+    meshes of the five shipped configs have at most 8 elements at a
+    vertex.  A test pins this order against numpy upgrades.
     """
     key = rows * n + cols
     keep = (rows >= 0) & (cols >= 0)
@@ -279,11 +160,11 @@ def _scatter_csr(rows, cols, vals, n):
 def assemble_system(mesh, dofmap, problem, quad_order=4):
     """Assemble the least-squares Galerkin matrix and load vector.
 
-    Local contributions are accumulated in element order (then local dof
-    order), so reassembling the same inputs reproduces the same matrix bit
-    for bit.  No factorization happens here; ``SparseSpd.factor`` builds one
-    for each exact solve and rejects a matrix that is not positive
-    definite.
+    The contributions to one matrix entry come in element order (then
+    local dof order) and are summed as ``_scatter_csr`` states, so
+    reassembling the same inputs reproduces the same matrix bit for bit.
+    No factorization happens here; ``SparseSpd.factor`` builds one for each
+    exact solve and rejects a matrix that is not positive definite.
     """
     if dofmap.n_total > MAX_DOFS:
         raise ValueError(

@@ -197,8 +197,7 @@ def _solve_level(config, problem, mesh, dofmap, system, rhs, prev):
         stop = IncrementStop(solver.lam, lambda x: estimate(x).total,
                              solver.max_steps)
     result = pcg_run(system, rhs, precond=solver.precond, x0=x0, stop=stop)
-    increment_final = result.increments[-1] if result.increments else 0.0
-    return result.x, result.iterations, increment_final
+    return result.x, result.iterations, result.increments[-1]
 
 
 def run_adaptive(config, keep_records=False, level_sink=None):

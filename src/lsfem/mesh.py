@@ -339,6 +339,7 @@ def refine_nvb(mesh, marked):
     keep = np.column_stack([np.ones_like(bisected), left, bisected, right])
     fine = Mesh(vertices, slots[keep])
     fine.parent = np.nonzero(keep)[0]
+    fine.parent.setflags(write=False)
     fine._refined_from = weakref.ref(mesh)
     return fine
 

@@ -1,5 +1,14 @@
 """Linear solvers: sparse factorization and preconditioned CG.
 
+This is the one module that knows how a system is solved; assembly only
+builds the matrix.  ``exact_solve`` asks ``SparseSpd.factor`` for a new
+factor, uses it for its one solve and drops it, and that factorization is
+the positive-definiteness proof on the exact path.  Its pivots, the
+diagonal of U, are read in place from SuperLU's supernodal storage of L;
+``lu.L`` and ``lu.U`` are never read, because reading either one converts
+both factors to CSC and caches the copies on the factor for its whole
+life.
+
 The PCG loop tracks the quantities the adaptive driver consumes: the
 A-norm of each increment (for the lambda stopping rule), the l2 residual
 history, and, when a reference solution is supplied, the energy-norm error
@@ -10,19 +19,116 @@ preconditioned matrix; ``estimate_pcg_contraction`` measures that constant.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, SuperLU, eigsh, splu
 
-from .assembly import SparseSpd
 from .errors import NumericalEstimateError, SolverError
 
 PRECONDS = ("none", "jacobi")
 MAX_EIG_DIM = 20_000
 _DENSE_EIG_DIM = 200
+
+# SuperLU's storage types and value type (supermatrix.h)
+_SLU_NC, _SLU_SC, _SLU_D = 0, 3, 1
+_INT_P = ctypes.POINTER(ctypes.c_int)
+
+
+class _SuperMatrix(ctypes.Structure):
+    _fields_ = [("Stype", ctypes.c_int), ("Dtype", ctypes.c_int),
+                ("Mtype", ctypes.c_int), ("nrow", ctypes.c_int),
+                ("ncol", ctypes.c_int), ("Store", ctypes.c_void_p)]
+
+
+class _SCformat(ctypes.Structure):
+    """Supernodal storage of L; the diagonal block of a supernode holds
+    the diagonal of U."""
+    _fields_ = [("nnz", ctypes.c_int), ("nsuper", ctypes.c_int),
+                ("nzval", ctypes.POINTER(ctypes.c_double)),
+                ("nzval_colptr", _INT_P), ("rowind", _INT_P),
+                ("rowind_colptr", _INT_P), ("col_to_sup", _INT_P),
+                ("sup_to_col", _INT_P)]
+
+
+class _SuperLUObject(ctypes.Structure):
+    """Leading fields of scipy's ``SuperLUObject`` (_superluobject.h),
+    whose ``SuperMatrix L, U`` are named ``lower`` and ``upper`` here."""
+    _fields_ = [("head", ctypes.c_byte * object.__basicsize__),
+                ("m", ctypes.c_ssize_t), ("n", ctypes.c_ssize_t),
+                ("lower", _SuperMatrix), ("upper", _SuperMatrix)]
+
+
+def _pivots(lu):
+    """Diagonal of U of a real square ``SuperLU`` factor, as a new array.
+
+    Read in place from the supernodal storage of L: column j belongs to the
+    supernode starting at column s, which stores its diagonal block first,
+    so U[j, j] is entry j - s of column j there.  Raises ``SolverError``
+    when the object's header is not the layout read here.
+    """
+    if not isinstance(lu, SuperLU):
+        raise SolverError(f"expected a SuperLU factor, got {type(lu).__name__}")
+    n = lu.shape[0]
+    head = _SuperLUObject.from_address(id(lu))
+    lower, upper = head.lower, head.upper
+    if not (head.m == head.n == n
+            and lower.Stype == _SLU_SC and lower.Dtype == _SLU_D
+            and lower.nrow == lower.ncol == n and upper.Stype == _SLU_NC):
+        raise SolverError("unrecognised SuperLU factor layout")
+    store = _SCformat.from_address(lower.Store)
+    colptr = np.ctypeslib.as_array(store.nzval_colptr, (n + 1,))
+    col_to_sup = np.ctypeslib.as_array(store.col_to_sup, (n,))
+    sup_to_col = np.ctypeslib.as_array(store.sup_to_col, (store.nsuper + 1,))
+    nzval = np.ctypeslib.as_array(store.nzval, (colptr[n],))
+    # fancy indexing copies, so nothing returned points into ``lu``
+    return nzval[colptr[:n] + np.arange(n) - sup_to_col[col_to_sup]]
+
+
+class SparseSpd:
+    """CSR matrix wrapper that factorizes on request.
+
+    The matrix must be symmetric entry for entry, as ``assemble_system``
+    builds it.  ``factor`` builds a new factorization on every call and
+    keeps none: it is a symmetric-mode LU with the diagonal pivot threshold
+    disabled, so for a symmetric matrix it acts as a Cholesky-type
+    decomposition, and any non-positive pivot proves the matrix indefinite
+    and is rejected.
+
+    SuperLU gets the transpose of the CSR matrix, which is a CSC matrix over
+    the same three arrays (no copy; 26.4 MiB at 196,609 dofs) and, by
+    symmetry, the same matrix.  Supernode relaxation is off (``relax=1``):
+    the default relaxation merges small supernodes by storing explicit
+    zeros, about as many as the true fill, while the MMD ordering stays the
+    same and only rounding changes.  On the uniform L-shape with BLAS on one
+    thread that took the factorization from 3.53 s to 1.26-1.46 s and the
+    factor from 22,183,244 to 11,050,626 nonzeros at 196,609 dofs, from
+    0.58 s to 0.22 s at 49,153 dofs and from 0.056 s to 0.037 s at 12,289.
+    """
+
+    def __init__(self, matrix):
+        self.matrix = sp.csr_matrix(matrix)
+        if self.matrix.shape[0] != self.matrix.shape[1]:
+            raise ValueError("matrix must be square")
+
+    def factor(self):
+        """A new ``SuperLU`` factor of the matrix with positive pivots."""
+        try:
+            lu = splu(self.matrix.T,
+                      permc_spec="MMD_AT_PLUS_A",
+                      diag_pivot_thresh=0.0,
+                      relax=1,
+                      options={"SymmetricMode": True})
+        except RuntimeError as exc:     # singular factor
+            raise SolverError(f"factorization failed: {exc}") from exc
+        pivots = _pivots(lu)
+        if not np.all(np.isfinite(pivots)) or pivots.min() <= 0.0:
+            raise SolverError(
+                "matrix is not positive definite (non-positive pivot)")
+        return lu
 
 
 @dataclass(frozen=True)
@@ -33,6 +139,10 @@ class FixedSteps:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("fixed step count must be at least 1")
+
+    @property
+    def max_steps(self):
+        return self.n
 
 
 @dataclass(frozen=True)
@@ -62,6 +172,8 @@ class ResidualTol:
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("residual tolerance must be positive")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be at least 1")
 
 
 @dataclass
@@ -77,7 +189,7 @@ class PcgResult:
 def _as_system(matrix):
     if isinstance(matrix, SparseSpd):
         return matrix
-    return SparseSpd(sp.csr_matrix(matrix))
+    return SparseSpd(matrix)
 
 
 def exact_solve(system, rhs):
@@ -87,11 +199,12 @@ def exact_solve(system, rhs):
     so keeping it would only hold its memory through the rest of the level.
     """
     system = _as_system(system)
+    A = system.matrix
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (system.n,):
+    if rhs.shape != (A.shape[0],):
         raise ValueError("right-hand side length does not match the matrix")
     x = system.factor().solve(rhs)
-    rnorm = float(np.linalg.norm(rhs - system.matvec(x)))
+    rnorm = float(np.linalg.norm(rhs - A @ x))
     bnorm = float(np.linalg.norm(rhs))
     if rnorm > 1e-12 * max(bnorm, 1.0):
         raise SolverError(
@@ -99,16 +212,20 @@ def exact_solve(system, rhs):
     return x
 
 
-def _apply_precond(system, precond):
+def _preconditioner(matrix, precond):
+    """The one definition of the preconditioners in ``PRECONDS``.
+
+    Returns the diagonal D of ``matrix`` for ``jacobi``, whose
+    preconditioner is D^-1, and None for ``none``, the identity.
+    """
+    if precond not in PRECONDS:
+        raise SolverError(f"unknown preconditioner {precond!r}")
     if precond == "none":
-        return lambda r: r
-    if precond == "jacobi":
-        diag = system.diagonal()
-        if np.any(diag <= 0.0):
-            raise SolverError("jacobi preconditioner needs a positive diagonal")
-        inv = 1.0 / diag
-        return lambda r: inv * r
-    raise SolverError(f"unknown preconditioner {precond!r}")
+        return None
+    diag = matrix.diagonal()
+    if np.any(diag <= 0.0):
+        raise SolverError("jacobi preconditioner needs a positive diagonal")
+    return diag
 
 
 def pcg_run(system, rhs, precond="jacobi", x0=None, stop=FixedSteps(1),
@@ -117,17 +234,24 @@ def pcg_run(system, rhs, precond="jacobi", x0=None, stop=FixedSteps(1),
 
     Always performs at least one step.  Returns the final iterate along
     with residual norms, A-norm increments, and (if ``reference`` is given)
-    energy-norm errors per iterate.  A search direction with d.Ad <= 0 while
-    the residual is nonzero raises ``SolverError``.
+    energy-norm errors per iterate.  A search direction with d.Ad <= 0
+    raises ``SolverError``, and so does a preconditioned residual with
+    r.z < 0, or with r.z = 0 while r is nonzero; only a zero residual, or
+    one so small that r.z underflows, takes a null step.
     """
-    system = _as_system(system)
-    A = system.matrix
+    A = _as_system(system).matrix
+    n = A.shape[0]
     rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (system.n,):
+    if rhs.shape != (n,):
         raise ValueError("right-hand side length does not match the matrix")
-    apply_p = _apply_precond(system, precond)
-    x = np.zeros(system.n) if x0 is None else np.array(x0, dtype=float)
-    if x.shape != (system.n,):
+    diag = _preconditioner(A, precond)
+    inv = None if diag is None else 1.0 / diag
+
+    def apply_p(r):
+        return r if inv is None else inv * r
+
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    if x.shape != (n,):
         raise ValueError("initial iterate length does not match the matrix")
 
     bnorm = float(np.linalg.norm(rhs))
@@ -145,23 +269,15 @@ def pcg_run(system, rhs, precond="jacobi", x0=None, stop=FixedSteps(1),
     energies = None if reference is None else [energy_error(x)]
     stop_reason = "max_iter"
 
-    if isinstance(stop, FixedSteps):
-        max_steps = stop.n
-    else:
-        max_steps = stop.max_steps
-
     n_steps = 0
-    while n_steps < max_steps:
-        ad = A @ d
-        dad = float(d @ ad)
-        if rz <= 0.0:
-            # residual already exactly zero: null step
-            increment = 0.0
-        elif dad <= 0.0:
-            raise SolverError(
-                f"non-positive curvature d.Ad = {dad:.3e} at PCG step "
-                f"{n_steps + 1}: the matrix is not positive definite")
-        else:
+    while n_steps < stop.max_steps:
+        if rz > 0.0:
+            ad = A @ d
+            dad = float(d @ ad)
+            if dad <= 0.0:
+                raise SolverError(
+                    f"non-positive curvature d.Ad = {dad:.3e} at PCG step "
+                    f"{n_steps + 1}: the matrix is not positive definite")
             alpha = rz / dad
             x = x + alpha * d
             r = r - alpha * ad
@@ -170,7 +286,16 @@ def pcg_run(system, rhs, precond="jacobi", x0=None, stop=FixedSteps(1),
             beta = rz_new / rz
             rz = rz_new
             d = z + beta * d
-            increment = abs(alpha) * float(np.sqrt(max(dad, 0.0)))
+            increment = alpha * float(np.sqrt(dad))
+        else:
+            # r.z = 0 is a null step only when r is zero, or so small that
+            # r.z underflows, as CG run far past convergence reaches
+            u = r / max(np.abs(r).max(), 1e-300)
+            if rz < 0.0 or (np.any(u) and not float(u @ apply_p(u)) > 0.0):
+                raise SolverError(
+                    f"r.z = {rz:.3e} at PCG step {n_steps + 1} with r != 0: "
+                    "the preconditioner is not positive definite")
+            increment = 0.0
         n_steps += 1
         increments.append(increment)
         residuals.append(float(np.linalg.norm(r)))
@@ -192,17 +317,6 @@ def pcg_run(system, rhs, precond="jacobi", x0=None, stop=FixedSteps(1),
                      energy_errors=energies, stop_reason=stop_reason)
 
 
-def _preconditioned_operator(system, precond):
-    A = system.matrix.tocsr()
-    if precond == "none":
-        return A
-    diag = system.diagonal()
-    if np.any(diag <= 0.0):
-        raise SolverError("jacobi preconditioner needs a positive diagonal")
-    scale = sp.diags(1.0 / np.sqrt(diag))
-    return (scale @ A @ scale).tocsr()
-
-
 def estimate_pcg_contraction(system, precond="jacobi"):
     """Measure C_pcg = lambda_max / lambda_min of the preconditioned matrix.
 
@@ -211,14 +325,15 @@ def estimate_pcg_contraction(system, precond="jacobi"):
     directly, smallest through a shift-invert factorization).  Returns
     (C_pcg, q_ctr) with q_ctr = sqrt(1 - 1/C_pcg).
     """
-    system = _as_system(system)
-    if precond not in PRECONDS:
-        raise SolverError(f"unknown preconditioner {precond!r}")
-    if system.n > MAX_EIG_DIM:
+    S = _as_system(system).matrix
+    n = S.shape[0]
+    diag = _preconditioner(S, precond)
+    if n > MAX_EIG_DIM:
         raise ValueError(
-            f"system size {system.n} exceeds the supported maximum {MAX_EIG_DIM}")
-    S = _preconditioned_operator(system, precond)
-    n = system.n
+            f"system size {n} exceeds the supported maximum {MAX_EIG_DIM}")
+    if diag is not None:
+        scale = sp.diags(1.0 / np.sqrt(diag))
+        S = (scale @ S @ scale).tocsr()
     if n <= _DENSE_EIG_DIM:
         dense = S.toarray()
         dense = 0.5 * (dense + dense.T)

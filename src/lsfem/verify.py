@@ -773,11 +773,11 @@ def _suite_solver():
     extra = BUDGETS["cg_extra_steps"]
     run = pcg_run(system, rhs, precond="none",
                   stop=ResidualTol(BUDGETS["cg_residual_tol"],
-                                   max_steps=system.n + extra))
+                                   max_steps=len(rhs) + extra))
     results.append(CheckResult(
         f"plain cg finite termination within n + {extra} steps",
         run.stop_reason == "residual_tol",
-        {"n": system.n, "iterations": run.iterations,
+        {"n": len(rhs), "iterations": run.iterations,
          "stop_reason": run.stop_reason},
         f"residual {_b('cg_residual_tol')}"))
     return results

@@ -9,9 +9,10 @@ import lsfem.assembly
 from lsfem import (ProblemSpec, SparseSpd, assemble_system, builtin_domain,
                    build_dofmap, eval_discrete, exact_solve, make_problem,
                    quadrature_rule, refine_nvb, refine_uniform)
-from lsfem.assembly import QuadFields, _pivots, _scatter_csr, _SuperLUObject
+from lsfem.assembly import QuadFields, _scatter_csr
 from lsfem.errors import SolverError
 from lsfem.problems import eval_data, eval_operator
+from lsfem.solver import _pivots, _SuperLUObject
 
 
 def _fixture(kind="general"):
@@ -30,7 +31,7 @@ def test_matrix_symmetric_bitwise():
     _, dm, prob = _fixture()
     system, _ = assemble_system(_fixture()[0], dm, prob)
     assert (system.matrix - system.matrix.T).nnz == 0
-    assert system.n == dm.n_total
+    assert system.matrix.shape == (dm.n_total, dm.n_total)
 
 
 def test_assembly_deterministic():
@@ -73,7 +74,7 @@ def test_energy_and_load_against_pointwise_quadrature(kind):
             energy += w * float(op @ op)
             load += w * float(data @ op)
 
-    quad_form = float(coef @ system.matvec(coef))
+    quad_form = float(coef @ (system.matrix @ coef))
     assert abs(quad_form - energy) < 1e-12 * max(1.0, abs(energy))
     assert abs(float(rhs @ coef) - load) < 1e-12 * max(1.0, abs(load))
 
@@ -99,7 +100,7 @@ def test_exact_solve_residual():
     mesh, dm, prob = _fixture("poisson")
     system, rhs = assemble_system(mesh, dm, prob)
     x = exact_solve(system, rhs)
-    resid = np.abs(system.matvec(x) - rhs).max()
+    resid = np.abs(system.matrix @ x - rhs).max()
     assert resid <= 1e-12 * max(1.0, np.abs(rhs).max())
 
 
@@ -236,7 +237,7 @@ def test_matrix_positive_definite_on_fixture():
     rng = np.random.default_rng(5)
     for _ in range(20):
         v = rng.standard_normal(dm.n_total)
-        assert float(v @ system.matvec(v)) > 0.0
+        assert float(v @ (system.matrix @ v)) > 0.0
 
 
 def test_quadrature_order_forwarded():
@@ -283,6 +284,53 @@ def test_scatter_matches_lexsort_reference():
     expected = _scatter_csr_lexsort(rows, cols, vals, n)
     _assert_same_csr(_scatter_csr(rows.copy(), cols.copy(), vals.copy(), n),
                      expected)
+
+
+def _scatter_runs(rows, cols, vals):
+    """The values summed into each kept position, in (row, col) order, each
+    run in input order."""
+    runs = {}
+    for r, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        if r >= 0 and c >= 0:
+            runs.setdefault((r, c), []).append(v)
+    return [runs[key] for key in sorted(runs)]
+
+
+def _inner_first(run):
+    """c0 + (c1 + ... + ck), the inner sum sequential, in Python floats."""
+    first, *rest = run
+    if not rest:
+        return first
+    inner = rest[0]
+    for v in rest[1:]:
+        inner += v
+    return first + inner
+
+
+def test_scatter_summation_order_is_pinned():
+    """``_scatter_csr`` sums each position in the order its docstring
+    states, on the pattern of a graded L-shape, so a numpy release that
+    changes ``np.add.reduceat``'s order fails here."""
+    mesh = refine_uniform(builtin_domain("l_shape"), rounds=2)
+    for _ in range(3):      # grade toward the re-entrant corner, vertex 3
+        mesh = refine_nvb(mesh, np.flatnonzero((mesh.elements == 3).any(axis=1)))
+    dm = build_dofmap(mesh)
+    gdofs = dm.element_dofs
+    rows = np.repeat(gdofs, 6, axis=1).ravel()
+    cols = np.tile(gdofs, (1, 6)).ravel()
+    rng = np.random.default_rng(37)
+    # mixed magnitudes, so another order changes bits
+    vals = rng.standard_normal(rows.size) * 10.0 ** rng.integers(
+        -8, 8, size=rows.size)
+    runs = _scatter_runs(rows, cols, vals)
+    # the shipped configs' meshes have at most 8 elements at a vertex, and
+    # numpy sums runs of up to 8 values in the order pinned here
+    assert 3 <= max(map(len, runs)) <= 8
+    got = _scatter_csr(rows, cols, vals, dm.n_total).data
+    assert np.array_equal(got, [_inner_first(run) for run in runs])
+    # the element-order sequential sum differs, so the pin has teeth
+    assert not np.array_equal(
+        got, [np.add.accumulate(run)[-1] for run in runs])
 
 
 @pytest.mark.parametrize("kind", ["poisson", "general"])

@@ -45,7 +45,7 @@ def test_records_align_with_rows():
         assert rec.mesh.n_elements == row.n_elements
         assert rec.dofmap.n_total == row.n_dofs
         assert np.isclose(rec.report.total, row.eta_total)
-        resid = np.abs(rec.system.matvec(rec.coef) - rec.rhs).max()
+        resid = np.abs(rec.system.matrix @ rec.coef - rec.rhs).max()
         assert resid <= 1e-10 * max(1.0, np.abs(rec.rhs).max())
         if row.marked_count:
             assert rec.marked.size == row.marked_count

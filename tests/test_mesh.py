@@ -226,6 +226,18 @@ def test_parent_links():
         ancestor_map(refine_nvb(fine, [0]), mesh)
 
 
+def test_parent_links_are_read_only():
+    """``ancestor_map`` hands out ``fine.parent`` itself, so a write through
+    its result would change the links every later prolongation reads."""
+    mesh = builtin_domain("unit_square")
+    fine = refine_nvb(mesh, [0])
+    with pytest.raises(ValueError):
+        ancestor_map(fine, mesh)[0] = 1
+    with pytest.raises(ValueError):
+        fine.parent[:] = 0
+    assert set(fine.parent.tolist()) == {0, 1}
+
+
 def test_ancestor_map_composes():
     rng = np.random.default_rng(11)
     coarse = builtin_domain("l_shape")

@@ -125,5 +125,26 @@ def test_one_factorization_site():
                 sites.append(where)
             if any(kw.arg == "panel_size" for kw in call.keywords):
                 panel.append((*where, call.lineno))
-    assert sites == [("assembly.py", "SparseSpd.factor")]
+    assert sites == [("solver.py", "SparseSpd.factor")]
     assert panel == []
+
+
+def test_assembly_holds_no_linear_algebra():
+    """``assembly.py`` builds the system and leaves solving it to
+    ``solver.py``: it imports neither ``ctypes`` nor anything from
+    ``scipy.sparse.linalg``."""
+    path = pathlib.Path(lsfem.__file__).parent / "assembly.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+            if node.module == "scipy.sparse":
+                modules += [f"scipy.sparse.{a.name}" for a in node.names]
+        else:
+            continue
+        found += [(m, node.lineno) for m in modules
+                  if m.split(".")[0] == "ctypes"
+                  or m.startswith("scipy.sparse.linalg")]
+    assert found == []

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import lsfem.solver
 from lsfem import (FixedSteps, IncrementStop, ProblemSpec, ResidualTol,
                    SolverError, assemble_system, builtin_domain, build_dofmap,
                    estimate_pcg_contraction, exact_solve, make_problem,
@@ -83,6 +84,11 @@ def test_warm_start_at_solution_stays_put():
                    stop=FixedSteps(2))
     assert null.increments == [0.0, 0.0]
     np.testing.assert_array_equal(null.x, np.zeros(3))
+    # so does a residual so small that r.z underflows to zero, as a run far
+    # past convergence reaches
+    tiny = pcg_run(sp.eye(2, format="csr"), np.full(2, 1e-170),
+                   precond="jacobi", stop=FixedSteps(2))
+    assert tiny.increments == [0.0, 0.0]
 
 
 def test_increment_stop_with_callable_reference():
@@ -121,7 +127,7 @@ def test_nested_iteration_beats_cold_start():
     """
     system, _ = _lsfem_system(rounds=3)
     rng = np.random.default_rng(6)
-    rhs = rng.standard_normal(system.n)
+    rhs = rng.standard_normal(system.matrix.shape[0])
     star = exact_solve(system, rhs)
     stop = ResidualTol(1e-10, max_steps=5000)
     cold = pcg_run(system, rhs, precond="jacobi", stop=stop)
@@ -143,6 +149,9 @@ def test_validation_errors():
         IncrementStop(lam=0.1, eta=1.0, max_steps=0)
     with pytest.raises(ValueError):
         ResidualTol(0.0)
+    for max_steps in (0, -4):
+        with pytest.raises(ValueError):
+            ResidualTol(1e-10, max_steps=max_steps)
     with pytest.raises(ValueError):
         pcg_run(diag, np.zeros(3))
     with pytest.raises(ValueError):
@@ -163,7 +172,23 @@ def test_indefinite_matrix_rejected():
                                  precond="none")
 
 
+@pytest.mark.parametrize("stop", [FixedSteps(5), IncrementStop(lam=0.1, eta=1.0)],
+                         ids=["fixed", "increment"])
+@pytest.mark.parametrize("matrix, fake_diag, rhs", [
+    (_random_spd(3, seed=8), -np.ones(3), np.ones(3)),
+    (np.eye(2), np.array([1.0, -1.0]), np.ones(2)),
+], ids=["rz_negative", "rz_zero_nonzero_residual"])
+def test_pcg_breakdown_of_an_indefinite_preconditioner(monkeypatch, matrix,
+                                                       fake_diag, rhs, stop):
+    """A preconditioner that is not SPD raises instead of taking null
+    steps; ``_preconditioner`` is the one place that defines it."""
+    monkeypatch.setattr(lsfem.solver, "_preconditioner",
+                        lambda matrix, precond: fake_diag)
+    with pytest.raises(SolverError, match="preconditioner is not positive"):
+        pcg_run(sp.csr_matrix(matrix), rhs, stop=stop)
+
+
 def test_exact_solve_validates_rhs_length():
     system, _ = _lsfem_system(rounds=1)
     with pytest.raises(ValueError):
-        exact_solve(system, np.zeros(system.n + 2))
+        exact_solve(system, np.zeros(system.matrix.shape[0] + 2))
