@@ -22,6 +22,7 @@ from .estimator import LevelEstimator, compute_error_norms, compute_indicators
 from .marking import MarkingSpec, mark
 from .mesh import DOMAINS, builtin_domain, refine_nvb
 from .problems import ProblemSpec, make_problem
+from .quadrature import quadrature_rule
 from .solver import PRECONDS, FixedSteps, IncrementStop, exact_solve, pcg_run
 from .spaces import build_dofmap, prolongate
 from .typecheck import check_fields
@@ -174,6 +175,22 @@ def _marking_for_level(config, level):
     return config.marking
 
 
+def _eta_lipschitz(quadrature):
+    """Energy-norm Lipschitz constant of the level estimator, or None.
+
+    eta(x) = ||F - L x|| over the estimator's quadrature points, whose
+    weights are positive, so eta(x) <= eta(y) + ||L (x - y)||.  Every
+    ``ProblemSpec`` has constant a, b and c, so L v is piecewise P1 and
+    |L v|^2 piecewise P2: when both the assembly and the estimator rule are
+    exact to degree 2, ||L v|| is ||v||_A and the constant is 1.  A lower
+    rule breaks that identity, and the constant is unknown.
+    """
+    orders = (quadrature.assembly_order, quadrature.resolved_estimator_order())
+    if all(quadrature_rule(q).exactness_degree >= 2 for q in orders):
+        return 1.0
+    return None
+
+
 def _solve_level(config, problem, mesh, dofmap, system, rhs, prev):
     """Solve one level; returns (coef, iterations, increment_final)."""
     solver = config.solver
@@ -191,11 +208,12 @@ def _solve_level(config, problem, mesh, dofmap, system, rhs, prev):
                                      est_order).total
         stop = IncrementStop(solver.lam, eta_ref, solver.max_steps)
     else:
-        # the level part is built once; each PCG step only evaluates the
-        # residual of its iterate
+        # the level part is built once; a PCG step evaluates the residual
+        # of its iterate only where the eta bound lets it stop
         estimate = LevelEstimator(mesh, dofmap, problem, est_order)
         stop = IncrementStop(solver.lam, lambda x: estimate(x).total,
-                             solver.max_steps)
+                             solver.max_steps,
+                             eta_lipschitz=_eta_lipschitz(config.quadrature))
     result = pcg_run(system, rhs, precond=solver.precond, x0=x0, stop=stop)
     return result.x, result.iterations, result.increments[-1]
 

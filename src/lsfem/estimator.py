@@ -9,7 +9,7 @@ exists in this setting.
 tables and the data f, a, b, c at the quadrature points, built once per
 mesh, dof map, problem and rule.  Calling it on a coefficient vector only
 gathers the local coefficients and forms F - L u_h from those tables, so
-the lambda rule of nested PCG can evaluate eta after every step without
+the lambda rule of nested PCG can evaluate eta at any step without
 re-integrating the data.
 """
 

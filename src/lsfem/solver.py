@@ -15,6 +15,20 @@ history, and, when a reference solution is supplied, the energy-norm error
 of every iterate.  A single PCG step contracts the energy error at least by
 q_ctr = (1 - 1/C_pcg)^(1/2) where C_pcg bounds the condition number of the
 preconditioned matrix; ``estimate_pcg_contraction`` measures that constant.
+
+The lambda rule ``||x_n - x_{n-1}||_A <= lam * eta(x_n)`` needs eta only
+where it can stop.  When eta is L-Lipschitz in the energy norm,
+eta(x_n) <= eta(x_k) + L ||x_n - x_k||_A for the last iterate x_k whose eta
+was evaluated, and a step whose increment exceeds lam times that bound
+cannot stop, so its evaluation is skipped.  ``pcg_run`` carries
+A(x_n - x_k) along from the A d it forms anyway: no extra matvec.  The stop
+itself is decided on an evaluated eta alone, so the iterates, the stopping
+step and every output bit are those of an evaluation at every step.  For
+the residual estimator eta(x) = ||F - L x|| at quadrature points with
+positive weights, the triangle inequality gives L = 1 whenever that norm
+of L v is ||v||_A: with constant coefficients L v is piecewise P1 on
+S1 x RT0, so a rule exact to degree 2 integrates |L v|^2 exactly, and the
+assembly and estimator rules both need that degree.
 """
 
 from __future__ import annotations
@@ -32,6 +46,8 @@ from .errors import NumericalEstimateError, SolverError
 PRECONDS = ("none", "jacobi")
 MAX_EIG_DIM = 20_000
 _DENSE_EIG_DIM = 200
+# relative widening of the eta bound of ``IncrementStop``, far above rounding
+_BOUND_SLACK = 1e-6
 
 # SuperLU's storage types and value type (supermatrix.h)
 _SLU_NC, _SLU_SC, _SLU_D = 0, 3, 1
@@ -149,18 +165,37 @@ class FixedSteps:
 class IncrementStop:
     """Stop once ||x_n - x_{n-1}||_A <= lam * eta(x_n).
 
-    ``eta`` is either a fixed reference value or a callable evaluated at the
-    candidate iterate on every stop check.  ``max_steps`` caps the loop.
+    ``eta`` is either a fixed reference value, finite and nonnegative, or a
+    callable evaluated at the candidate iterate.  ``max_steps`` caps the
+    loop.
+
+    ``eta_lipschitz`` is a constant L with eta(x) <= eta(y) + L ||x - y||_A
+    for all x, y, or None when no such constant is known.  With None the
+    callable is evaluated after every step.  With L, ``pcg_run`` evaluates
+    it only where ``increment <= lam * (eta(x_k) + L ||x_n - x_k||_A)``,
+    x_k being the last evaluated iterate, widened by ``_BOUND_SLACK`` so that
+    rounding in the bound cannot skip a step that stops (a relative error
+    near eps * ||F|| / eta, about 1e-13 at eta / ||F|| = 1e-3).  Either way
+    the loop stops only on an evaluated eta, at the same step and iterate.
     """
     lam: float
     eta: Union[float, Callable]
     max_steps: int = 500
+    eta_lipschitz: Optional[float] = None
 
     def __post_init__(self):
         if self.lam <= 0:
             raise ValueError("lambda must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
+        if not callable(self.eta) and not 0.0 <= float(self.eta) < np.inf:
+            raise ValueError(
+                f"eta must be finite and nonnegative, got {self.eta!r}")
+        if (self.eta_lipschitz is not None
+                and not 0.0 <= self.eta_lipschitz < np.inf):
+            raise ValueError(
+                "eta_lipschitz must be finite and nonnegative, got "
+                f"{self.eta_lipschitz!r}")
 
 
 @dataclass(frozen=True)
@@ -237,7 +272,10 @@ def pcg_run(system, rhs, precond="jacobi", x0=None, stop=FixedSteps(1),
     energy-norm errors per iterate.  A search direction with d.Ad <= 0
     raises ``SolverError``, and so does a preconditioned residual with
     r.z < 0, or with r.z = 0 while r is nonzero; only a zero residual, or
-    one so small that r.z underflows, takes a null step.
+    one so small that r.z underflows, takes a null step.  An ``IncrementStop``
+    whose callable eta evaluates to a value that is not finite and
+    nonnegative raises ``SolverError``; with ``eta_lipschitz`` set, eta is
+    evaluated only at the steps its bound cannot rule out.
     """
     A = _as_system(system).matrix
     n = A.shape[0]
@@ -269,6 +307,13 @@ def pcg_run(system, rhs, precond="jacobi", x0=None, stop=FixedSteps(1),
     energies = None if reference is None else [energy_error(x)]
     stop_reason = "max_iter"
 
+    # the eta bound of IncrementStop: the last evaluated iterate x_k, its
+    # eta (None until the first evaluation) and A (x_n - x_k)
+    bounded = (isinstance(stop, IncrementStop) and callable(stop.eta)
+               and stop.eta_lipschitz is not None)
+    x_k = eta_k = None
+    a_delta = np.zeros(n) if bounded else None
+
     n_steps = 0
     while n_steps < stop.max_steps:
         if rz > 0.0:
@@ -281,6 +326,8 @@ def pcg_run(system, rhs, precond="jacobi", x0=None, stop=FixedSteps(1),
             alpha = rz / dad
             x = x + alpha * d
             r = r - alpha * ad
+            if bounded:
+                a_delta += alpha * ad
             z = apply_p(r)
             rz_new = float(r @ z)
             beta = rz_new / rz
@@ -303,7 +350,22 @@ def pcg_run(system, rhs, precond="jacobi", x0=None, stop=FixedSteps(1),
             energies.append(energy_error(x))
 
         if isinstance(stop, IncrementStop):
-            eta = stop.eta(x) if callable(stop.eta) else float(stop.eta)
+            if not callable(stop.eta):
+                eta = float(stop.eta)
+            else:
+                if eta_k is not None:
+                    bound = eta_k + stop.eta_lipschitz * float(
+                        np.sqrt(max((x - x_k) @ a_delta, 0.0)))
+                    if increment > stop.lam * bound * (1.0 + _BOUND_SLACK):
+                        continue        # eta(x) <= bound: no stop here
+                eta = float(stop.eta(x))
+                if not 0.0 <= eta < np.inf:
+                    raise SolverError(
+                        f"eta evaluated to {eta!r} at PCG step {n_steps}: "
+                        "it must be finite and nonnegative")
+                if bounded:
+                    x_k, eta_k = x, eta
+                    a_delta[:] = 0.0
             if increment <= stop.lam * eta:
                 stop_reason = "increment_criterion"
                 break

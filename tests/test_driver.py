@@ -1,3 +1,5 @@
+import json
+import os
 import weakref
 from dataclasses import replace
 
@@ -6,10 +8,13 @@ import pytest
 from scipy.sparse.linalg import SuperLU
 
 import lsfem.driver
-from lsfem import (AdaptiveConfig, ConfigurationError, MarkingSpec, QuadSpec,
-                   SolverSpec, SparseSpd, StopSpec, exact_solve, run_adaptive)
+from lsfem import (AdaptiveConfig, ConfigurationError, LevelEstimator,
+                   MarkingSpec, QuadSpec, SolverSpec, SparseSpd, StopSpec,
+                   exact_solve, run_adaptive)
 from lsfem.driver import _marking_for_level
 from lsfem.problems import ProblemSpec
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 SMOOTH = AdaptiveConfig(
     domain="unit_square",
@@ -257,6 +262,58 @@ def test_lambda_rule_evaluates_data_once_per_level(monkeypatch):
     iterations = int(history.column("solver_iterations").sum())
     assert iterations > 3 * history.n_levels     # several steps per level
     assert len(calls) == 3 * history.n_levels
+
+
+def test_lambda_rule_evaluates_eta_near_its_stop_only(monkeypatch):
+    """Each level's PCG run evaluates eta at least once, at its first step
+    and at its stop, but at most at half the steps over the run."""
+    per_level = []          # LevelEstimator calls inside each pcg_run
+    real_call = LevelEstimator.__call__
+    real_pcg_run = lsfem.driver.pcg_run
+    inside = []
+
+    def counting_call(self, coef):
+        if inside:
+            per_level[-1] += 1
+        return real_call(self, coef)
+
+    def tracking_pcg_run(*args, **kwargs):
+        per_level.append(0)
+        inside.append(True)
+        try:
+            return real_pcg_run(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(LevelEstimator, "__call__", counting_call)
+    monkeypatch.setattr(lsfem.driver, "pcg_run", tracking_pcg_run)
+    history = run_adaptive(LAMBDA_PCG)
+    steps = int(history.column("solver_iterations").sum())
+    assert len(per_level) == history.n_levels >= 4
+    assert min(per_level) >= 1
+    assert sum(per_level) <= steps / 2
+
+
+LSHAPE_GENERAL = AdaptiveConfig(
+    domain="l_shape",
+    problem=ProblemSpec(kind="general", f=1.0, a=((2.0, 0.5), (0.5, 1.0)),
+                        b=(1.0, -0.5), c=0.5),
+    marking=MarkingSpec("doerfler", 0.5),
+    solver=SolverSpec(kind="pcg", lam=0.05, eta_ref="current", nested=True),
+    stop=StopSpec(max_ndof=1500))
+
+
+@pytest.mark.parametrize("name, config", [("lambda_pcg", LAMBDA_PCG),
+                                          ("lshape_general", LSHAPE_GENERAL)])
+def test_lambda_rule_levels_match_reference(name, config):
+    """Per-level rows of two lambda-rule runs, bit for bit, against
+    ``tests/data/lambda_rule_history.json``, written by a build that
+    evaluated eta after every PCG step."""
+    with open(os.path.join(DATA, "lambda_rule_history.json")) as fh:
+        reference = json.load(fh)[name]
+    rows = run_adaptive(config).rows
+    assert [{key: getattr(row, key) for key in reference[0]}
+            for row in rows] == reference
 
 
 def test_uniform_refinement_halves_error_every_two_rounds():

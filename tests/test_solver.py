@@ -192,3 +192,50 @@ def test_exact_solve_validates_rhs_length():
     system, _ = _lsfem_system(rounds=1)
     with pytest.raises(ValueError):
         exact_solve(system, np.zeros(system.matrix.shape[0] + 2))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-3])
+def test_increment_stop_rejects_a_fixed_eta_that_is_not_a_norm(value):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        IncrementStop(lam=0.1, eta=value)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        IncrementStop(lam=0.1, eta=lambda x: 1.0, eta_lipschitz=value)
+    assert IncrementStop(lam=0.1, eta=0.0, eta_lipschitz=0.0).eta == 0.0
+
+
+@pytest.mark.parametrize("lipschitz", [None, 1.0], ids=["every", "bounded"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_pcg_raises_when_an_evaluated_eta_is_not_a_norm(lipschitz, bad):
+    """A NaN eta would make ``increment <= lam * eta`` false at every step
+    and run silently to ``max_steps``; it raises at the first evaluation."""
+    system, rhs = _lsfem_system(rounds=1)
+    stop = IncrementStop(lam=0.1, eta=lambda x: bad, max_steps=50,
+                         eta_lipschitz=lipschitz)
+    with pytest.raises(SolverError, match="PCG step 1: it must be finite"):
+        pcg_run(system, rhs, precond="jacobi", stop=stop)
+
+
+def test_bounded_stop_evaluates_only_steps_that_may_stop():
+    """The energy error ||x* - x||_A is 1-Lipschitz in the A-norm.  With
+    that constant fewer steps evaluate it, and the run stops at the step
+    and iterate of an evaluation at every step."""
+    system, rhs = _lsfem_system(rounds=3)
+    A = system.matrix
+    star = exact_solve(system, rhs)
+    calls = []
+
+    def energy_error(x):
+        calls.append(1)
+        d = star - x
+        return float(np.sqrt(d @ (A @ d)))
+
+    every = pcg_run(system, rhs, stop=IncrementStop(0.05, energy_error))
+    assert len(calls) == every.iterations > 10
+    calls.clear()
+    bounded = pcg_run(system, rhs, stop=IncrementStop(0.05, energy_error,
+                                                      eta_lipschitz=1.0))
+    assert 1 <= len(calls) < every.iterations / 2
+    assert bounded.stop_reason == every.stop_reason == "increment_criterion"
+    assert bounded.iterations == every.iterations
+    assert bounded.increments == every.increments
+    assert bounded.x.tobytes() == every.x.tobytes()
