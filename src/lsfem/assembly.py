@@ -61,8 +61,9 @@ def _operator_images(mesh, problem, rule, block, scale):
     (nq, 3, 6, nb) for quadrature point, operator component (scalar row,
     two vector rows), local dof (the three hats, then the three edge
     fields) and element; w and f, the absolute weights and the load at the
-    points, have shape (nq, nb).  The coefficients see the points as one
-    (element, point)-ordered array.
+    points, have shape (nq, nb).  The load sees the points as one
+    (element, point)-ordered array; the coefficients a, b and c are the
+    constants of ``problem``.
     """
     geometry = mesh.geometry
     corners = np.ascontiguousarray(
@@ -71,19 +72,16 @@ def _operator_images(mesh, problem, rule, block, scale):
     phys = _quad_points(rule, corners, np.empty((nq, 2, nb)))
     w = rule.weights[:, None] * geometry["area"][block]
     flat = phys.transpose(2, 0, 1).reshape(-1, 2)
-    a = problem.a_fn(flat).reshape(nb, nq, 2, 2).transpose(1, 2, 3, 0)
-    b = problem.b_fn(flat).reshape(nb, nq, 2).transpose(1, 2, 0)
-    c = problem.c_fn(flat).reshape(nb, nq).T
     f = problem.f_fn(flat).reshape(nb, nq).T
+    a, b, c = problem.a, problem.b, problem.c
     grads = geometry["hat_grads"][block].transpose(1, 2, 0)    # (3, 2, nb)
     images = np.empty((nq, 3, 6, nb))
     hats, edges = images[:, :, :3], images[:, :, 3:]
     # hats: state (lambda_j, grad lambda_j, 0, 0)
-    hats[:, 0] = ((0.0 + b[:, None, 0] * grads[:, 0]
-                   + b[:, None, 1] * grads[:, 1])
-                  + c[:, None] * rule.points[:, :, None])
-    hats[:, 1:] = (0.0 + a[:, :, None, 0] * grads[:, 0]
-                   + a[:, :, None, 1] * grads[:, 1])
+    hats[:, 0] = ((0.0 + b[0] * grads[:, 0] + b[1] * grads[:, 1])
+                  + c * rule.points[:, :, None])
+    hats[:, 1:] = (0.0 + a[:, 0, None, None] * grads[:, 0]
+                   + a[:, 1, None, None] * grads[:, 1])
     # edge fields: state (0, 0, psi_i, div psi_i), psi_i = scale_i (x - x_i)
     scale = scale.T
     edges[:, 0] = -2.0 * scale

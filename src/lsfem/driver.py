@@ -179,11 +179,11 @@ def _eta_lipschitz(quadrature):
     """Energy-norm Lipschitz constant of the level estimator, or None.
 
     eta(x) = ||F - L x|| over the estimator's quadrature points, whose
-    weights are positive, so eta(x) <= eta(y) + ||L (x - y)||.  Every
-    ``ProblemSpec`` has constant a, b and c, so L v is piecewise P1 and
-    |L v|^2 piecewise P2: when both the assembly and the estimator rule are
-    exact to degree 2, ||L v|| is ||v||_A and the constant is 1.  A lower
-    rule breaks that identity, and the constant is unknown.
+    weights are positive, so eta(x) <= eta(y) + ||L (x - y)||.  ``Problem``
+    holds a, b and c as constant fields, so L v is piecewise P1 and |L v|^2
+    piecewise P2: when both the assembly and the estimator rule are exact
+    to degree 2, ||L v|| is ||v||_A and the constant is 1.  A lower rule
+    breaks that identity, and the constant is unknown.
     """
     orders = (quadrature.assembly_order, quadrature.resolved_estimator_order())
     if all(quadrature_rule(q).exactness_degree >= 2 for q in orders):

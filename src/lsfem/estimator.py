@@ -6,11 +6,12 @@ functional of the discrete solution; no separate data-oscillation term
 exists in this setting.
 
 ``LevelEstimator`` is the level part of the indicator: the quadrature
-tables and the data f, a, b, c at the quadrature points, built once per
-mesh, dof map, problem and rule.  Calling it on a coefficient vector only
-gathers the local coefficients and forms F - L u_h from those tables, so
-the lambda rule of nested PCG can evaluate eta at any step without
-re-integrating the data.
+tables and the load f at the quadrature points, built once per mesh, dof
+map, problem and rule.  The coefficients a, b and c are the constants of
+the ``Problem``.  Calling it on a coefficient vector only gathers the
+local coefficients and forms F - L u_h from those tables, so the lambda
+rule of nested PCG can evaluate eta at any step without re-integrating
+the data.
 """
 
 from __future__ import annotations
@@ -44,21 +45,17 @@ class LevelEstimator:
 
     def __init__(self, mesh, dofmap, problem, quad_order=6):
         self.fields = QuadFields(mesh, dofmap, quadrature_rule(quad_order))
-        nt, nq = self.fields.w_abs.shape
-        flat = self.fields.phys.reshape(-1, 2)
-        a_vals = problem.a_fn(flat).reshape(nt, nq, 2, 2)
-        b_vals = problem.b_fn(flat).reshape(nt, nq, 2)
-        self.a = [[a_vals[..., d, e] for e in range(2)] for d in range(2)]
-        self.b = [b_vals[..., 0], b_vals[..., 1]]
-        self.c = problem.c_fn(flat).reshape(nt, nq)
-        self.f = problem.f_fn(flat).reshape(nt, nq)
+        self.problem = problem
+        self.f = problem.f_fn(self.fields.phys.reshape(-1, 2)).reshape(
+            self.fields.w_abs.shape)
 
     def __call__(self, coef):
         u, grad, sigma, div = self.fields.evaluate(coef)
         g0, g1 = grad[:, None, 0], grad[:, None, 1]
-        (a00, a01), (a10, a11) = self.a
-        b0, b1 = self.b
-        res0 = self.f - (-div[:, None] + (b0 * g0 + b1 * g1) + self.c * u)
+        (a00, a01), (a10, a11) = self.problem.a
+        b0, b1 = self.problem.b
+        c = self.problem.c
+        res0 = self.f - (-div[:, None] + (b0 * g0 + b1 * g1) + c * u)
         resv0 = -((a00 * g0 + a01 * g1) - sigma[..., 0])
         resv1 = -((a10 * g0 + a11 * g1) - sigma[..., 1])
         sq = res0 ** 2 + resv0 ** 2 + resv1 ** 2

@@ -96,48 +96,27 @@ def _coefficients(spec):
 
 @dataclass(frozen=True)
 class Problem:
-    """Coefficient evaluators plus optional exact solution.
+    """Constant coefficients, the load and an optional exact solution.
 
-    Evaluators are vectorized over point arrays of shape (n, 2):
-    a_fn -> (n, 2, 2), b_fn -> (n, 2), c_fn and f_fn -> (n,).
+    ``a`` is a read-only (2, 2) array, ``b`` a read-only (2,) array and
+    ``c`` a float; only the load ``f_fn`` varies in space, vectorized over
+    point arrays of shape (n, 2) -> (n,).  With constant coefficients the
+    operator maps the discrete space to piecewise P1 fields, which the
+    lambda rule of nested PCG relies on (``driver._eta_lipschitz``).
     """
 
-    kind: str
-    a_fn: Callable
-    b_fn: Callable
-    c_fn: Callable
+    a: np.ndarray
+    b: np.ndarray
+    c: float
     f_fn: Callable
     exact: Optional[ExactSolution] = None
-    spec: Optional[ProblemSpec] = None
 
-
-@dataclass(frozen=True)
-class OperatorValue:
-    components: np.ndarray      # (3,): scalar residual row, two vector rows
-
-
-def _const_matrix(a):
-    a = np.asarray(a, dtype=float)
-
-    def fn(pts):
-        return np.broadcast_to(a, (len(pts), 2, 2))
-    return fn
-
-
-def _const_vector(b):
-    b = np.asarray(b, dtype=float)
-
-    def fn(pts):
-        return np.broadcast_to(b, (len(pts), 2))
-    return fn
-
-
-def _const_scalar(c):
-    c = float(c)
-
-    def fn(pts):
-        return np.full(len(pts), c)
-    return fn
+    def __post_init__(self):
+        for name in ("a", "b"):
+            value = np.array(getattr(self, name), dtype=float)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "c", float(self.c))
 
 
 def _bubble_exact():
@@ -195,9 +174,6 @@ def _zero_exact():
 
 def _manufactured_f(exact, b, c):
     """Load consistent with the manufactured solution: f = -div sigma + b.grad u + c u."""
-    b = np.asarray(b, dtype=float)
-    c = float(c)
-
     def f(pts):
         return (-exact.div_sigma(pts) + exact.grad_u(pts) @ b
                 + c * exact.u(pts))
@@ -205,7 +181,7 @@ def _manufactured_f(exact, b, c):
 
 
 def make_problem(spec):
-    """Build the coefficient evaluators of a ProblemSpec.
+    """Build the Problem of a ProblemSpec: its coefficients and load.
 
     The spec checked its values when it was built; a manufactured case is
     self-checked here against the load it derives.
@@ -213,7 +189,10 @@ def make_problem(spec):
     a, b, c = _coefficients(spec)
     exact = None
     if spec.manufactured is None:
-        f_fn = _const_scalar(spec.f)
+        f = float(spec.f)
+
+        def f_fn(pts):
+            return np.full(len(pts), f)
     else:
         if spec.manufactured == "poly_bubble":
             exact = _bubble_exact()
@@ -223,9 +202,7 @@ def make_problem(spec):
             exact = _zero_exact()
         f_fn = _manufactured_f(exact, b, c)
 
-    problem = Problem(kind=spec.kind, a_fn=_const_matrix(a),
-                      b_fn=_const_vector(b), c_fn=_const_scalar(c),
-                      f_fn=f_fn, exact=exact, spec=spec)
+    problem = Problem(a=a, b=b, c=c, f_fn=f_fn, exact=exact)
     if exact is not None:
         _check_manufactured(problem)
     return problem
@@ -236,8 +213,8 @@ def _check_manufactured(problem, n=100, tol=1e-10, seed=20240517):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.05, 0.95, size=(n, 2))
     ex = problem.exact
-    lhs = (-ex.div_sigma(pts) + np.sum(problem.b_fn(pts) * ex.grad_u(pts), axis=1)
-           + problem.c_fn(pts) * ex.u(pts))
+    lhs = (-ex.div_sigma(pts) + np.sum(problem.b * ex.grad_u(pts), axis=1)
+           + problem.c * ex.u(pts))
     f = problem.f_fn(pts)
     scale = max(1.0, float(np.abs(f).max()))
     worst = float(np.abs(lhs - f).max()) / scale
@@ -251,22 +228,19 @@ def eval_operator(problem, x, state):
     """Apply the first-order operator to one state tuple at one point.
 
     ``state`` is (u, grad_u, sigma, div_sigma) with grad_u and sigma
-    2-vectors.  Returns the three operator components.
+    2-vectors.  Returns the three operator components; the coefficients
+    are constant, so the point ``x`` does not enter.
     """
     u, grad_u, sigma, div_sigma = state
-    pts = np.asarray(x, dtype=float).reshape(1, 2)
     grad_u = np.asarray(grad_u, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
-    a = problem.a_fn(pts)[0]
-    b = problem.b_fn(pts)[0]
-    c = problem.c_fn(pts)[0]
-    scalar = -float(div_sigma) + float(b @ grad_u) + c * float(u)
-    vector = a @ grad_u - sigma
-    return OperatorValue(components=np.array([scalar, vector[0], vector[1]]))
+    scalar = (-float(div_sigma) + float(problem.b @ grad_u)
+              + problem.c * float(u))
+    vector = problem.a @ grad_u - sigma
+    return np.array([scalar, vector[0], vector[1]])
 
 
 def eval_data(problem, x):
     """The right-hand side F = (f, 0) at one point."""
     pts = np.asarray(x, dtype=float).reshape(1, 2)
-    return OperatorValue(
-        components=np.array([float(problem.f_fn(pts)[0]), 0.0, 0.0]))
+    return np.array([float(problem.f_fn(pts)[0]), 0.0, 0.0])

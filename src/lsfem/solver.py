@@ -26,9 +26,10 @@ itself is decided on an evaluated eta alone, so the iterates, the stopping
 step and every output bit are those of an evaluation at every step.  For
 the residual estimator eta(x) = ||F - L x|| at quadrature points with
 positive weights, the triangle inequality gives L = 1 whenever that norm
-of L v is ||v||_A: with constant coefficients L v is piecewise P1 on
-S1 x RT0, so a rule exact to degree 2 integrates |L v|^2 exactly, and the
-assembly and estimator rules both need that degree.
+of L v is ||v||_A.  ``Problem`` holds the coefficients a, b and c as
+constants, so L v is piecewise P1 on S1 x RT0 and a rule exact to
+degree 2 integrates |L v|^2 exactly; the assembly and estimator rules
+both need that degree.
 """
 
 from __future__ import annotations
@@ -227,8 +228,16 @@ def _as_system(matrix):
     return SparseSpd(matrix)
 
 
+def _check_finite(v, name):
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} has non-finite entries")
+
+
 def exact_solve(system, rhs):
     """Solve with a new factorization and re-verify the residual.
+
+    A non-finite ``rhs`` raises ``ValueError``; a residual that fails the
+    check, NaN included, raises ``SolverError``.
 
     The factor lives only for this call: nothing solves one system twice,
     so keeping it would only hold its memory through the rest of the level.
@@ -238,10 +247,11 @@ def exact_solve(system, rhs):
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (A.shape[0],):
         raise ValueError("right-hand side length does not match the matrix")
+    _check_finite(rhs, "right-hand side")
     x = system.factor().solve(rhs)
     rnorm = float(np.linalg.norm(rhs - A @ x))
     bnorm = float(np.linalg.norm(rhs))
-    if rnorm > 1e-12 * max(bnorm, 1.0):
+    if not rnorm <= 1e-12 * max(bnorm, 1.0):
         raise SolverError(
             f"direct solve left relative residual {rnorm / max(bnorm, 1e-300):.3e}")
     return x
@@ -269,19 +279,21 @@ def pcg_run(system, rhs, precond="jacobi", x0=None, stop=FixedSteps(1),
 
     Always performs at least one step.  Returns the final iterate along
     with residual norms, A-norm increments, and (if ``reference`` is given)
-    energy-norm errors per iterate.  A search direction with d.Ad <= 0
-    raises ``SolverError``, and so does a preconditioned residual with
-    r.z < 0, or with r.z = 0 while r is nonzero; only a zero residual, or
-    one so small that r.z underflows, takes a null step.  An ``IncrementStop``
-    whose callable eta evaluates to a value that is not finite and
-    nonnegative raises ``SolverError``; with ``eta_lipschitz`` set, eta is
-    evaluated only at the steps its bound cannot rule out.
+    energy-norm errors per iterate.  A non-finite ``rhs`` or ``x0`` raises
+    ``ValueError``.  A search direction whose d.Ad is not positive (NaN
+    included) raises ``SolverError``, and so does a preconditioned residual
+    with r.z < 0, or with r.z = 0 while r is nonzero; only a zero residual,
+    or one so small that r.z underflows, takes a null step.  An
+    ``IncrementStop`` whose callable eta evaluates to a value that is not
+    finite and nonnegative raises ``SolverError``; with ``eta_lipschitz``
+    set, eta is evaluated only at the steps its bound cannot rule out.
     """
     A = _as_system(system).matrix
     n = A.shape[0]
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (n,):
         raise ValueError("right-hand side length does not match the matrix")
+    _check_finite(rhs, "right-hand side")
     diag = _preconditioner(A, precond)
     inv = None if diag is None else 1.0 / diag
 
@@ -291,6 +303,7 @@ def pcg_run(system, rhs, precond="jacobi", x0=None, stop=FixedSteps(1),
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     if x.shape != (n,):
         raise ValueError("initial iterate length does not match the matrix")
+    _check_finite(x, "initial iterate")
 
     bnorm = float(np.linalg.norm(rhs))
 
@@ -319,7 +332,7 @@ def pcg_run(system, rhs, precond="jacobi", x0=None, stop=FixedSteps(1),
         if rz > 0.0:
             ad = A @ d
             dad = float(d @ ad)
-            if dad <= 0.0:
+            if not dad > 0.0:
                 raise SolverError(
                     f"non-positive curvature d.Ad = {dad:.3e} at PCG step "
                     f"{n_steps + 1}: the matrix is not positive definite")

@@ -68,8 +68,8 @@ def test_energy_and_load_against_pointwise_quadrature(kind):
             lam = rule.points[q]
             point = lam @ coords
             state = eval_discrete(mesh, dm, coef, t, point)
-            op = eval_operator(prob, point, state).components
-            data = eval_data(prob, point).components
+            op = eval_operator(prob, point, state)
+            data = eval_data(prob, point)
             w = area * rule.weights[q]
             energy += w * float(op @ op)
             load += w * float(data @ op)
@@ -375,15 +375,16 @@ def test_assembly_memory_peak_bounded():
 
 def _operator_basis_images_reference(mesh, problem, rule, scale):
     """The einsum formulation of the operator images, element axis first:
-    images (nt, nq, 6, 3), absolute weights (nt, nq) and points (nt, nq, 2)."""
+    images (nt, nq, 6, 3), absolute weights (nt, nq) and points (nt, nq, 2).
+    The constant coefficients are spread to every point, so each product
+    is formed per point as in a point-function formulation."""
     geometry = mesh.geometry
     phys = np.einsum("qi,tid->tqd", rule.points, geometry["coords"])
     w_abs = rule.weights[None, :] * geometry["area"][:, None]
     nt, nq = w_abs.shape
-    flat = phys.reshape(-1, 2)
-    a_vals = problem.a_fn(flat).reshape(nt, nq, 2, 2)
-    b_vals = problem.b_fn(flat).reshape(nt, nq, 2)
-    c_vals = problem.c_fn(flat).reshape(nt, nq)
+    a_vals = np.broadcast_to(problem.a, (nt, nq, 2, 2))
+    b_vals = np.broadcast_to(problem.b, (nt, nq, 2))
+    c_vals = np.broadcast_to(problem.c, (nt, nq))
     grads = geometry["hat_grads"]
     images = np.zeros((nt, nq, 6, 3))
     images[:, :, :3, 0] = (np.einsum("tqd,tjd->tqj", b_vals, grads)

@@ -120,7 +120,7 @@ def test_residual_matches_pointwise_operator():
     for q, w in enumerate(rule.weights):
         point = rule.points[q] @ coords
         state = eval_discrete(mesh, dm, coef, 0, point)
-        op = eval_operator(prob, point, state).components
+        op = eval_operator(prob, point, state)
         res = np.array([prob.f_fn(point[None, :])[0], 0.0, 0.0]) - op
         acc += 0.5 * w * float(res @ res)
     assert np.isclose(report.per_element[0], np.sqrt(acc), rtol=1e-13)

@@ -27,7 +27,7 @@ def test_helmholtz_load_oracle():
                                     omega=3.0))
     # c = -omega^2 = -9, so f = (2 pi^2 - 9) sin(pi x) sin(pi y)
     assert np.isclose(prob.f_fn(MID)[0], 2 * np.pi ** 2 - 9.0)
-    assert np.isclose(prob.c_fn(MID)[0], -9.0)
+    assert prob.c == -9.0
 
 
 def test_sine_divergence_matches_finite_differences():
@@ -65,9 +65,19 @@ def test_constant_load():
 
 def test_coefficient_defaults_general():
     prob = make_problem(ProblemSpec(kind="general", f=2.5))
-    np.testing.assert_array_equal(prob.a_fn(MID)[0], np.eye(2))
-    np.testing.assert_array_equal(prob.b_fn(MID)[0], np.zeros(2))
-    assert prob.c_fn(MID)[0] == 0.0
+    np.testing.assert_array_equal(prob.a, np.eye(2))
+    np.testing.assert_array_equal(prob.b, np.zeros(2))
+    assert prob.c == 0.0
+
+
+def test_problem_coefficients_are_read_only():
+    prob = make_problem(ProblemSpec(kind="general", f=1.0,
+                                    a=[[2.0, 0.5], [0.5, 1.0]], b=[1.0, 0.0]))
+    with pytest.raises(ValueError):
+        prob.a[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        prob.b[0] = 5.0
+    assert prob.a[0, 0] == 2.0 and prob.b[0] == 1.0
 
 
 @pytest.mark.parametrize("bad", [
@@ -103,7 +113,7 @@ def test_eval_operator_poisson_components():
     state = (0.7, np.array([1.0, 2.0]), np.array([0.25, -1.0]), 3.0)
     val = eval_operator(prob, [0.4, 0.4], state)
     # (-div sigma, grad u - sigma)
-    np.testing.assert_allclose(val.components, [-3.0, 0.75, 3.0])
+    np.testing.assert_allclose(val, [-3.0, 0.75, 3.0])
 
 
 def test_eval_operator_general_components():
@@ -113,10 +123,10 @@ def test_eval_operator_general_components():
     state = (0.5, np.array([1.0, 2.0]), np.array([0.0, 0.0]), 1.0)
     val = eval_operator(prob, [0.4, 0.4], state)
     # scalar: -1 + (1*1 - 1*2) + 4*0.5 = 0;  vector: A grad u = (2, 2)
-    np.testing.assert_allclose(val.components, [0.0, 2.0, 2.0])
+    np.testing.assert_allclose(val, [0.0, 2.0, 2.0])
 
 
 def test_eval_data_is_load_and_zero():
     prob = make_problem(ProblemSpec(kind="poisson", f=2.0))
     val = eval_data(prob, [0.1, 0.9])
-    np.testing.assert_array_equal(val.components, [2.0, 0.0, 0.0])
+    np.testing.assert_array_equal(val, [2.0, 0.0, 0.0])

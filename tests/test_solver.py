@@ -188,6 +188,39 @@ def test_pcg_breakdown_of_an_indefinite_preconditioner(monkeypatch, matrix,
         pcg_run(sp.csr_matrix(matrix), rhs, stop=stop)
 
 
+def test_pcg_rejects_a_nan_curvature():
+    """d.Ad = inf - inf is NaN, which must fail the curvature test rather
+    than feed NaN into the iterate."""
+    A = sp.diags([1e308, -1e308]).tocsr()
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(SolverError, match="curvature d.Ad = nan"):
+        pcg_run(A, np.array([10.0, 10.0]), precond="none", stop=FixedSteps(1))
+
+
+def _solve_exact(system, rhs, x0):
+    return exact_solve(system, rhs)
+
+
+def _solve_pcg(system, rhs, x0):
+    return pcg_run(system, rhs, precond="jacobi", x0=x0, stop=FixedSteps(3))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                         ids=["nan", "inf"])
+@pytest.mark.parametrize("solve, where", [
+    (_solve_exact, "rhs"), (_solve_pcg, "rhs"), (_solve_pcg, "x0"),
+], ids=["exact_solve-rhs", "pcg_run-rhs", "pcg_run-x0"])
+def test_solvers_reject_non_finite_input(solve, where, value):
+    """A non-finite right-hand side or start is misuse, not a system to
+    solve: both solvers raise instead of returning NaNs.  ``exact_solve``
+    takes no start."""
+    system = _random_spd(3, seed=5)
+    vectors = {"rhs": np.ones(3), "x0": np.zeros(3)}
+    vectors[where][0] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        solve(sp.csr_matrix(system), vectors["rhs"], vectors["x0"])
+
+
 def test_exact_solve_validates_rhs_length():
     system, _ = _lsfem_system(rounds=1)
     with pytest.raises(ValueError):
