@@ -3,10 +3,12 @@
 The bilinear form is b(w, v) = <L w, L v> over the domain, so the element
 matrices are Gram matrices of the operator applied to the six local shape
 functions, and the load vector tests F = (f, 0) against the same operator
-images.  The assembled matrix is symmetric entry for entry (the local
-matrices are exact Gram matrices and the accumulation order of the (j, k)
-and (k, j) contributions is identical) and positive definite whenever the
-continuous problem is well posed.
+images.  Each local matrix is kept as its 21 upper-triangle entries, and
+the scatter reads the (j, k) and (k, j) contributions from the same entry
+in the same order, so the assembled matrix is symmetric entry for entry.
+It is positive definite whenever the continuous problem is well posed.
+The scatter works through bounded blocks of matrix rows, so no array of
+the 36 nt local entries, their keys or their sort order is ever built.
 
 The element kernels keep the element index as the last, contiguous axis,
 so every numpy operation runs over a whole block of elements.  Each local
@@ -38,6 +40,9 @@ MAX_DOFS = 200_000
 # Elements per assembly block: bounds the (nq, 3, 6, block) operator images
 # and their companions, which would otherwise exceed the returned matrix.
 _BLOCK = 4096
+# Matrix entries per scatter block: bounds the keys, sort order and values
+# that ``_scatter_csr`` holds at a time; a small level is one block.
+_SCATTER_BLOCK = 2 ** 16
 
 def _quad_points(rule, corners, out):
     """Physical points of ``rule`` on a set of elements, written to ``out``.
@@ -93,15 +98,21 @@ def _operator_images(mesh, problem, rule, block, scale):
 # the upper triangle of a local matrix, row by row; row j starts at _STARTS[j]
 _ROWS, _COLS = np.triu_indices(6)
 _STARTS = np.flatnonzero(_ROWS == _COLS)
+# local entry (j, k) -> its index in the upper triangle, the same for (k, j)
+_UPPER = np.empty((6, 6), dtype=np.intp)
+_UPPER[_ROWS, _COLS] = _UPPER[_COLS, _ROWS] = np.arange(len(_ROWS))
 
 
 def _local_system(images, w, f):
-    """Local matrices (nb, 6, 6) and loads (nb, 6) from ``_operator_images``.
+    """Local matrices and loads from ``_operator_images``.
 
-    Every entry is summed in the order of the module docstring.  The +0.0
-    that starts each sum over components is left out: it can only change
-    the sign of a zero sum, and the accumulator, which starts from +0.0,
-    erases that sign.
+    Returns (upper, load) with shapes (nb, 21) and (nb, 6): ``upper`` holds
+    the upper triangle of each symmetric local matrix row by row, entry
+    (j, k) at ``_UPPER[j, k]``, which is also where (k, j) reads it.  Every
+    entry is summed in the order of the module docstring.  The +0.0 that
+    starts each sum over components is left out: it can only change the
+    sign of a zero sum, and the accumulator, which starts from +0.0, erases
+    that sign.
     """
     nb = images.shape[-1]
     gram = np.zeros((len(_ROWS), nb))
@@ -117,42 +128,78 @@ def _local_system(images, w, f):
         part += prod[2]
         gram += part
         load += (fq * img[0]) * wq
-    local = np.empty((nb, 6, 6))
-    local[:, _ROWS, _COLS] = gram.T
-    local[:, _COLS, _ROWS] = gram.T
-    return local, load.T
+    return gram.T, load.T
 
 
-def _scatter_csr(rows, cols, vals, n):
-    """Deterministic duplicate summation into an (n, n) CSR matrix.
+def _scatter_csr(element_dofs, upper, n):
+    """Deterministic duplicate summation of symmetric local matrices into an
+    (n, n) CSR matrix.
 
-    Entries with a negative row or column (constrained dofs) are dropped.
-    The rest are ordered by (row, col) and, within one position, by input
-    order; the single key ``rows * n + cols`` under a stable sort gives
-    exactly that order.  ``np.add.reduceat`` then sums the run c0, ..., ck
-    of one position as ``c0 + (c1 + ... + ck)``, the inner sum sequential
-    for runs of up to 8 values and pairwise in longer ones.  The final
-    meshes of the five shipped configs have at most 8 elements at a
-    vertex.  A test pins this order against numpy upgrades.
+    Element e adds ``upper[e, _UPPER[j, k]]`` at (``element_dofs[e, j]``,
+    ``element_dofs[e, k]``); an entry whose row or column is -1 (a
+    constrained dof) is dropped, and any other dof outside [0, n) raises
+    ``ValueError``.  The contributions to one position are ordered by input
+    order (element, then j, then k), and ``np.add.reduceat`` sums the run
+    c0, ..., ck as ``c0 + (c1 + ... + ck)``, the inner sum sequential for
+    runs of up to 8 values and pairwise in longer ones.  The final meshes
+    of the five shipped configs have at most 8 elements at a vertex.  A
+    test pins this order against numpy upgrades.
+
+    The 6 nt (element, local row) slots are grouped into ranges of rows of
+    about ``_SCATTER_BLOCK`` entries by a stable sort of small block ids.
+    Within a block, a stable sort of row offsets orders the slots by row,
+    each row's in input order; the block's entries are then ordered by the
+    key ``row * n + col`` under a stable sort.  Every sort is stable, and
+    each position lies in exactly one block, so the runs and their sums are
+    those of one stable sort over all entries, while no array over the
+    36 nt entries is built.  Block ids and row offsets are small integers,
+    which numpy sorts by radix, and the keys of rows already in order leave
+    the key sort short runs.
     """
-    key = rows * n + cols
-    keep = (rows >= 0) & (cols >= 0)
-    del rows, cols
-    key = key[keep]
-    vals = vals[keep]
-    del keep
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    vals = vals[order]
-    del order
-    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    summed = np.add.reduceat(vals, starts)
-    del vals
-    r, c = np.divmod(key[starts], n)
-    del key, starts
-    indptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(r, minlength=n), out=indptr[1:])
-    return sp.csr_matrix((summed, c, indptr), shape=(n, n))
+    element_dofs = np.asarray(element_dofs, dtype=np.intp)
+    dofs = element_dofs.ravel()
+    if dofs.size and (dofs.min() < -1 or dofs.max() >= n):
+        raise ValueError(f"element dofs must lie in [-1, {n})")
+    slots = np.flatnonzero(dofs >= 0)
+    # rows whose first entry falls in the same _SCATTER_BLOCK form a block
+    entries = 6 * np.bincount(dofs[slots], minlength=n)
+    row_block = (np.cumsum(entries) - entries) // _SCATTER_BLOCK
+    n_blocks = int(row_block.max(initial=0)) + 1
+    slot_block = row_block.astype(np.min_scalar_type(n_blocks))[dofs[slots]]
+    slots = slots[np.argsort(slot_block, kind="stable")]
+    bounds = np.zeros(n_blocks + 1, dtype=np.intp)
+    np.cumsum(np.bincount(slot_block, minlength=n_blocks), out=bounds[1:])
+    index_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.intp
+    data, indices = [], []
+    row_nnz = np.zeros(n + 1, dtype=np.intp)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        block = slots[lo:hi]
+        rows = dofs[block]
+        offset = rows - rows.min(initial=n)
+        offset = offset.astype(np.min_scalar_type(offset.max(initial=0)))
+        order = np.argsort(offset, kind="stable")
+        block = block[order]
+        elem, j = np.divmod(block, 6)
+        rows = np.repeat(rows[order], 6)
+        cols = np.take(element_dofs, elem, axis=0).ravel()
+        vals = np.take(upper, upper.shape[1] * elem[:, None]
+                       + np.take(_UPPER, j, axis=0)).ravel()
+        keep = cols >= 0
+        key = (rows * n + cols)[keep]
+        vals = vals[keep]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        data.append(np.add.reduceat(vals[order], starts))
+        r, c = np.divmod(key[starts], n)
+        indices.append(c.astype(index_dtype))
+        if len(r):
+            row_nnz[r[0] + 1:r[-1] + 2] = np.bincount(r - r[0])
+    data = np.concatenate(data)          # frees each list before the next
+    indices = np.concatenate(indices)
+    return sp.csr_matrix((data, indices, np.cumsum(row_nnz)), shape=(n, n))
 
 
 def assemble_system(mesh, dofmap, problem, quad_order=4):
@@ -169,21 +216,19 @@ def assemble_system(mesh, dofmap, problem, quad_order=4):
             f"system size {dofmap.n_total} exceeds the supported maximum {MAX_DOFS}")
     rule = quadrature_rule(quad_order)
     nt, n = mesh.n_elements, dofmap.n_total
-    local = np.empty((nt, 6, 6))
+    upper = np.empty((nt, len(_ROWS)))
     local_rhs = np.empty((nt, 6))
     scale = mesh.rt_scale
     for start in range(0, nt, _BLOCK):
         block = slice(start, start + _BLOCK)
-        local[block], local_rhs[block] = _local_system(
+        upper[block], local_rhs[block] = _local_system(
             *_operator_images(mesh, problem, rule, block, scale[block]))
 
     gdofs = dofmap.element_dofs                          # (nt, 6)
+    matrix = _scatter_csr(gdofs, upper, n)
     rhs = np.zeros(n)
     rkeep = gdofs.ravel() >= 0
     np.add.at(rhs, gdofs.ravel()[rkeep], local_rhs.ravel()[rkeep])
-    del local_rhs, rkeep
-    matrix = _scatter_csr(np.repeat(gdofs, 6, axis=1).ravel(),
-                          np.tile(gdofs, (1, 6)).ravel(), local.ravel(), n)
     return SparseSpd(matrix), rhs
 
 

@@ -9,7 +9,7 @@ import lsfem.assembly
 from lsfem import (ProblemSpec, SparseSpd, assemble_system, builtin_domain,
                    build_dofmap, eval_discrete, exact_solve, make_problem,
                    quadrature_rule, refine_nvb, refine_uniform)
-from lsfem.assembly import QuadFields, _scatter_csr
+from lsfem.assembly import _UPPER, QuadFields, _scatter_csr
 from lsfem.errors import SolverError
 from lsfem.problems import eval_data, eval_operator
 from lsfem.solver import _pivots, _SuperLUObject
@@ -273,17 +273,82 @@ def _assert_same_csr(a, b):
     np.testing.assert_array_equal(a.data, b.data)
 
 
+def _entries(element_dofs, upper):
+    """The 36 entries of every local matrix in (element, j, k) order:
+    rows, cols and values, (j, k) and (k, j) read from one upper entry."""
+    rows = np.repeat(element_dofs, 6, axis=1).ravel()
+    cols = np.tile(element_dofs, (1, 6)).ravel()
+    return rows, cols, upper[:, _UPPER].ravel()
+
+
+def _random_upper(rng, nt):
+    """Upper triangles of mixed magnitude, so any change in the summation
+    order changes bits."""
+    return rng.standard_normal((nt, 21)) * 10.0 ** rng.integers(
+        -8, 8, size=(nt, 21))
+
+
 def test_scatter_matches_lexsort_reference():
     rng = np.random.default_rng(31)
     n = 40
-    # many duplicates, constrained (-1) entries and values of mixed
-    # magnitude, so any change in the summation order changes bits
-    rows = rng.integers(-1, n, size=5000)
-    cols = rng.integers(-1, n, size=5000)
-    vals = rng.standard_normal(5000) * 10.0 ** rng.integers(-8, 8, size=5000)
-    expected = _scatter_csr_lexsort(rows, cols, vals, n)
-    _assert_same_csr(_scatter_csr(rows.copy(), cols.copy(), vals.copy(), n),
+    # many duplicates, constrained (-1) entries, dofs repeated inside one
+    # element and values of mixed magnitude
+    element_dofs = rng.integers(-1, n, size=(140, 6))
+    assert any(len(set(row) - {-1}) < (row >= 0).sum() for row in element_dofs)
+    upper = _random_upper(rng, 140)
+    expected = _scatter_csr_lexsort(*_entries(element_dofs, upper), n)
+    _assert_same_csr(_scatter_csr(element_dofs.copy(), upper.copy(), n),
                      expected)
+
+
+def _graded_l_shape():
+    """An L-shape graded toward the re-entrant corner, vertex 3."""
+    mesh = refine_uniform(builtin_domain("l_shape"), rounds=2)
+    for _ in range(3):
+        mesh = refine_nvb(mesh, np.flatnonzero((mesh.elements == 3).any(axis=1)))
+    return mesh
+
+
+@pytest.mark.parametrize("block", [1, 7, 36, 150])
+def test_blocked_scatter_matches_lexsort_reference(block, monkeypatch):
+    """Row blocks of any size give the bytes of one sort over all entries:
+    on a graded L-shape, on the coarse meshes, which have no interior
+    vertex, and on random tables with -1 entries and dofs repeated inside
+    one element.  Blocks of 1 or 7 entries are smaller than a row, which
+    leaves empty blocks between the rows."""
+    monkeypatch.setattr(lsfem.assembly, "_SCATTER_BLOCK", block)
+    rng = np.random.default_rng(41)
+    graded = build_dofmap(_graded_l_shape())
+    assert 36 * len(graded.element_dofs) >= 10 * block  # ten blocks or more
+    cases = []
+    for dm in (graded, build_dofmap(builtin_domain("unit_square")),
+               build_dofmap(builtin_domain("l_shape"))):
+        cases.append((dm.element_dofs, dm.n_total))
+    assert (cases[1][0][:, :3] == -1).all() and (cases[2][0][:, :3] == -1).all()
+    for n, nt in ((40, 140), (300, 90), (3, 5)):
+        cases.append((rng.integers(-1, n, size=(nt, 6)), n))
+    for element_dofs, n in cases:
+        upper = _random_upper(rng, len(element_dofs))
+        expected = _scatter_csr_lexsort(*_entries(element_dofs, upper), n)
+        _assert_same_csr(_scatter_csr(element_dofs, upper, n), expected)
+
+
+@pytest.mark.parametrize("element_dofs, n", [
+    (np.full((1, 6), -1), 1),
+    (np.full((3, 6), -1), 4),
+    (np.empty((0, 6), dtype=int), 5),
+    (np.empty((0, 6), dtype=int), 0)])
+def test_scatter_without_entries_is_empty(element_dofs, n):
+    matrix = _scatter_csr(element_dofs, np.ones((len(element_dofs), 21)), n)
+    assert matrix.shape == (n, n) and matrix.nnz == 0
+    np.testing.assert_array_equal(matrix.indptr, np.zeros(n + 1))
+
+
+@pytest.mark.parametrize("bad", [3, 4, -2])
+def test_scatter_rejects_out_of_range_dofs(bad):
+    element_dofs = np.array([[0, 1, 2, -1, 1, bad]])
+    with pytest.raises(ValueError, match="element dofs"):
+        _scatter_csr(element_dofs, np.ones((1, 21)), 3)
 
 
 def _scatter_runs(rows, cols, vals):
@@ -311,22 +376,16 @@ def test_scatter_summation_order_is_pinned():
     """``_scatter_csr`` sums each position in the order its docstring
     states, on the pattern of a graded L-shape, so a numpy release that
     changes ``np.add.reduceat``'s order fails here."""
-    mesh = refine_uniform(builtin_domain("l_shape"), rounds=2)
-    for _ in range(3):      # grade toward the re-entrant corner, vertex 3
-        mesh = refine_nvb(mesh, np.flatnonzero((mesh.elements == 3).any(axis=1)))
-    dm = build_dofmap(mesh)
+    dm = build_dofmap(_graded_l_shape())
     gdofs = dm.element_dofs
-    rows = np.repeat(gdofs, 6, axis=1).ravel()
-    cols = np.tile(gdofs, (1, 6)).ravel()
     rng = np.random.default_rng(37)
     # mixed magnitudes, so another order changes bits
-    vals = rng.standard_normal(rows.size) * 10.0 ** rng.integers(
-        -8, 8, size=rows.size)
-    runs = _scatter_runs(rows, cols, vals)
+    upper = _random_upper(rng, len(gdofs))
+    runs = _scatter_runs(*_entries(gdofs, upper))
     # the shipped configs' meshes have at most 8 elements at a vertex, and
     # numpy sums runs of up to 8 values in the order pinned here
     assert 3 <= max(map(len, runs)) <= 8
-    got = _scatter_csr(rows, cols, vals, dm.n_total).data
+    got = _scatter_csr(gdofs, upper, dm.n_total).data
     assert np.array_equal(got, [_inner_first(run) for run in runs])
     # the element-order sequential sum differs, so the pin has teeth
     assert not np.array_equal(
@@ -352,9 +411,10 @@ def test_assembly_memory_peak_bounded():
     """Assembly's transient memory stays a small multiple of its output.
 
     The ``tracemalloc`` peak counts every numpy buffer, so the ratio does
-    not depend on the machine.  Blocked assembly needs about 6 times the
-    returned CSR arrays here; building all operator images at once and
-    sorting three keys needs about 16 times.
+    not depend on the machine.  Blocked assembly with the row-block scatter
+    needs about 3 times the returned CSR arrays here; one sort over all 36
+    entries of every local matrix needed about 5.4 times, and building all
+    operator images at once and sorting three keys about 16 times.
     """
     mesh = refine_uniform(builtin_domain("l_shape"), rounds=12)
     dm = build_dofmap(mesh)
@@ -370,7 +430,7 @@ def test_assembly_memory_peak_bounded():
         tracemalloc.stop()
     m = system.matrix
     assert mesh.n_elements == 24_576
-    assert peak <= 8 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
+    assert peak <= 4 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
 
 
 def _operator_basis_images_reference(mesh, problem, rule, scale):
@@ -413,9 +473,9 @@ def _assemble_reference(mesh, dm, problem, quad_order):
     rhs = np.zeros(dm.n_total)
     keep = gdofs.ravel() >= 0
     np.add.at(rhs, gdofs.ravel()[keep], local_rhs.ravel()[keep])
-    matrix = _scatter_csr(np.repeat(gdofs, 6, axis=1).ravel(),
-                          np.tile(gdofs, (1, 6)).ravel(), local.ravel(),
-                          dm.n_total)
+    matrix = _scatter_csr_lexsort(np.repeat(gdofs, 6, axis=1).ravel(),
+                                  np.tile(gdofs, (1, 6)).ravel(),
+                                  local.ravel(), dm.n_total)
     return matrix, rhs
 
 
