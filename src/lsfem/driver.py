@@ -104,16 +104,11 @@ class AdaptiveConfig:
     solver: SolverSpec = field(default_factory=SolverSpec)
     quadrature: QuadSpec = field(default_factory=QuadSpec)
     stop: StopSpec = field(default_factory=StopSpec)
-    theta_schedule: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
         check_fields(self)
         if self.domain not in DOMAINS:
             raise ConfigurationError(f"unknown domain {self.domain!r}")
-        if self.theta_schedule is not None:
-            for theta in self.theta_schedule:
-                if not 0.0 < theta <= 1.0:
-                    raise ConfigurationError("theta_schedule entry out of (0, 1]")
         if self.problem.manufactured is not None and self.domain != "unit_square":
             raise ConfigurationError(
                 "manufactured solutions are defined on the unit square only")
@@ -133,15 +128,15 @@ class HistoryRow:
 
 @dataclass
 class LevelRecord:
-    """Full state of one level: mesh, dof map, system, solution and
-    reports.  No factor is kept: an exact solve drops its factor when it
-    returns.
+    """Full state of one level: its history row, mesh, dof map, system,
+    solution and reports.  No factor is kept: an exact solve drops its
+    factor when it returns.
 
-    ``run_adaptive`` returns the last level's record as
-    ``AdaptiveHistory.final`` and every level's only with ``keep_records``.
+    ``run_adaptive`` hands every level's record to its ``level_sink`` and
+    returns the last one as ``AdaptiveHistory.final``.
     """
 
-    level: int
+    row: HistoryRow
     mesh: object
     dofmap: object
     system: object
@@ -156,7 +151,6 @@ class LevelRecord:
 @dataclass
 class AdaptiveHistory:
     rows: list
-    records: Optional[list] = None
     final: Optional[LevelRecord] = None     # set by run_adaptive
 
     def column(self, name):
@@ -166,13 +160,6 @@ class AdaptiveHistory:
     @property
     def n_levels(self):
         return len(self.rows)
-
-
-def _marking_for_level(config, level):
-    if config.theta_schedule:
-        theta = float(config.theta_schedule[min(level, len(config.theta_schedule) - 1)])
-        return MarkingSpec(strategy=config.marking.strategy, theta=theta)
-    return config.marking
 
 
 def _eta_lipschitz(quadrature):
@@ -218,17 +205,17 @@ def _solve_level(config, problem, mesh, dofmap, system, rhs, prev):
     return result.x, result.iterations, result.increments[-1]
 
 
-def run_adaptive(config, keep_records=False, level_sink=None):
+def run_adaptive(config, level_sink=None):
     """Run the adaptive loop described by ``config``.
 
     Returns an ``AdaptiveHistory`` with one row per level and the last
-    level's ``LevelRecord`` as ``final``.  With ``keep_records`` every
-    level's record is kept in ``records``, and with it every level's
-    system and mesh; otherwise a level's system, load and reports are
-    released before the next level is refined and assembled, so at most one
-    level's system is alive at a time.  A factor lives only inside
-    ``exact_solve``.  Only nested PCG keeps an earlier level, the previous
-    one, whose final iterate it prolongates.
+    level's ``LevelRecord`` as ``final``.  ``level_sink``, if given, is
+    called with each level's record once the level is marked.  The loop
+    drops its own hold on a level's system, load and reports before the
+    next level is refined and assembled, so unless the sink keeps records,
+    at most one level's system is alive at a time.  A factor lives only
+    inside ``exact_solve``.  Only nested PCG keeps an earlier level, the
+    previous one, whose final iterate it prolongates.
     """
     problem = make_problem(config.problem)
     est_order = config.quadrature.resolved_estimator_order()
@@ -236,7 +223,6 @@ def run_adaptive(config, keep_records=False, level_sink=None):
     mesh = builtin_domain(config.domain)
     prev = None     # (mesh, dofmap, coef) of the previous level, if nested
     rows = []
-    records = [] if keep_records else None
 
     level = 0
     while True:
@@ -258,7 +244,7 @@ def run_adaptive(config, keep_records=False, level_sink=None):
                  or level >= config.stop.max_levels)
         marked = None
         if not final:
-            marked = mark(_marking_for_level(config, level), report.per_element)
+            marked = mark(config.marking, report.per_element)
 
         row = HistoryRow(
             level=level,
@@ -272,22 +258,21 @@ def run_adaptive(config, keep_records=False, level_sink=None):
         )
         rows.append(row)
         record = LevelRecord(
-            level=level, mesh=mesh, dofmap=dofmap, system=system, rhs=rhs,
+            row=row, mesh=mesh, dofmap=dofmap, system=system, rhs=rhs,
             coef=coef, report=report, error_report=error_report,
             marked=marked, increment_final=increment_final)
-        if records is not None:
-            records.append(record)
         if level_sink is not None:
-            level_sink(row)
+            level_sink(record)
 
         if final:
             break
         if config.solver.kind == "pcg" and config.solver.nested:
             prev = (mesh, dofmap, coef)
-        # unless kept in records, the system dies here, before the next
-        # level is built, and the mesh once the next dof map replaces its own
+        # unless the sink keeps the record, the system dies here, before the
+        # next level is built, and the mesh once the next dof map replaces
+        # its own
         del record, system, rhs, report, error_report
         mesh = refine_nvb(mesh, marked)
         level += 1
 
-    return AdaptiveHistory(rows=rows, records=records, final=record)
+    return AdaptiveHistory(rows=rows, final=record)

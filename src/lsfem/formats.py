@@ -92,7 +92,6 @@ class HistoryWriter:
     """Streaming CSV writer that emits one line per adaptive level."""
 
     def __init__(self, path, strip_timing=False):
-        self.path = path
         self.strip_timing = strip_timing
         self._fh = open(path, "w", encoding="utf-8", newline="")
         self._fh.write(HISTORY_HEADER + "\n")
@@ -208,5 +207,10 @@ def write_vtk(path, mesh, eta=None, title="adaptive solve"):
 
 
 def ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
+    """Create the output directory ``path`` if needed and return it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot create output directory {path}: {exc}") from exc
     return path

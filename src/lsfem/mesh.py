@@ -88,10 +88,6 @@ class Mesh:
     def n_elements(self):
         return self.elements.shape[0]
 
-    def element_coords(self):
-        """Vertex coordinates per element, shape (nt, 3, 2)."""
-        return self.vertices[self.elements]
-
     @property
     def geometry(self):
         """Per-element geometry, computed once per mesh (read-only arrays).
@@ -103,7 +99,7 @@ class Mesh:
           hat_grads (nt, 3, 2) gradient of the hat of local vertex i
         """
         if "geometry" not in self._cache:
-            coords = self.element_coords()
+            coords = self.vertices[self.elements]
             d1 = coords[:, 1] - coords[:, 0]
             d2 = coords[:, 2] - coords[:, 0]
             area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
@@ -174,11 +170,12 @@ class Mesh:
         signs = np.full(3 * nt, -1, dtype=np.intp)
         signs[lowest] = 1
         # right-hand perp of the CCW tangent of local edge i points out
-        coords = self.element_coords()
+        geometry = self.geometry
+        coords = geometry["coords"]
         tangent = (np.take(coords, [2, 0, 1], axis=1)
                    - np.take(coords, [1, 2, 0], axis=1))
         normal = tangent[..., ::-1] * [1.0, -1.0]
-        normal /= np.hypot(tangent[..., 0], tangent[..., 1])[..., None]
+        normal /= geometry["edge_len"][..., None]
         self._cache.update(edges=edges, elem_edges=elem_edges,
                            edge_elements=edge_elements,
                            edge_signs=signs.reshape(nt, 3),

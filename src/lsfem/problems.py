@@ -41,25 +41,17 @@ class ProblemSpec:
     a: Optional[tuple[tuple[float, float], tuple[float, float]]] = None
     b: Optional[tuple[float, float]] = None
     c: Optional[float] = None
-    omega: Optional[float] = None
 
     def __post_init__(self):
         check_fields(self)
         if self.kind not in _KINDS:
             raise ConfigurationError(f"unknown problem kind {self.kind!r}")
         if self.kind == "poisson":
-            for name in ("a", "b", "c", "omega"):
+            for name in ("a", "b", "c"):
                 if getattr(self, name) is not None:
                     raise ConfigurationError(
                         f"problem key {name!r} is not allowed for kind 'poisson'")
-        if self.omega is not None and self.c is not None:
-            raise ConfigurationError("give either c or omega, not both")
-        # the field types are checked, so only c = -omega^2 can fail
-        try:
-            a, _, _ = _coefficients(self)
-        except OverflowError:
-            raise ConfigurationError(
-                "problem coefficients and load must be numbers") from None
+        a, _, _ = _coefficients(self)
         if not np.allclose(a, a.T, atol=1e-14):
             raise ConfigurationError("coefficient a must be symmetric")
         eigs = np.linalg.eigvalsh(a)
@@ -84,13 +76,10 @@ class ProblemSpec:
 
 def _coefficients(spec):
     """The constant coefficients (a, b, c) of a spec, defaults filled in:
-    a the identity, b zero, c zero or -omega^2."""
+    a the identity, b zero, c zero."""
     a = np.eye(2) if spec.a is None else np.asarray(spec.a, dtype=float)
     b = np.zeros(2) if spec.b is None else np.asarray(spec.b, dtype=float)
-    if spec.omega is not None:
-        c = -float(spec.omega) ** 2
-    else:
-        c = 0.0 if spec.c is None else float(spec.c)
+    c = 0.0 if spec.c is None else float(spec.c)
     return a, b, c
 
 

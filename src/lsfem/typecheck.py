@@ -43,11 +43,7 @@ def _convert(tp, value, where, build):
         (tp,) = [a for a in args if a is not type(None)]
         return _convert(tp, value, where, build)
     if origin is tuple:
-        if not isinstance(value, (list, tuple)) or not value:
-            raise ConfigurationError(f"{where} must be a non-empty list")
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        elif len(value) != len(args):
+        if not isinstance(value, (list, tuple)) or len(value) != len(args):
             raise ConfigurationError(
                 f"{where} must be a list of {len(args)} entries")
         return tuple(_convert(t, v, f"{where}[{i}]", build)

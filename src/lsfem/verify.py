@@ -93,11 +93,11 @@ def lshape_config(strategy="doerfler", theta=0.5, max_ndof=20_000):
     )
 
 
-def helmholtz_config(omega=3.0, max_ndof=20_000):
+def helmholtz_config(c=-9.0, max_ndof=20_000):
     """Indefinite reaction problem, manufactured sine solution."""
     return AdaptiveConfig(
         domain="unit_square",
-        problem=ProblemSpec(kind="general", manufactured="sine", omega=omega),
+        problem=ProblemSpec(kind="general", manufactured="sine", c=c),
         marking=MarkingSpec(strategy="doerfler", theta=0.5),
         solver=SolverSpec(kind="exact"),
         quadrature=QuadSpec(assembly_order=6),
@@ -686,7 +686,7 @@ def identity_fixtures():
          make_problem(ProblemSpec(kind="poisson", f=1.0))),
         ("indefinite reaction", square,
          make_problem(ProblemSpec(kind="general", manufactured="sine",
-                                  omega=3.0))),
+                                  c=-9.0))),
     ]
 
 

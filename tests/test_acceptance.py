@@ -3,8 +3,9 @@
 Each test judges one shipping criterion with the ``lsfem.verify`` checks
 that ``lsfem verify`` also runs, here on full adaptive computations, and
 registers a verdict line rendered from them that is echoed after the pytest
-summary.  The reference runs are shared module-scoped fixtures; large solved
-systems are dropped eagerly so the five histories fit in memory.
+summary.  The reference runs are shared module-scoped fixtures that keep
+every level's record; large solved systems are dropped as each level
+arrives, so the five runs fit in memory.
 """
 
 import os
@@ -48,14 +49,19 @@ def _wall_clock(elapsed, limit):
 
 
 def _timed_run(config, keep_systems=False):
-    t0 = time.perf_counter()
-    history = run_adaptive(config, keep_records=True)
-    elapsed = time.perf_counter() - t0
-    for rec in history.records:
+    """(history, elapsed seconds, every level's record) of one run."""
+    records = []
+
+    def keep(rec):
         if not keep_systems or rec.dofmap.n_total > KEEP_SYSTEMS_BELOW:
             rec.system = None
             rec.rhs = None
-    return history, elapsed
+        records.append(rec)
+
+    t0 = time.perf_counter()
+    history = run_adaptive(config, level_sink=keep)
+    elapsed = time.perf_counter() - t0
+    return history, elapsed, records
 
 
 @pytest.fixture(scope="module")
@@ -91,13 +97,13 @@ def _decay(history, quantity):
 
 
 def test_criterion_01_smooth_exact_decay(smooth_exact, record_verdict):
-    history, elapsed = smooth_exact
+    history, elapsed, _ = smooth_exact
     _judge(record_verdict, 1,
            check_smooth_run(history)[:1] + [_wall_clock(elapsed, 60.0)])
 
 
 def test_criterion_02_single_step_decay(smooth_single_step, record_verdict):
-    history, elapsed = smooth_single_step
+    history, elapsed, _ = smooth_single_step
     eta_ratio = _decay(history, "eta_total")
     err_ratio = _decay(history, "error_v")
     ok = (eta_ratio <= BUDGETS["eta_decay_factor"]
@@ -135,8 +141,8 @@ def test_criterion_05_corner_rates(lshape_uniform, lshape_adaptive,
 def test_criterion_06_per_step_contraction(smooth_exact, smooth_single_step,
                                            record_verdict):
     runs = [(rec.system, rec.rhs, "jacobi", 50)
-            for history, _ in (smooth_exact, smooth_single_step)
-            for rec in history.records if rec.system is not None]
+            for _, _, records in (smooth_exact, smooth_single_step)
+            for rec in records if rec.system is not None]
     checks = check_pcg_contraction(runs)
     _judge(record_verdict, 6, checks)
     assert checks[0].measured["systems"] >= 10
@@ -146,9 +152,9 @@ def test_criterion_07_marking_axiom(smooth_exact, smooth_single_step,
                                     lshape_uniform, lshape_adaptive,
                                     record_verdict):
     levels = [(rec.report.per_element, rec.marked)
-              for history, _ in (smooth_exact, smooth_single_step,
-                                 lshape_uniform, lshape_adaptive)
-              for rec in history.records if rec.marked is not None]
+              for _, _, records in (smooth_exact, smooth_single_step,
+                                    lshape_uniform, lshape_adaptive)
+              for rec in records if rec.marked is not None]
     checks = check_marking_axiom(levels)
     _judge(record_verdict, 7, checks)
     assert checks[0].measured["levels"] > 40
@@ -162,10 +168,10 @@ def test_criterion_09_mesh_invariants(smooth_exact, smooth_single_step,
                                       lshape_uniform, lshape_adaptive,
                                       indefinite_reaction, record_verdict):
     pairs = [(prev.mesh, prev.marked, nxt.mesh)
-             for history, _ in (smooth_exact, smooth_single_step,
-                                lshape_uniform, lshape_adaptive,
-                                indefinite_reaction)
-             for prev, nxt in zip(history.records, history.records[1:])]
+             for _, _, records in (smooth_exact, smooth_single_step,
+                                   lshape_uniform, lshape_adaptive,
+                                   indefinite_reaction)
+             for prev, nxt in zip(records, records[1:])]
     uniform = [refine_uniform(builtin_domain("unit_square"))]
     for _ in range(9):
         uniform.append(refine_uniform(uniform[-1]))
@@ -181,7 +187,7 @@ def test_criterion_11_discrete_reliability(smooth_exact, record_verdict):
     problem = make_problem(smooth_poisson_config().problem)
     # level 4, the level the reliability suite of `lsfem verify` refines
     _judge(record_verdict, 11,
-           check_discrete_reliability(smooth_exact[0].records[4], problem))
+           check_discrete_reliability(smooth_exact[2][4], problem))
 
 
 def test_criterion_12_interpolation_rates(record_verdict):
@@ -190,7 +196,7 @@ def test_criterion_12_interpolation_rates(record_verdict):
 
 def test_criterion_13_indefinite_reaction(indefinite_reaction,
                                           record_verdict):
-    history, elapsed = indefinite_reaction
+    history, elapsed, _ = indefinite_reaction
     _judge(record_verdict, 13,
            check_indefinite_run(history) + [_wall_clock(elapsed, 60.0)])
 

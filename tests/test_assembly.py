@@ -482,8 +482,8 @@ def _assemble_reference(mesh, dm, problem, quad_order):
 _ORACLE_PROBLEMS = {
     "general": ProblemSpec(kind="general", f=1.0, a=[[2.0, 0.5], [0.5, 1.0]],
                            b=[0.3, -0.7], c=1.5),
-    # c = -omega^2 < 0 and a non-constant load
-    "helmholtz": ProblemSpec(kind="general", manufactured="sine", omega=3.0),
+    # c < 0 and a non-constant load
+    "helmholtz": ProblemSpec(kind="general", manufactured="sine", c=-9.0),
     "manufactured_poisson": ProblemSpec(kind="poisson",
                                         manufactured="poly_bubble"),
 }

@@ -11,7 +11,6 @@ import lsfem.driver
 from lsfem import (AdaptiveConfig, ConfigurationError, LevelEstimator,
                    MarkingSpec, QuadSpec, SolverSpec, SparseSpd, StopSpec,
                    exact_solve, run_adaptive)
-from lsfem.driver import _marking_for_level
 from lsfem.problems import ProblemSpec
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -39,14 +38,19 @@ def test_history_shape_and_monotone_growth():
     assert all(row.error_v is not None for row in rows)
     assert rows[-1].eta_total < rows[0].eta_total
     assert all(row.wall_time_s >= 0 for row in rows)
-    assert history.records is None
+
+
+def _run_keeping_records(config):
+    """Run ``config`` with a sink that keeps every level's record."""
+    records = []
+    return run_adaptive(config, level_sink=records.append), records
 
 
 def test_records_align_with_rows():
-    history = run_adaptive(SMOOTH, keep_records=True)
-    assert len(history.records) == history.n_levels
-    for row, rec in zip(history.rows, history.records):
-        assert rec.level == row.level
+    history, records = _run_keeping_records(SMOOTH)
+    assert len(records) == history.n_levels
+    for row, rec in zip(history.rows, records):
+        assert rec.row is row
         assert rec.mesh.n_elements == row.n_elements
         assert rec.dofmap.n_total == row.n_dofs
         assert np.isclose(rec.report.total, row.eta_total)
@@ -72,24 +76,11 @@ def test_stop_rules():
     assert all(row.eta_total > 0.05 for row in tol.rows[:-1])
 
 
-def test_theta_schedule_clamps_to_last_entry():
-    config = replace(SMOOTH, theta_schedule=(0.9, 0.2))
-    assert _marking_for_level(config, 0).theta == 0.9
-    assert _marking_for_level(config, 1).theta == 0.2
-    assert _marking_for_level(config, 7).theta == 0.2
-    assert _marking_for_level(SMOOTH, 3) is SMOOTH.marking
-    # schedule affects the run: an aggressive first theta marks more
-    eager = run_adaptive(replace(SMOOTH, theta_schedule=(1.0,),
-                                 stop=StopSpec(max_levels=1)))
-    lazy = run_adaptive(replace(SMOOTH, theta_schedule=(0.1,),
-                                 stop=StopSpec(max_levels=1)))
-    assert eager.rows[0].marked_count > lazy.rows[0].marked_count
-
-
 def test_level_sink_streams_rows():
     seen = []
     history = run_adaptive(SMOOTH, level_sink=seen.append)
-    assert seen == history.rows
+    assert [record.row for record in seen] == history.rows
+    assert seen[-1] is history.final
 
 
 def test_pcg_run_reports_iterations():
@@ -145,11 +136,10 @@ def test_pcg_path_builds_no_factor(monkeypatch):
 
 def test_exact_path_factors_once_per_level(monkeypatch):
     calls = _count_factor_calls(monkeypatch)
-    history = run_adaptive(SMOOTH, keep_records=True)
+    history, records = _run_keeping_records(SMOOTH)
     assert history.n_levels >= 4
     assert len(calls) == history.n_levels
-    assert all(call is rec.system
-               for call, rec in zip(calls, history.records))
+    assert all(call is rec.system for call, rec in zip(calls, records))
 
 
 def _holds_factor(system):
@@ -157,9 +147,9 @@ def _holds_factor(system):
 
 
 def test_no_factor_survives_the_solve():
-    history = run_adaptive(SMOOTH, keep_records=True)
+    history, records = _run_keeping_records(SMOOTH)
     assert history.n_levels >= 4
-    assert not any(_holds_factor(rec.system) for rec in history.records)
+    assert not any(_holds_factor(rec.system) for rec in records)
     final = history.final
     exact_solve(final.system, final.rhs)
     assert not _holds_factor(final.system)
@@ -168,12 +158,11 @@ def test_no_factor_survives_the_solve():
 @pytest.mark.parametrize("config", [SMOOTH, LAMBDA_PCG],
                          ids=["exact", "lambda_pcg"])
 def test_final_record_matches_kept_records(config):
-    kept = run_adaptive(config, keep_records=True)
+    kept, records = _run_keeping_records(config)
     lean = run_adaptive(config)
-    assert lean.records is None
-    assert kept.final is kept.records[-1]
-    final, last = lean.final, kept.records[-1]
-    assert final.level == last.level == lean.n_levels - 1
+    assert kept.final is records[-1]
+    final, last = lean.final, records[-1]
+    assert final.row.level == last.row.level == lean.n_levels - 1
     np.testing.assert_array_equal(final.mesh.vertices, last.mesh.vertices)
     np.testing.assert_array_equal(final.mesh.elements, last.mesh.elements)
     np.testing.assert_array_equal(final.coef, last.coef)
@@ -182,13 +171,19 @@ def test_final_record_matches_kept_records(config):
     assert final.marked is None
 
 
+def _sink(keep_all):
+    """A level sink that keeps every record, or one that keeps none."""
+    kept = []
+    return kept.append if keep_all else (lambda record: None)
+
+
 @pytest.mark.parametrize("config", [SMOOTH, LAMBDA_PCG],
                          ids=["exact", "lambda_pcg"])
-@pytest.mark.parametrize("keep_records", [False, True])
-def test_old_systems_released_before_next_assembly(config, keep_records,
+@pytest.mark.parametrize("keep_all", [False, True])
+def test_old_systems_released_before_next_assembly(config, keep_all,
                                                    monkeypatch):
-    """Without records, no earlier level's system is alive while the next
-    level is assembled."""
+    """Unless the sink keeps records, no earlier level's system is alive
+    while the next level is assembled."""
     systems, alive = [], []
     real_assemble = lsfem.driver.assemble_system
 
@@ -199,21 +194,21 @@ def test_old_systems_released_before_next_assembly(config, keep_records,
         return system, rhs
 
     monkeypatch.setattr(lsfem.driver, "assemble_system", tracking_assemble)
-    history = run_adaptive(config, keep_records=keep_records)
+    history = run_adaptive(config, level_sink=_sink(keep_all))
     assert history.n_levels >= 4
-    assert alive == (list(range(history.n_levels)) if keep_records
+    assert alive == (list(range(history.n_levels)) if keep_all
                      else [0] * history.n_levels)
     assert history.final.system is systems[-1]()
 
 
 @pytest.mark.parametrize("config", [SMOOTH, LAMBDA_PCG],
                          ids=["exact", "lambda_pcg"])
-@pytest.mark.parametrize("keep_records", [False, True])
-def test_old_meshes_released_before_next_assembly(config, keep_records,
+@pytest.mark.parametrize("keep_all", [False, True])
+def test_old_meshes_released_before_next_assembly(config, keep_all,
                                                   monkeypatch):
-    """Without records an exact run keeps only the current mesh alive while
-    it assembles, and nested PCG also the previous one; no mesh keeps its
-    parent alive."""
+    """Unless the sink keeps records, an exact run keeps only the current
+    mesh alive while it assembles, and nested PCG also the previous one; no
+    mesh keeps its parent alive."""
     meshes, alive = [], []
     real_build_dofmap = lsfem.driver.build_dofmap
     real_assemble = lsfem.driver.assemble_system
@@ -228,10 +223,10 @@ def test_old_meshes_released_before_next_assembly(config, keep_records,
 
     monkeypatch.setattr(lsfem.driver, "build_dofmap", tracking_build_dofmap)
     monkeypatch.setattr(lsfem.driver, "assemble_system", tracking_assemble)
-    history = run_adaptive(config, keep_records=keep_records)
+    history = run_adaptive(config, level_sink=_sink(keep_all))
     levels = range(history.n_levels)
     assert history.n_levels >= 4
-    if keep_records:
+    if keep_all:
         assert alive == [level + 1 for level in levels]
     elif config.solver.kind == "exact":
         assert alive == [1] * history.n_levels
@@ -354,7 +349,7 @@ NAN = float("nan")
     (StopSpec, dict(max_ndof=0)),
     (StopSpec, dict(max_levels=-1)),
     (StopSpec, dict(eta_tol=-1.0)),
-    (AdaptiveConfig, dict(theta_schedule=(0.5, 0.0))),
+    (MarkingSpec, dict(theta=0.0)),
     (AdaptiveConfig, dict(domain="l_shape")),   # manufactured: unit square
     (SolverSpec, dict(kind="pcg", lam=0.1, max_steps=0)),
     # the ranges and names hold for every kind, not only for pcg
@@ -365,7 +360,7 @@ NAN = float("nan")
     # NaN fails every range check
     (SolverSpec, dict(kind="pcg", lam=NAN)),
     (StopSpec, dict(eta_tol=NAN)),
-    (AdaptiveConfig, dict(theta_schedule=(0.5, NAN))),
+    (MarkingSpec, dict(theta=NAN)),
     # specs built in Python are type-checked like YAML input
     (ProblemSpec, dict(kind="general", f=1.0, a=[[1, 0], [0, True]])),
     (ProblemSpec, dict(kind="poisson", f="1")),

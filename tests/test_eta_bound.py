@@ -23,7 +23,7 @@ PROBLEMS = {
     "poisson": ProblemSpec(kind="poisson", f=1.0),
     "general": ProblemSpec(kind="general", f=1.0, a=((2.0, 0.5), (0.5, 1.0)),
                            b=(1.0, -0.5), c=0.5),
-    "helmholtz": ProblemSpec(kind="general", f=1.0, omega=3.0),
+    "helmholtz": ProblemSpec(kind="general", f=1.0, c=-9.0),
 }
 
 

@@ -57,7 +57,6 @@ def test_minimal_config_defaults():
     assert config.quadrature.assembly_order == 4
     assert config.quadrature.resolved_estimator_order() == 6
     assert config.stop.max_ndof == 50_000
-    assert config.theta_schedule is None
 
 
 @pytest.mark.parametrize("bad", [
@@ -100,9 +99,9 @@ NAN, INF = float("nan"), float("inf")
     {"stop": {"eta_tol": 10 ** 400}},
     {"problem": {"kind": "poisson", "f": INF}},
     {"problem": {"kind": "general", "f": 1.0, "c": NAN}},
-    {"problem": {"kind": "general", "f": 1.0, "omega": -INF}},
+    {"problem": {"kind": "general", "f": 1.0, "c": -INF}},
     {"solver": {"kind": "pcg", "lam": NAN}},
-    {"theta_schedule": [0.5, NAN]},
+    {"marking": {"theta": NAN}},
     {"problem": {"kind": "general", "f": 1.0, "a": [[1, 0], [0, INF]]}},
     {"problem": {"kind": "general", "f": 1.0, "b": [NAN, 0]}},
 ])
@@ -111,22 +110,40 @@ def test_non_finite_numbers_rejected(override):
         config_from_dict({**MINIMAL, **override})
 
 
+# keys of earlier versions: a per-level theta list and c given as -omega^2
+REMOVED_KEYS = [{**MINIMAL, "theta_schedule": [0.3, 0.6]},
+                {**MINIMAL, "problem": {"kind": "general", "manufactured": "sine",
+                                        "omega": 3.0}}]
+
+
+@pytest.mark.parametrize("data", REMOVED_KEYS,
+                         ids=["theta_schedule", "problem.omega"])
+def test_removed_keys_are_unknown(tmp_path, capsys, data):
+    with pytest.raises(ConfigurationError, match="unknown key"):
+        config_from_dict(data)
+    path = tmp_path / "old.yaml"
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "unknown key" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # two valid configs that between them set every field of every spec off its
 # default, keys in declaration order; two are needed because each spec
-# checks its values when it is built, and the pairs c/omega,
-# f/manufactured and n_steps/lam exclude each other
+# checks its values when it is built, and the pairs f/manufactured and
+# n_steps/lam exclude each other
 FULL = [
     {
         "domain": "unit_square",
         "problem": {"kind": "general", "manufactured": "sine",
                     "a": [[2.0, 0.5], [0.5, 1.0]], "b": [0.25, -0.5],
-                    "omega": 3.0},
+                    "c": -9.0},
         "marking": {"strategy": "maximum", "theta": 0.7},
         "solver": {"kind": "pcg", "precond": "none", "eta_ref": "initial",
                    "nested": False, "max_steps": 40, "lam": 0.1},
         "quadrature": {"assembly_order": 3, "estimator_order": 5},
         "stop": {"max_ndof": 1234, "max_levels": 7, "eta_tol": 0.001},
-        "theta_schedule": [0.3, 0.6, 0.9],
     },
     {
         "domain": "l_shape",
@@ -138,7 +155,6 @@ FULL = [
                    "nested": False, "max_steps": 60, "n_steps": 3},
         "quadrature": {"assembly_order": 2, "estimator_order": 7},
         "stop": {"max_ndof": 4321, "max_levels": 9, "eta_tol": 0.25},
-        "theta_schedule": [0.8],
     },
 ]
 
@@ -376,7 +392,9 @@ def test_cli_final_files_match_kept_last_record(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "--config", str(config), "--out", str(out),
                  "--strip-timing"]) == 0
-    last = run_adaptive(parse_config(config), keep_records=True).records[-1]
+    records = []
+    run_adaptive(parse_config(config), level_sink=records.append)
+    last = records[-1]
     write_mesh_text(tmp_path / "mesh.txt", last.mesh)
     write_vtk(tmp_path / "final.vtk", last.mesh, last.report.per_element)
     assert ((out / "final_mesh.txt").read_bytes()
@@ -385,7 +403,7 @@ def test_cli_final_files_match_kept_last_record(tmp_path):
             == (tmp_path / "final.vtk").read_bytes())
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["run", "--config", str(tmp_path / "missing.yaml"),
                  "--out", str(tmp_path / "o")]) == 2
     bad = tmp_path / "bad.yaml"
@@ -417,7 +435,23 @@ def test_cli_exit_codes(tmp_path, capsys):
         out = tmp_path / f"{name}_out"
         assert main(["run", "--config", str(config), "--out", str(out)]) == 2
         assert not out.exists()
-    capsys.readouterr()
+    # an output directory that cannot be made: a file is in its place or
+    # on its path, or the file system refuses it
+    tiny = _write_tiny_config(tmp_path / "tiny.yaml")
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    for out in (taken, taken / "sub"):
+        assert main(["run", "--config", str(tiny), "--out", str(out)]) == 2
+        assert main(["verify", "--suite", "marking", "--out", str(out)]) == 2
+
+    def refuse(path, exist_ok=False):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(os, "makedirs", refuse)
+    assert main(["run", "--config", str(tiny),
+                 "--out", str(tmp_path / "refused")]) == 2
+    assert "configuration error: cannot create output directory" in (
+        capsys.readouterr().err)
 
 
 def test_cli_rates(tmp_path, capsys):

@@ -368,7 +368,7 @@ def test_edge_tables_consistent():
     np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-15)
     np.testing.assert_allclose((normals * tangents).sum(axis=1), 0.0,
                                atol=1e-15)
-    centroids = mesh.element_coords().mean(axis=1)
+    centroids = mesh.geometry["coords"].mean(axis=1)
     midpoints = mesh.vertices[mesh.edges].mean(axis=1)
     away = midpoints - centroids[mesh.edge_elements[:, 0]]
     assert np.all((normals * away).sum(axis=1) > 0)

@@ -24,8 +24,8 @@ def test_poly_bubble_load_oracle():
 
 def test_helmholtz_load_oracle():
     prob = make_problem(ProblemSpec(kind="general", manufactured="sine",
-                                    omega=3.0))
-    # c = -omega^2 = -9, so f = (2 pi^2 - 9) sin(pi x) sin(pi y)
+                                    c=-9.0))
+    # f = (2 pi^2 - 9) sin(pi x) sin(pi y)
     assert np.isclose(prob.f_fn(MID)[0], 2 * np.pi ** 2 - 9.0)
     assert prob.c == -9.0
 
@@ -82,10 +82,9 @@ def test_problem_coefficients_are_read_only():
 
 @pytest.mark.parametrize("bad", [
     {"kind": "poisson", "f": 1.0, "a": [[1, 0], [0, 1]]},
-    {"kind": "poisson", "f": 1.0, "omega": 3.0},
+    {"kind": "general", "f": 1.0, "c": "-9"},
     {"kind": "poisson", "f": 1.0, "c": 1.0},
     {"kind": "poisson", "f": 1.0, "b": [0, 0]},
-    {"kind": "general", "f": 1.0, "c": 1.0, "omega": 2.0},
     {"kind": "general", "f": 1.0, "a": [[1, 2], [0, 1]]},       # asymmetric
     {"kind": "general", "f": 1.0, "a": [[1, 2], [2, 1]]},       # indefinite
     {"kind": "general", "f": 1.0, "a": [1, 0, 0, 1]},           # bad shape
@@ -99,7 +98,6 @@ def test_problem_coefficients_are_read_only():
     {"kind": "general", "f": NAN, "a": [[1, 0], [0, 1]]},
     {"kind": "general", "f": 1.0, "c": NAN},
     {"kind": "general", "f": 1.0, "a": [[1, 0], [0, INF]]},
-    {"kind": "general", "f": 1.0, "omega": 1e200},             # c overflows
     {"kind": "general", "f": 1.0, "b": [1, [2]]},               # ragged
 ])
 def test_invalid_specs_rejected(bad):
