@@ -85,6 +85,7 @@ def test_problem_coefficients_are_read_only():
     {"kind": "general", "f": 1.0, "c": "-9"},
     {"kind": "poisson", "f": 1.0, "c": 1.0},
     {"kind": "poisson", "f": 1.0, "b": [0, 0]},
+    {"kind": "general", "f": 1.0, "a": [[1, 0], [0, 0]]},       # singular
     {"kind": "general", "f": 1.0, "a": [[1, 2], [0, 1]]},       # asymmetric
     {"kind": "general", "f": 1.0, "a": [[1, 2], [2, 1]]},       # indefinite
     {"kind": "general", "f": 1.0, "a": [1, 0, 0, 1]},           # bad shape
@@ -98,6 +99,7 @@ def test_problem_coefficients_are_read_only():
     {"kind": "general", "f": NAN, "a": [[1, 0], [0, 1]]},
     {"kind": "general", "f": 1.0, "c": NAN},
     {"kind": "general", "f": 1.0, "a": [[1, 0], [0, INF]]},
+    {"kind": "general", "f": 1.0, "c": -INF},
     {"kind": "general", "f": 1.0, "b": [1, [2]]},               # ragged
 ])
 def test_invalid_specs_rejected(bad):
