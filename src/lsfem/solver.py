@@ -124,6 +124,32 @@ class SparseSpd:
     thread that took the factorization from 3.53 s to 1.26-1.46 s and the
     factor from 22,183,244 to 11,050,626 nonzeros at 196,609 dofs, from
     0.58 s to 0.22 s at 49,153 dofs and from 0.056 s to 0.037 s at 12,289.
+
+    SuperLU factors one column per panel (``panel_size=1``).  Its default
+    panel of 20 columns updates a block of columns at once through BLAS-3
+    (Demmel, Eisenstat, Gilbert, Li and Liu, SIAM J. Matrix Anal. Appl.
+    1999), but with supernodes this small its n x panel work arrays cost
+    more than the blocking saves.  The ordering and the factor's structure
+    stay the same and only the order of the updates changes (12,289 dofs:
+    solutions within 1.2e-13 relative).  ``splu`` alone on the uniform
+    L-shape, BLAS on one thread, min of 3 in one process:
+
+    ========  =====================  ==================
+    dofs      default panel (20)     ``panel_size=1``
+    ========  =====================  ==================
+    12,289    0.030 s                0.023 s
+    49,153    0.196 s                0.136 s
+    98,305    0.464 s                0.330 s
+    196,609   1.11 s, peak 344 MiB   0.69 s, peak 279 MiB
+    ========  =====================  ==================
+
+    The process held 190 MiB before the first factorization.  SuperLU
+    sizes its panel statistics from its compiled defaults (panel 20, relax
+    10), and a wider panel is unsafe: ``panel_size=40`` with the default
+    relaxation at 49,153 dofs ended in a glibc heap-corruption abort at
+    exit.  A test keeps both literals within 1..20.  With one-column panels
+    a larger ``relax`` gains nothing: at 98,305 dofs relax 1, 2, 4 and 8
+    took 0.37, 0.37, 0.41 and 0.60 s.
     """
 
     def __init__(self, matrix):
@@ -138,6 +164,7 @@ class SparseSpd:
                       permc_spec="MMD_AT_PLUS_A",
                       diag_pivot_thresh=0.0,
                       relax=1,
+                      panel_size=1,
                       options={"SymmetricMode": True})
         except RuntimeError as exc:     # singular factor
             raise SolverError(f"factorization failed: {exc}") from exc

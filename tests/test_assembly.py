@@ -127,11 +127,13 @@ def test_factor_rejects_non_finite_pivot():
         SparseSpd(np.diag([1.0, np.inf])).factor()
 
 
-# SparseSpd.factor's options, the same with SuperLU's default supernode
-# relaxation, then scipy's defaults (row pivoting)
+# SparseSpd.factor's options, the same with SuperLU's default panel width,
+# the same with its default panel width and supernode relaxation, then
+# scipy's defaults (row pivoting)
 _FACTOR_OPTIONS = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       relax=1, options={"SymmetricMode": True})
-_RELAXED_OPTIONS = dict(_FACTOR_OPTIONS, relax=None)
+                       relax=1, panel_size=1, options={"SymmetricMode": True})
+_WIDE_PANEL_OPTIONS = dict(_FACTOR_OPTIONS, panel_size=None)
+_RELAXED_OPTIONS = dict(_WIDE_PANEL_OPTIONS, relax=None)
 _SPLU_OPTIONS = [_FACTOR_OPTIONS, _RELAXED_OPTIONS, {}]
 
 
@@ -229,6 +231,31 @@ def test_factor_without_supernode_relaxation(lshape_system):
     assert lu.nnz < 0.7 * relaxed.nnz
     x, expected = lu.solve(rhs), relaxed.solve(rhs)
     assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_panel_width_changes_only_rounding(lshape_system):
+    """A one-column panel keeps the ordering and the structure of the
+    factor of SuperLU's default 20-column panel; only the order of the
+    floating-point updates changes."""
+    system, rhs = lshape_system
+    lu = system.factor()
+    wide = splu(system.matrix.tocsc(), **_WIDE_PANEL_OPTIONS)
+    np.testing.assert_array_equal(lu.perm_c, wide.perm_c)
+    np.testing.assert_array_equal(lu.perm_r, wide.perm_r)
+    assert lu.nnz == wide.nnz == 456_066
+    x, expected = lu.solve(rhs), wide.solve(rhs)
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_default_panel_width_is_20(lshape_system):
+    """The panel width the guard in ``tests/test_package.py`` allows up to
+    is scipy's default: a build with another default fails here."""
+    system, rhs = lshape_system
+    default, twenty = (
+        splu(system.matrix.tocsc(), **dict(_FACTOR_OPTIONS, panel_size=size))
+        .solve(rhs) for size in (None, 20))
+    np.testing.assert_array_equal(default.view(np.uint64),
+                                  twenty.view(np.uint64))
 
 
 def test_matrix_positive_definite_on_fixture():

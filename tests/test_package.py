@@ -111,22 +111,26 @@ def _calls_with_scope(tree):
 
 def test_one_factorization_site():
     """``SparseSpd.factor`` is the only caller of ``splu`` in the package,
-    and no call passes ``panel_size``: one probe with ``panel_size=40`` and
-    SuperLU's default relaxation at 49,153 dofs ended in a glibc
-    heap-corruption abort at exit."""
+    and it passes ``panel_size`` and ``relax`` as integer literals from 1
+    to 20.  SuperLU sizes its panel statistics from its compiled defaults
+    (panel 20, relax 10): one probe with ``panel_size=40`` and the default
+    relaxation at 49,153 dofs ended in a glibc heap-corruption abort at
+    exit."""
     package = pathlib.Path(lsfem.__file__).parent
-    sites, panel = [], []
+    sites, literals = [], []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for call, scope in _calls_with_scope(tree):
-            where = (path.name, scope or "<module>")
             if "splu" in (getattr(call.func, "id", None),
                           getattr(call.func, "attr", None)):
-                sites.append(where)
-            if any(kw.arg == "panel_size" for kw in call.keywords):
-                panel.append((*where, call.lineno))
+                sites.append((path.name, scope or "<module>"))
+                keywords = {kw.arg: kw.value for kw in call.keywords}
+                literals.append({name: getattr(keywords.get(name), "value", None)
+                                 for name in ("panel_size", "relax")})
     assert sites == [("solver.py", "SparseSpd.factor")]
-    assert panel == []
+    for call_literals in literals:
+        for name, value in call_literals.items():
+            assert type(value) is int and 1 <= value <= 20, (name, value)
 
 
 def test_assembly_holds_no_linear_algebra():

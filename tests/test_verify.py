@@ -8,8 +8,9 @@ from lsfem import (ProblemSpec, assemble_system, builtin_domain, build_dofmap,
 from lsfem.driver import AdaptiveHistory, HistoryRow
 from lsfem.errors import IdentityViolationError
 from lsfem.problems import _zero_exact
-from lsfem.verify import (BUDGETS, SUITE_NAMES, check_smooth_run,
-                          discrete_reliability_check, fit_rate,
+from lsfem.solver import FixedSteps, estimate_pcg_contraction, pcg_run
+from lsfem.verify import (BUDGETS, SUITE_NAMES, check_pcg_contraction,
+                          check_smooth_run, discrete_reliability_check, fit_rate,
                           galerkin_orthogonality_check,
                           local_efficiency_check, pythagoras_check, run_all,
                           sandwich_constants, smooth_poisson_config)
@@ -81,6 +82,35 @@ def _solved(mesh, prob):
     dm = build_dofmap(mesh)
     system, rhs = assemble_system(mesh, dm, prob)
     return dm, exact_solve(system, rhs)
+
+
+def test_pcg_contraction_stops_where_full_runs_agree():
+    """Runs stopped at the residual tolerance measure what the full
+    fixed-step runs measure, bit for bit.  With ``general`` data the worst
+    step comes late (step 48 at 65 dofs with Jacobi, at 3.5e-7 of the
+    initial energy error), so a looser tolerance would cut it off."""
+    problems = [make_problem(ProblemSpec(kind="poisson",
+                                         manufactured="poly_bubble")),
+                make_problem(ProblemSpec(kind="general", f=1.0,
+                                         a=[[2.0, 0.5], [0.5, 1.0]],
+                                         b=[0.3, -0.7], c=1.5))]
+    runs = []
+    for rounds in range(5):
+        mesh = refine_uniform(builtin_domain("unit_square"), rounds=rounds)
+        for problem in problems:
+            system, rhs = assemble_system(mesh, build_dofmap(mesh), problem, 4)
+            runs += [(system, rhs, precond, 200)
+                     for precond in ("jacobi", "none")]
+    worst = 0.0
+    for system, rhs, precond, steps in runs:
+        _, q_ctr = estimate_pcg_contraction(system, precond)
+        e = np.array(pcg_run(system, rhs, precond=precond,
+                             stop=FixedSteps(steps),
+                             reference=exact_solve(system, rhs)).energy_errors)
+        active = e[:-1] > BUDGETS["pcg_energy_floor"] * e[0]
+        worst = max(worst, float((e[1:][active] / e[:-1][active]).max()) / q_ctr)
+    assert check_pcg_contraction(runs)[0].measured == {
+        "worst_ratio": worst, "systems": len(runs)}
 
 
 def test_pythagoras_zero_for_minimizer_perturbations():
