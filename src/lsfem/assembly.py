@@ -23,8 +23,11 @@ marking picks when indicators tie.
 
 ``QuadFields`` splits the evaluation of a discrete function at the
 quadrature points into a level part (points, weights and the edge-field
-tables, built once per mesh, dof map and rule) and a coefficient part
-(gather the local coefficients, combine them with those tables).
+tables, whole-level arrays built once per mesh, dof map and rule) and a
+coefficient part (gather the local coefficients, combine them with those
+tables).  The coefficient part runs on one block of elements at a time,
+so its fields never span the whole level; the estimator walks the level
+in blocks of ``_BLOCK`` elements, as assembly does.
 """
 
 from __future__ import annotations
@@ -232,20 +235,14 @@ def assemble_system(mesh, dofmap, problem, quad_order=4):
     return SparseSpd(matrix), rhs
 
 
-def gather_element_coefs(dofmap, coef):
-    """Per-element local coefficient vectors (nt, 6); constrained dofs are zero."""
-    gdofs = dofmap.element_dofs
-    safe = np.clip(gdofs, 0, None)
-    return np.where(gdofs >= 0, coef[safe], 0.0)
-
-
 class QuadFields:
     """Level part of the discrete fields at the quadrature points of a rule.
 
     Holds the physical points ``phys`` (nt, nq, 2), the absolute weights
-    ``w_abs`` (nt, nq) and the edge-field tables; ``evaluate`` combines them
-    with one coefficient vector.  The tables are never written to, so one
-    instance serves any number of vectors on its level.
+    ``w_abs`` (nt, nq) and the edge-field tables, all whole-level arrays
+    built once; ``evaluate`` combines them with one coefficient vector on
+    one block of elements.  The tables are never written to, so one
+    instance serves any number of vectors and blocks on its level.
     """
 
     def __init__(self, mesh, dofmap, rule):
@@ -261,20 +258,25 @@ class QuadFields:
         # x - (opposite vertex of edge i), one (nt, nq, 2) array per edge
         self.rel = [self.phys - coords[:, None, i, :] for i in range(3)]
 
-    def evaluate(self, coef):
-        """Fields of the discrete function ``coef``.
+    def evaluate(self, coef, block=slice(None)):
+        """Fields of the discrete function ``coef`` on the elements ``block``.
 
-        Returns (u, grad_u, sigma, div_sigma) with shapes (nt, nq), (nt, 2),
-        (nt, nq, 2), (nt,): the gradient and the divergence are constant on
-        each element.
+        ``block`` is a slice of the element axis.  Returns (u, grad_u,
+        sigma, div_sigma) with shapes (nb, nq), (nb, 2), (nb, nq, 2), (nb,)
+        for the nb elements of the block: the gradient and the divergence
+        are constant on each element.  Each element's values do not depend
+        on the block it is evaluated in.  Constrained dofs contribute zero.
         """
-        cf = gather_element_coefs(self.dofmap, np.asarray(coef, dtype=float))
+        gdofs = self.dofmap.element_dofs[block]
+        coef = np.asarray(coef, dtype=float)
+        cf = np.where(gdofs >= 0, coef[np.clip(gdofs, 0, None)], 0.0)
         u = np.einsum("qj,tj->tq", self.hat_values, cf[:, :3])
-        grad = np.einsum("tjd,tj->td", self.hat_grads, cf[:, :3])
-        scaled = self.scale * cf[:, 3:]
-        sigma = (self.rel[0] * scaled[:, None, 0, None]
-                 + self.rel[1] * scaled[:, None, 1, None]
-                 + self.rel[2] * scaled[:, None, 2, None])
+        grad = np.einsum("tjd,tj->td", self.hat_grads[block], cf[:, :3])
+        scaled = self.scale[block] * cf[:, 3:]
+        rel = [r[block] for r in self.rel]
+        sigma = (rel[0] * scaled[:, None, 0, None]
+                 + rel[1] * scaled[:, None, 1, None]
+                 + rel[2] * scaled[:, None, 2, None])
         div = (2.0 * scaled).sum(axis=1)
         return u, grad, sigma, div
 

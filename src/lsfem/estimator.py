@@ -6,12 +6,18 @@ functional of the discrete solution; no separate data-oscillation term
 exists in this setting.
 
 ``LevelEstimator`` is the level part of the indicator: the quadrature
-tables and the load f at the quadrature points, built once per mesh, dof
-map, problem and rule.  The coefficients a, b and c are the constants of
-the ``Problem``.  Calling it on a coefficient vector only gathers the
-local coefficients and forms F - L u_h from those tables, so the lambda
-rule of nested PCG can evaluate eta at any step without re-integrating
-the data.
+tables and the load f at the quadrature points, whole-level arrays built
+once per mesh, dof map, problem and rule.  The coefficients a, b and c are
+the constants of the ``Problem``.  Calling it on a coefficient vector only
+gathers the local coefficients and forms F - L u_h from those tables, so
+the lambda rule of nested PCG can evaluate eta at any step without
+re-integrating the data.
+
+A call, like ``compute_error_norms``, evaluates the fields block by block
+(``assembly._BLOCK`` elements at a time) and writes each block's element
+squares into one array of the level, so its working memory is bounded by
+a block while every element's square, and the total summed over the whole
+array at the end, keeps the bits of a single-block evaluation.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import assembly
 from .assembly import QuadFields
 from .quadrature import quadrature_rule
 
@@ -36,6 +43,25 @@ class EstimatorReport:
         return float(np.sqrt(np.sum(self.per_element[idx] ** 2)))
 
 
+def _blocked_report(fields, block_integrand):
+    """Per-element L2 norms of an integrand, evaluated block by block.
+
+    ``block_integrand(block)`` returns the integrand (nb, nq) at the
+    quadrature points of ``fields`` on the elements of the slice ``block``.
+    Each element's square is its weighted sum over the points, clipped at
+    zero, and the total is the root of their sum over the whole level.
+    """
+    nt = fields.w_abs.shape[0]
+    squares = np.empty(nt)
+    for start in range(0, nt, assembly._BLOCK):
+        block = slice(start, start + assembly._BLOCK)
+        squares[block] = np.einsum("tq,tq->t", block_integrand(block),
+                                   fields.w_abs[block])
+    np.maximum(squares, 0.0, out=squares)
+    return EstimatorReport(per_element=np.sqrt(squares),
+                           total=float(np.sqrt(squares.sum())))
+
+
 class LevelEstimator:
     """Indicators eta_T = ||F - L u_h||_T of any discrete function on one level.
 
@@ -50,18 +76,20 @@ class LevelEstimator:
             self.fields.w_abs.shape)
 
     def __call__(self, coef):
-        u, grad, sigma, div = self.fields.evaluate(coef)
-        g0, g1 = grad[:, None, 0], grad[:, None, 1]
         (a00, a01), (a10, a11) = self.problem.a
         b0, b1 = self.problem.b
         c = self.problem.c
-        res0 = self.f - (-div[:, None] + (b0 * g0 + b1 * g1) + c * u)
-        resv0 = -((a00 * g0 + a01 * g1) - sigma[..., 0])
-        resv1 = -((a10 * g0 + a11 * g1) - sigma[..., 1])
-        sq = res0 ** 2 + resv0 ** 2 + resv1 ** 2
-        squares = np.maximum(np.einsum("tq,tq->t", sq, self.fields.w_abs), 0.0)
-        return EstimatorReport(per_element=np.sqrt(squares),
-                               total=float(np.sqrt(squares.sum())))
+
+        def residual_squared(block):
+            u, grad, sigma, div = self.fields.evaluate(coef, block)
+            g0, g1 = grad[:, None, 0], grad[:, None, 1]
+            res0 = self.f[block] - (-div[:, None] + (b0 * g0 + b1 * g1)
+                                    + c * u)
+            resv0 = -((a00 * g0 + a01 * g1) - sigma[..., 0])
+            resv1 = -((a10 * g0 + a11 * g1) - sigma[..., 1])
+            return res0 ** 2 + resv0 ** 2 + resv1 ** 2
+
+        return _blocked_report(self.fields, residual_squared)
 
 
 def compute_indicators(mesh, dofmap, problem, coef, quad_order=6):
@@ -79,18 +107,19 @@ def compute_error_norms(mesh, dofmap, coef, exact, quad_order=6):
     other way round for H(div).
     """
     fields = QuadFields(mesh, dofmap, quadrature_rule(quad_order))
-    u, grad, sigma, div = fields.evaluate(coef)
-    nt, nq = u.shape
-    flat = fields.phys.reshape(-1, 2)
-    du = exact.u(flat).reshape(nt, nq) - u
-    dg = exact.grad_u(flat).reshape(nt, nq, 2) - grad[:, None, :]
-    ds = exact.sigma(flat).reshape(nt, nq, 2) - sigma
-    dd = exact.div_sigma(flat).reshape(nt, nq) - div[:, None]
-    sq = (du ** 2 + dg[..., 0] ** 2 + dg[..., 1] ** 2
-          + ds[..., 0] ** 2 + ds[..., 1] ** 2 + dd ** 2)
-    squares = np.maximum(np.einsum("tq,tq->t", sq, fields.w_abs), 0.0)
-    return EstimatorReport(per_element=np.sqrt(squares),
-                           total=float(np.sqrt(squares.sum())))
+
+    def error_squared(block):
+        u, grad, sigma, div = fields.evaluate(coef, block)
+        nb, nq = u.shape
+        flat = fields.phys[block].reshape(-1, 2)
+        du = exact.u(flat).reshape(nb, nq) - u
+        dg = exact.grad_u(flat).reshape(nb, nq, 2) - grad[:, None, :]
+        ds = exact.sigma(flat).reshape(nb, nq, 2) - sigma
+        dd = exact.div_sigma(flat).reshape(nb, nq) - div[:, None]
+        return (du ** 2 + dg[..., 0] ** 2 + dg[..., 1] ** 2
+                + ds[..., 0] ** 2 + ds[..., 1] ** 2 + dd ** 2)
+
+    return _blocked_report(fields, error_squared)
 
 
 def discrete_v_norm(mesh, dofmap, coef, quad_order=4):

@@ -307,13 +307,15 @@ def pcg_run(system, rhs, precond="jacobi", x0=None, stop=FixedSteps(1),
     Always performs at least one step.  Returns the final iterate along
     with residual norms, A-norm increments, and (if ``reference`` is given)
     energy-norm errors per iterate.  A non-finite ``rhs`` or ``x0`` raises
-    ``ValueError``.  A search direction whose d.Ad is not positive (NaN
-    included) raises ``SolverError``, and so does a preconditioned residual
-    with r.z < 0, or with r.z = 0 while r is nonzero; only a zero residual,
-    or one so small that r.z underflows, takes a null step.  An
-    ``IncrementStop`` whose callable eta evaluates to a value that is not
-    finite and nonnegative raises ``SolverError``; with ``eta_lipschitz``
-    set, eta is evaluated only at the steps its bound cannot rule out.
+    ``ValueError``.  A search direction whose d.Ad is negative or NaN raises
+    ``SolverError``, and so does d.Ad = 0 unless d is so small that d.Ad
+    underflows (its rescaled curvature is positive), which takes a null
+    step.  A preconditioned residual with r.z < 0, or with r.z = 0 while r
+    is nonzero, raises too; only a zero residual, or one so small that r.z
+    underflows, takes a null step.  An ``IncrementStop`` whose callable eta
+    evaluates to a value that is not finite and nonnegative raises
+    ``SolverError``; with ``eta_lipschitz`` set, eta is evaluated only at
+    the steps its bound cannot rule out.
     """
     A = _as_system(system).matrix
     n = A.shape[0]
@@ -359,21 +361,27 @@ def pcg_run(system, rhs, precond="jacobi", x0=None, stop=FixedSteps(1),
         if rz > 0.0:
             ad = A @ d
             dad = float(d @ ad)
-            if not dad > 0.0:
-                raise SolverError(
-                    f"non-positive curvature d.Ad = {dad:.3e} at PCG step "
-                    f"{n_steps + 1}: the matrix is not positive definite")
-            alpha = rz / dad
-            x = x + alpha * d
-            r = r - alpha * ad
-            if bounded:
-                a_delta += alpha * ad
-            z = apply_p(r)
-            rz_new = float(r @ z)
-            beta = rz_new / rz
-            rz = rz_new
-            d = z + beta * d
-            increment = alpha * float(np.sqrt(dad))
+            if dad > 0.0:
+                alpha = rz / dad
+                x = x + alpha * d
+                r = r - alpha * ad
+                if bounded:
+                    a_delta += alpha * ad
+                z = apply_p(r)
+                rz_new = float(r @ z)
+                beta = rz_new / rz
+                rz = rz_new
+                d = z + beta * d
+                increment = alpha * float(np.sqrt(dad))
+            else:
+                # d.Ad = 0 is a null step only when d is so small that d.Ad
+                # underflows, as CG run far past convergence reaches
+                v = d / max(np.abs(d).max(), 1e-300)
+                if not (dad == 0.0 and float(v @ (A @ v)) > 0.0):
+                    raise SolverError(
+                        f"non-positive curvature d.Ad = {dad:.3e} at PCG step "
+                        f"{n_steps + 1}: the matrix is not positive definite")
+                increment = 0.0
         else:
             # r.z = 0 is a null step only when r is zero, or so small that
             # r.z underflows, as CG run far past convergence reaches

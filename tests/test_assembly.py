@@ -84,7 +84,9 @@ def test_quad_fields_match_pointwise_eval():
     rng = np.random.default_rng(7)
     coef = rng.standard_normal(dm.n_total)
     rule = quadrature_rule(3)
-    u, grad, sigma, div = QuadFields(mesh, dm, rule).evaluate(coef)
+    fields = QuadFields(mesh, dm, rule)
+    whole = fields.evaluate(coef)
+    u, grad, sigma, div = whole
     for t in (0, mesh.n_elements // 2, mesh.n_elements - 1):
         coords = mesh.vertices[mesh.elements[t]]
         for q in (0, len(rule.weights) - 1):
@@ -94,6 +96,11 @@ def test_quad_fields_match_pointwise_eval():
             np.testing.assert_allclose(grad[t], pg, atol=1e-13)
             np.testing.assert_allclose(sigma[t, q], ps, atol=1e-13)
             assert abs(div[t] - pd) < 1e-13
+    # a block holds the rows of its elements, bit for bit
+    block = slice(3, mesh.n_elements - 2)
+    for part, full in zip(fields.evaluate(coef, block), whole):
+        assert len(part) == mesh.n_elements - 5
+        assert np.array_equal(part, full[block])
 
 
 def test_exact_solve_residual():

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import lsfem.assembly
 from lsfem import (LevelEstimator, ProblemSpec, assemble_system,
                    builtin_domain, build_dofmap, compute_error_norms,
                    compute_indicators, discrete_v_norm, eval_discrete,
                    exact_solve, make_problem, quadrature_rule, refine_nvb,
                    refine_uniform)
+from lsfem.assembly import QuadFields
 from lsfem.problems import eval_operator
 
 
@@ -166,3 +170,82 @@ def test_level_estimator_reuse_matches_fresh_calls(spec):
             assert report.total == fresh[i].total
     for v, c in zip(vectors, copies):
         np.testing.assert_array_equal(v, c)
+
+
+@pytest.mark.parametrize("spec", [
+    ProblemSpec(kind="poisson", manufactured="poly_bubble"),
+    ProblemSpec(kind="general", manufactured="sine",
+                a=[[2.0, 0.5], [0.5, 1.0]], b=[0.3, -0.7], c=1.5),
+], ids=["poly_bubble", "general_sine"])
+def test_blocked_estimates_match_single_block(spec, monkeypatch):
+    """Indicators and errors evaluated in blocks of ``assembly._BLOCK``
+    elements keep every bit of a single-block evaluation, totals included."""
+    prob = make_problem(spec)
+    mesh = refine_nvb(refine_uniform(builtin_domain("unit_square"), rounds=4),
+                      [0, 3, 5])                    # graded, 36 elements
+    dm = build_dofmap(mesh)
+    assert mesh.n_elements % 7 and (dm.element_dofs < 0).any()
+    coef = np.random.default_rng(11).standard_normal(dm.n_total)
+    estimate = LevelEstimator(mesh, dm, prob)
+
+    def reports():
+        return [estimate(coef), compute_indicators(mesh, dm, prob, coef),
+                compute_error_norms(mesh, dm, coef, prob.exact)]
+
+    monkeypatch.setattr(lsfem.assembly, "_BLOCK", mesh.n_elements)
+    whole = reports()
+    monkeypatch.setattr(lsfem.assembly, "_BLOCK", 7)
+    for blocked, single in zip(reports(), whole):
+        assert np.array_equal(blocked.per_element, single.per_element)
+        assert blocked.total == single.total
+
+
+def _table_bytes(fields):
+    return (fields.phys.nbytes + fields.w_abs.nbytes
+            + sum(rel.nbytes for rel in fields.rel))
+
+
+def test_estimator_memory_peak_bounded():
+    """One call works in blocks, so its transient memory is a small share of
+    the level tables it reads (points, weights, edge fields and the load).
+
+    The ``tracemalloc`` peak counts every numpy buffer, so the ratio does
+    not depend on the machine.  Here it is about 0.15; evaluating the whole
+    level at once needed about 0.83.
+    """
+    mesh = refine_uniform(builtin_domain("l_shape"), rounds=12)
+    dm = build_dofmap(mesh)
+    prob = make_problem(ProblemSpec(kind="general", f=1.0,
+                                    a=[[1.05, 0.02], [0.02, 0.97]],
+                                    b=[0.03, -0.07]))
+    coef = np.random.default_rng(3).standard_normal(dm.n_total)
+    estimate = LevelEstimator(mesh, dm, prob)
+    tables = _table_bytes(estimate.fields) + estimate.f.nbytes
+    tracemalloc.start()
+    try:
+        estimate(coef)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mesh.n_elements == 24_576
+    assert peak <= tables / 3
+
+
+def test_error_norm_memory_peak_bounded():
+    """``compute_error_norms`` builds its level tables and then works in
+    blocks, so its peak stays within a third above those tables: about 1.19
+    times them here, against 2.28 for a whole-level evaluation."""
+    mesh = refine_uniform(builtin_domain("unit_square"), rounds=14)
+    dm = build_dofmap(mesh)
+    prob = make_problem(ProblemSpec(kind="poisson", manufactured="poly_bubble"))
+    coef = np.random.default_rng(3).standard_normal(dm.n_total)
+    mesh.geometry, mesh.rt_scale                    # cached level data
+    tables = _table_bytes(QuadFields(mesh, dm, quadrature_rule(6)))
+    tracemalloc.start()
+    try:
+        compute_error_norms(mesh, dm, coef, prob.exact)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mesh.n_elements == 32_768
+    assert peak <= tables * 4 / 3

@@ -197,6 +197,27 @@ def test_pcg_rejects_a_nan_curvature():
         pcg_run(A, np.array([10.0, 10.0]), precond="none", stop=FixedSteps(1))
 
 
+def test_pcg_runs_far_past_convergence():
+    """Once the residual is near 1e-161, d.Ad underflows to 0 while r.z is
+    still positive (step 111 here); the SPD system takes null steps."""
+    mesh = builtin_domain("l_shape")
+    dm = build_dofmap(mesh)
+    prob = make_problem(ProblemSpec(kind="poisson", manufactured="poly_bubble"))
+    system, rhs = assemble_system(mesh, dm, prob, quad_order=4)
+    assert dm.n_total == 13
+    res = pcg_run(system, rhs, precond="jacobi", stop=FixedSteps(150))
+    assert res.iterations == 150 and res.increments[-1] == 0.0
+    np.testing.assert_allclose(res.x, exact_solve(system, rhs), atol=1e-12)
+
+
+def test_pcg_zero_curvature_in_the_kernel_raises():
+    """d.Ad = 0 on a search direction of normal size lies in the kernel of a
+    singular matrix: that is not an underflow, so it raises."""
+    A = sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    with pytest.raises(SolverError, match="non-positive curvature d.Ad = 0"):
+        pcg_run(A, np.ones(2), precond="none", stop=FixedSteps(3))
+
+
 def _solve_exact(system, rhs, x0):
     return exact_solve(system, rhs)
 
