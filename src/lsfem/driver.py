@@ -6,6 +6,15 @@ keeps no factor; ``pcg`` runs PCG per level, warm-started by prolongating
 the previous level's final iterate (nested iteration) unless that is
 switched off.  Every level appends one history row; the final level is the
 first one hitting a stopping rule and marks nothing.
+
+Each level builds one ``LevelEstimator``, the quadrature tables of the
+estimator rule, and every use of that rule on the level reads it: the
+lambda rule inside PCG (and its ``eta_ref: initial`` value at the start
+iterate), the level report and the error norms.  Where the lambda rule
+stopped PCG it has evaluated eta at the final iterate already, and that
+report is the level's.  The driver passes the estimator to
+``compute_indicators`` and ``compute_error_norms`` as ``estimator=``, so
+the bits are those of fresh calls.
 """
 
 from __future__ import annotations
@@ -179,30 +188,47 @@ def _eta_lipschitz(quadrature):
 
 
 def _solve_level(config, problem, mesh, dofmap, system, rhs, prev):
-    """Solve one level; returns (coef, iterations, increment_final)."""
+    """Solve one level and build its estimator.
+
+    Returns (coef, iterations, increment_final, estimator, report):
+    ``estimator`` is the level's ``LevelEstimator``, built after
+    ``exact_solve`` on the exact path, so it is never alive during a
+    factorization, and before PCG, whose lambda rule calls it.  ``report``
+    is the ``EstimatorReport`` that the lambda rule evaluated at ``coef``
+    itself, as it does at every iterate where it stops PCG, else None.
+    """
     solver = config.solver
+    est_order = config.quadrature.resolved_estimator_order()
     if solver.kind == "exact":
-        return exact_solve(system, rhs), 0, None
+        coef = exact_solve(system, rhs)
+        return (coef, 0, None,
+                LevelEstimator(mesh, dofmap, problem, est_order), None)
+    estimator = LevelEstimator(mesh, dofmap, problem, est_order)
     if prev is not None:
         x0 = prolongate(prev[0], prev[1], mesh, dofmap, prev[2])
     else:
         x0 = np.zeros(dofmap.n_total)
-    est_order = config.quadrature.resolved_estimator_order()
+    last = {}       # the last iterate the lambda rule evaluated, its report
+
+    def eta(x):
+        last["x"], last["report"] = x, estimator(x)
+        return last["report"].total
+
     if solver.n_steps is not None:
         stop = FixedSteps(solver.n_steps)
     elif solver.eta_ref == "initial":
-        eta_ref = compute_indicators(mesh, dofmap, problem, x0,
-                                     est_order).total
+        eta_ref = compute_indicators(mesh, dofmap, problem, x0, est_order,
+                                     estimator=estimator).total
         stop = IncrementStop(solver.lam, eta_ref, solver.max_steps)
     else:
-        # the level part is built once; a PCG step evaluates the residual
-        # of its iterate only where the eta bound lets it stop
-        estimate = LevelEstimator(mesh, dofmap, problem, est_order)
-        stop = IncrementStop(solver.lam, lambda x: estimate(x).total,
-                             solver.max_steps,
+        # a PCG step evaluates the residual of its iterate only where the
+        # eta bound lets it stop
+        stop = IncrementStop(solver.lam, eta, solver.max_steps,
                              eta_lipschitz=_eta_lipschitz(config.quadrature))
     result = pcg_run(system, rhs, precond=solver.precond, x0=x0, stop=stop)
-    return result.x, result.iterations, result.increments[-1]
+    report = last["report"] if last.get("x") is result.x else None
+    return (result.x, result.iterations, result.increments[-1], estimator,
+            report)
 
 
 def run_adaptive(config, level_sink=None):
@@ -216,6 +242,12 @@ def run_adaptive(config, level_sink=None):
     at most one level's system is alive at a time.  A factor lives only
     inside ``exact_solve``.  Only nested PCG keeps an earlier level, the
     previous one, whose final iterate it prolongates.
+
+    The level's estimator tables are built once: before PCG, which needs
+    them for the lambda rule, and after ``exact_solve`` on the exact path,
+    so they are never alive during a factorization.  They serve the level
+    report and the error norms and are dropped before marking, so no
+    earlier level's tables are alive when the next level is assembled.
     """
     problem = make_problem(config.problem)
     est_order = config.quadrature.resolved_estimator_order()
@@ -230,14 +262,18 @@ def run_adaptive(config, level_sink=None):
         dofmap = build_dofmap(mesh)
         system, rhs = assemble_system(mesh, dofmap, problem,
                                       config.quadrature.assembly_order)
-        coef, iterations, increment_final = _solve_level(
+        coef, iterations, increment_final, estimator, report = _solve_level(
             config, problem, mesh, dofmap, system, rhs, prev)
-
-        report = compute_indicators(mesh, dofmap, problem, coef, est_order)
+        if report is None:
+            report = compute_indicators(mesh, dofmap, problem, coef,
+                                        est_order, estimator=estimator)
         error_report = None
         if problem.exact is not None:
             error_report = compute_error_norms(mesh, dofmap, coef,
-                                               problem.exact, est_order)
+                                               problem.exact, est_order,
+                                               estimator=estimator)
+        # the level's quadrature tables die before marking and refinement
+        del estimator
 
         final = (report.total <= config.stop.eta_tol
                  or dofmap.n_total >= config.stop.max_ndof

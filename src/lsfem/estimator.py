@@ -18,6 +18,13 @@ A call, like ``compute_error_norms``, evaluates the fields block by block
 squares into one array of the level, so its working memory is bounded by
 a block while every element's square, and the total summed over the whole
 array at the end, keeps the bits of a single-block evaluation.
+
+``compute_indicators`` and ``compute_error_norms`` build their own tables
+unless they are given a level's estimator through ``estimator=``; then
+they read its tables instead, so one build per level serves the lambda
+rule, the level report and the error norms with the bits of a fresh
+build.  An estimator of another dof map or rule order, or for the
+indicators of another problem, raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -66,11 +73,15 @@ class LevelEstimator:
     """Indicators eta_T = ||F - L u_h||_T of any discrete function on one level.
 
     The tables built here are read, never written, so one instance can be
-    called on any number of coefficient vectors of its dof map.
+    called on any number of coefficient vectors of its dof map, and its
+    ``fields`` serve ``compute_error_norms`` on the same level.  Pass it as
+    ``estimator=`` to ``compute_indicators`` or ``compute_error_norms`` to
+    share them; those check its dof map, rule order and problem.
     """
 
     def __init__(self, mesh, dofmap, problem, quad_order=6):
         self.fields = QuadFields(mesh, dofmap, quadrature_rule(quad_order))
+        self.quad_order = quad_order
         self.problem = problem
         self.f = problem.f_fn(self.fields.phys.reshape(-1, 2)).reshape(
             self.fields.w_abs.shape)
@@ -92,21 +103,48 @@ class LevelEstimator:
         return _blocked_report(self.fields, residual_squared)
 
 
-def compute_indicators(mesh, dofmap, problem, coef, quad_order=6):
-    """Element indicators eta_T = ||F - L u_h||_T and their total."""
-    return LevelEstimator(mesh, dofmap, problem, quad_order)(coef)
+def _check_estimator(estimator, dofmap, quad_order):
+    if estimator.fields.dofmap is not dofmap:
+        raise ValueError("the estimator belongs to another dof map")
+    if estimator.quad_order != quad_order:
+        raise ValueError(
+            f"the estimator uses rule order {estimator.quad_order}, "
+            f"not {quad_order}")
 
 
-def compute_error_norms(mesh, dofmap, coef, exact, quad_order=6):
+def compute_indicators(mesh, dofmap, problem, coef, quad_order=6, *,
+                       estimator=None):
+    """Element indicators eta_T = ||F - L u_h||_T and their total.
+
+    ``estimator``, a ``LevelEstimator`` of this dof map, problem and rule
+    order, is called instead of building a new one; the bits are the same.
+    """
+    if estimator is None:
+        estimator = LevelEstimator(mesh, dofmap, problem, quad_order)
+    else:
+        _check_estimator(estimator, dofmap, quad_order)
+        if estimator.problem is not problem:
+            raise ValueError("the estimator belongs to another problem")
+    return estimator(coef)
+
+
+def compute_error_norms(mesh, dofmap, coef, exact, quad_order=6, *,
+                        estimator=None):
     """Errors against a manufactured solution in the natural product norm.
 
     Per element: ||u - u_h||_{H1(T)}^2 + ||sigma - sigma_h||_{H(div,T)}^2,
     both full norms (values plus derivatives).  An ``exact`` whose sigma
     half is zero (``problems._zero_exact``) with a coefficient vector whose
     flux block is zero measures the H1 error of the scalar alone, and the
-    other way round for H(div).
+    other way round for H(div).  ``estimator``, a ``LevelEstimator`` of
+    this dof map and rule order, lends its ``fields`` instead of a new
+    build; the bits are the same.
     """
-    fields = QuadFields(mesh, dofmap, quadrature_rule(quad_order))
+    if estimator is None:
+        fields = QuadFields(mesh, dofmap, quadrature_rule(quad_order))
+    else:
+        _check_estimator(estimator, dofmap, quad_order)
+        fields = estimator.fields
 
     def error_squared(block):
         u, grad, sigma, div = fields.evaluate(coef, block)

@@ -42,7 +42,7 @@ class Mesh:
 
     Parameters
     ----------
-    vertices : (nv, 2) float array
+    vertices : (nv, 2) float array, finite
     elements : (nt, 3) int array, counterclockwise, refinement edge first
 
     A mesh returned by ``refine_nvb`` also has ``parent``: for each element,
@@ -57,6 +57,10 @@ class Mesh:
             raise MeshValidityError("vertices must be an (nv, 2) array")
         if elements.ndim != 2 or elements.shape[1] != 3:
             raise MeshValidityError("elements must be an (nt, 3) array")
+        finite = np.isfinite(vertices).all(axis=1)
+        if not finite.all():
+            raise MeshValidityError(
+                f"vertex {int(np.argmin(finite))} has a non-finite coordinate")
         if elements.size and (elements.min() < 0
                               or elements.max() >= len(vertices)):
             raise MeshValidityError("element vertex index out of range")

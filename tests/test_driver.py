@@ -8,10 +8,13 @@ import pytest
 from scipy.sparse.linalg import SuperLU
 
 import lsfem.driver
+import lsfem.estimator
 from lsfem import (AdaptiveConfig, ConfigurationError, LevelEstimator,
                    MarkingSpec, QuadSpec, SolverSpec, SparseSpd, StopSpec,
-                   exact_solve, run_adaptive)
-from lsfem.problems import ProblemSpec
+                   compute_error_norms, compute_indicators, exact_solve,
+                   run_adaptive)
+from lsfem.assembly import QuadFields
+from lsfem.problems import ProblemSpec, make_problem
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -235,11 +238,99 @@ def test_old_meshes_released_before_next_assembly(config, keep_all,
     assert history.final.mesh is meshes[-1]()
 
 
+@pytest.mark.parametrize("config", [SMOOTH, LAMBDA_PCG],
+                         ids=["exact", "lambda_pcg"])
+@pytest.mark.parametrize("keep_all", [False, True])
+def test_old_estimators_released_before_next_assembly(config, keep_all,
+                                                      monkeypatch):
+    """No earlier level's estimator tables are alive while the next level
+    is assembled, even when the sink keeps every record, and on the exact
+    path none is alive during a factorization."""
+    estimators, at_assembly, at_factor = [], [], []
+    real_assemble = lsfem.driver.assemble_system
+    real_factor = SparseSpd.factor
+
+    def alive():
+        return sum(ref() is not None for ref in estimators)
+
+    class TrackedEstimator(LevelEstimator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            estimators.append(weakref.ref(self))
+
+    def tracking_assemble(*args, **kwargs):
+        at_assembly.append(alive())
+        return real_assemble(*args, **kwargs)
+
+    def tracking_factor(self):
+        at_factor.append(alive())
+        return real_factor(self)
+
+    monkeypatch.setattr(lsfem.driver, "LevelEstimator", TrackedEstimator)
+    monkeypatch.setattr(lsfem.driver, "assemble_system", tracking_assemble)
+    monkeypatch.setattr(SparseSpd, "factor", tracking_factor)
+    history = run_adaptive(config, level_sink=_sink(keep_all))
+    assert history.n_levels >= 4
+    assert len(estimators) == history.n_levels
+    assert at_assembly == [0] * history.n_levels
+    assert alive() == 0
+    if config.solver.kind == "exact":
+        assert at_factor == [0] * history.n_levels
+    else:
+        assert at_factor == []
+
+
+@pytest.mark.parametrize("config", [SMOOTH, LAMBDA_PCG],
+                         ids=["exact", "lambda_pcg"])
+def test_one_estimator_build_serves_the_level(config, monkeypatch):
+    """One ``QuadFields`` build per level serves the lambda rule, the
+    report and the error norms, with the bits of fresh calls; where the
+    lambda rule stopped PCG, its last evaluation is the report."""
+    built, report_calls = [], []
+    real_compute_indicators = lsfem.driver.compute_indicators
+
+    class CountedFields(QuadFields):
+        def __init__(self, mesh, dofmap, rule):
+            built.append(dofmap)
+            super().__init__(mesh, dofmap, rule)
+
+    def counting_compute_indicators(*args, **kwargs):
+        report_calls.append(kwargs.get("estimator"))
+        return real_compute_indicators(*args, **kwargs)
+
+    monkeypatch.setattr(lsfem.estimator, "QuadFields", CountedFields)
+    monkeypatch.setattr(lsfem.driver, "compute_indicators",
+                        counting_compute_indicators)
+    history, records = _run_keeping_records(config)
+    monkeypatch.undo()
+    assert history.n_levels >= 4
+    assert len(built) == history.n_levels
+    assert all(dm is rec.dofmap for dm, rec in zip(built, records))
+    assert None not in report_calls
+    if config.solver.kind == "exact":
+        assert len(report_calls) == history.n_levels
+    else:
+        assert report_calls == []
+
+    problem = make_problem(config.problem)
+    order = config.quadrature.resolved_estimator_order()
+    for rec in records:
+        fresh = compute_indicators(rec.mesh, rec.dofmap, problem, rec.coef,
+                                   order)
+        assert np.array_equal(rec.report.per_element, fresh.per_element)
+        assert rec.report.total == fresh.total
+        errors = compute_error_norms(rec.mesh, rec.dofmap, rec.coef,
+                                     problem.exact, order)
+        assert np.array_equal(rec.error_report.per_element,
+                              errors.per_element)
+        assert rec.error_report.total == errors.total
+
+
 def test_lambda_rule_evaluates_data_once_per_level(monkeypatch):
     """The load is sampled a fixed number of times per level, not per step.
 
-    Per level: assembly, the lambda rule's level estimator and the level
-    report each evaluate f once.
+    Per level: assembly and the level's estimator each evaluate f once; the
+    lambda rule, the level report and the error norms share the estimator.
     """
     calls = []
     real_make_problem = lsfem.driver.make_problem
@@ -256,7 +347,7 @@ def test_lambda_rule_evaluates_data_once_per_level(monkeypatch):
     history = run_adaptive(LAMBDA_PCG)
     iterations = int(history.column("solver_iterations").sum())
     assert iterations > 3 * history.n_levels     # several steps per level
-    assert len(calls) == 3 * history.n_levels
+    assert len(calls) == 2 * history.n_levels
 
 
 def test_lambda_rule_evaluates_eta_near_its_stop_only(monkeypatch):

@@ -172,6 +172,40 @@ def test_level_estimator_reuse_matches_fresh_calls(spec):
         np.testing.assert_array_equal(v, c)
 
 
+def test_shared_estimator_keeps_bits_and_rejects_another_level():
+    """``estimator=`` gives the bits of fresh calls and is refused for
+    another dof map, rule order or problem."""
+    mesh = refine_nvb(refine_uniform(builtin_domain("unit_square"), rounds=2),
+                      [0, 3])
+    dm = build_dofmap(mesh)
+    prob = make_problem(ProblemSpec(kind="poisson", manufactured="poly_bubble"))
+    coef = np.random.default_rng(5).standard_normal(dm.n_total)
+    estimate = LevelEstimator(mesh, dm, prob, quad_order=5)
+    pairs = [(compute_indicators(mesh, dm, prob, coef, 5, estimator=estimate),
+              compute_indicators(mesh, dm, prob, coef, 5)),
+             (compute_error_norms(mesh, dm, coef, prob.exact, 5,
+                                  estimator=estimate),
+              compute_error_norms(mesh, dm, coef, prob.exact, 5))]
+    for shared, fresh in pairs:
+        assert np.array_equal(shared.per_element, fresh.per_element)
+        assert shared.total == fresh.total
+
+    other_dm = build_dofmap(mesh)
+    other_prob = make_problem(ProblemSpec(kind="poisson",
+                                          manufactured="poly_bubble"))
+    with pytest.raises(ValueError, match="another dof map"):
+        compute_indicators(mesh, other_dm, prob, coef, 5, estimator=estimate)
+    with pytest.raises(ValueError, match="rule order 5, not 6"):
+        compute_indicators(mesh, dm, prob, coef, estimator=estimate)
+    with pytest.raises(ValueError, match="another problem"):
+        compute_indicators(mesh, dm, other_prob, coef, 5, estimator=estimate)
+    with pytest.raises(ValueError, match="another dof map"):
+        compute_error_norms(mesh, other_dm, coef, prob.exact, 5,
+                            estimator=estimate)
+    with pytest.raises(ValueError, match="rule order 5, not 4"):
+        compute_error_norms(mesh, dm, coef, prob.exact, 4, estimator=estimate)
+
+
 @pytest.mark.parametrize("spec", [
     ProblemSpec(kind="poisson", manufactured="poly_bubble"),
     ProblemSpec(kind="general", manufactured="sine",

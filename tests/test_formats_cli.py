@@ -246,6 +246,8 @@ def test_mesh_text_roundtrip(tmp_path):
     "", "2\n", "1 1\n0 0\n0 0 0\n",
     "4 1\n0 0\n1 0\n1 1\n0 1\n0 1 2 3\n",
     "3 1\n0 0\n1 0\n0 1\n0 2 1\n",                    # clockwise element
+    "3 1\n0 0\n1 0\nnan 1\n0 1 2\n",                  # non-finite vertex
+    "3 1\n0 0\n1 0\n0 inf\n0 1 2\n",
 ])
 def test_bad_mesh_files_rejected(tmp_path, content):
     path = tmp_path / "mesh.txt"

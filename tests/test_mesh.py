@@ -45,6 +45,18 @@ def test_constructor_rejects_clockwise():
         Mesh(verts, np.array([[0, 2, 1]]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("vertex, axis", [(0, 1), (3, 0)])
+def test_constructor_rejects_non_finite_vertex(value, vertex, axis):
+    """A NaN area passes ``area <= 0``, so the coordinates are checked
+    themselves, those of a vertex no element uses (3) too."""
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    verts[vertex, axis] = value
+    with pytest.raises(MeshValidityError,
+                       match=rf"^vertex {vertex} has a non-finite coordinate$"):
+        Mesh(verts, np.array([[0, 1, 2]]))
+
+
 def test_constructor_rejects_repeated_vertex():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(MeshValidityError, match=r"^element 1 repeats a vertex$"):
