@@ -266,9 +266,12 @@ class QuadFields:
         for the nb elements of the block: the gradient and the divergence
         are constant on each element.  Each element's values do not depend
         on the block it is evaluated in.  Constrained dofs contribute zero.
+        A vector of another length than the dof map's raises ``ValueError``.
         """
-        gdofs = self.dofmap.element_dofs[block]
         coef = np.asarray(coef, dtype=float)
+        if coef.shape != (self.dofmap.n_total,):
+            raise ValueError("coefficient vector length does not match the dof map")
+        gdofs = self.dofmap.element_dofs[block]
         cf = np.where(gdofs >= 0, coef[np.clip(gdofs, 0, None)], 0.0)
         u = np.einsum("qj,tj->tq", self.hat_values, cf[:, :3])
         grad = np.einsum("tjd,tj->td", self.hat_grads[block], cf[:, :3])

@@ -5,16 +5,19 @@
 keeps no factor; ``pcg`` runs PCG per level, warm-started by prolongating
 the previous level's final iterate (nested iteration) unless that is
 switched off.  Every level appends one history row; the final level is the
-first one hitting a stopping rule and marks nothing.
+first one hitting a stopping rule and marks nothing.  The lambda rule
+stops PCG at the first step with ||x_n - x_{n-1}||_A <= lam * eta, or
+after ``IncrementStop``'s cap of 500 steps.
 
 Each level builds one ``LevelEstimator``, the quadrature tables of the
-estimator rule, and every use of that rule on the level reads it: the
-lambda rule inside PCG (and its ``eta_ref: initial`` value at the start
-iterate), the level report and the error norms.  Where the lambda rule
-stopped PCG it has evaluated eta at the final iterate already, and that
-report is the level's.  The driver passes the estimator to
-``compute_indicators`` and ``compute_error_norms`` as ``estimator=``, so
-the bits are those of fresh calls.
+estimator rule, of order ``assembly_order + 2``, and every use of that
+rule on the level reads it: the lambda rule inside PCG (eta at x_n, or
+with ``eta_ref: initial`` held at the start iterate), the level report
+and the error norms.  Where the lambda rule stopped PCG it has evaluated
+eta at the final iterate already, and that report is the level's.  The
+driver passes the estimator to ``compute_indicators`` and
+``compute_error_norms`` as ``estimator=``, so the bits are those of fresh
+calls.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ class SolverSpec:
     precond: str = "jacobi"             # none | jacobi
     eta_ref: str = "current"            # current | initial
     nested: bool = True
-    max_steps: int = 500
     n_steps: Optional[int] = None       # fixed step count per level
     lam: Optional[float] = None         # increment criterion factor
 
@@ -58,8 +60,6 @@ class SolverSpec:
             raise ConfigurationError("solver n_steps must be at least 1")
         if self.lam is not None and not self.lam > 0:
             raise ConfigurationError("solver lam must be positive")
-        if not self.max_steps >= 1:
-            raise ConfigurationError("solver max_steps must be at least 1")
         if self.precond not in PRECONDS:
             raise ConfigurationError(f"unknown preconditioner {self.precond!r}")
         if self.eta_ref not in ("current", "initial"):
@@ -69,19 +69,15 @@ class SolverSpec:
 
 @dataclass(frozen=True)
 class QuadSpec:
-    assembly_order: int = 4
-    estimator_order: Optional[int] = None   # defaults to assembly_order + 2
+    assembly_order: int = 4     # 1..8: the estimator rule is two orders up
 
     def __post_init__(self):
         check_fields(self)
-        for name in ("assembly_order", "estimator_order"):
-            value = getattr(self, name)
-            if value is not None and not 1 <= value <= 10:
-                raise ConfigurationError(f"{name} must be in 1..10")
+        if not 1 <= self.assembly_order <= 8:
+            raise ConfigurationError("assembly_order must be in 1..8")
 
     def resolved_estimator_order(self):
-        return (self.assembly_order + 2 if self.estimator_order is None
-                else self.estimator_order)
+        return self.assembly_order + 2
 
 
 @dataclass(frozen=True)
@@ -178,11 +174,11 @@ def _eta_lipschitz(quadrature):
     weights are positive, so eta(x) <= eta(y) + ||L (x - y)||.  ``Problem``
     holds a, b and c as constant fields, so L v is piecewise P1 and |L v|^2
     piecewise P2: when both the assembly and the estimator rule are exact
-    to degree 2, ||L v|| is ||v||_A and the constant is 1.  A lower rule
-    breaks that identity, and the constant is unknown.
+    to degree 2, ||L v|| is ||v||_A and the constant is 1.  The estimator
+    rule, two orders up, always is; an order-1 assembly rule breaks that
+    identity, and the constant is unknown.
     """
-    orders = (quadrature.assembly_order, quadrature.resolved_estimator_order())
-    if all(quadrature_rule(q).exactness_degree >= 2 for q in orders):
+    if quadrature_rule(quadrature.assembly_order).exactness_degree >= 2:
         return 1.0
     return None
 
@@ -217,13 +213,12 @@ def _solve_level(config, problem, mesh, dofmap, system, rhs, prev):
     if solver.n_steps is not None:
         stop = FixedSteps(solver.n_steps)
     elif solver.eta_ref == "initial":
-        eta_ref = compute_indicators(mesh, dofmap, problem, x0, est_order,
-                                     estimator=estimator).total
-        stop = IncrementStop(solver.lam, eta_ref, solver.max_steps)
+        eta_ref = estimator(x0).total
+        stop = IncrementStop(solver.lam, lambda x: eta_ref)
     else:
         # a PCG step evaluates the residual of its iterate only where the
         # eta bound lets it stop
-        stop = IncrementStop(solver.lam, eta, solver.max_steps,
+        stop = IncrementStop(solver.lam, eta,
                              eta_lipschitz=_eta_lipschitz(config.quadrature))
     result = pcg_run(system, rhs, precond=solver.precond, x0=x0, stop=stop)
     report = last["report"] if last.get("x") is result.x else None

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -193,9 +193,9 @@ class FixedSteps:
 class IncrementStop:
     """Stop once ||x_n - x_{n-1}||_A <= lam * eta(x_n).
 
-    ``eta`` is either a fixed reference value, finite and nonnegative, or a
-    callable evaluated at the candidate iterate.  ``max_steps`` caps the
-    loop.
+    ``eta`` is a callable evaluated at the candidate iterate; a fixed
+    reference is a callable that ignores its argument.  ``max_steps`` caps
+    the loop.
 
     ``eta_lipschitz`` is a constant L with eta(x) <= eta(y) + L ||x - y||_A
     for all x, y, or None when no such constant is known.  With None the
@@ -207,7 +207,7 @@ class IncrementStop:
     the loop stops only on an evaluated eta, at the same step and iterate.
     """
     lam: float
-    eta: Union[float, Callable]
+    eta: Callable
     max_steps: int = 500
     eta_lipschitz: Optional[float] = None
 
@@ -216,9 +216,8 @@ class IncrementStop:
             raise ValueError("lambda must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
-        if not callable(self.eta) and not 0.0 <= float(self.eta) < np.inf:
-            raise ValueError(
-                f"eta must be finite and nonnegative, got {self.eta!r}")
+        if not callable(self.eta):
+            raise ValueError(f"eta must be callable, got {self.eta!r}")
         if (self.eta_lipschitz is not None
                 and not 0.0 <= self.eta_lipschitz < np.inf):
             raise ValueError(
@@ -312,10 +311,10 @@ def pcg_run(system, rhs, precond="jacobi", x0=None, stop=FixedSteps(1),
     underflows (its rescaled curvature is positive), which takes a null
     step.  A preconditioned residual with r.z < 0, or with r.z = 0 while r
     is nonzero, raises too; only a zero residual, or one so small that r.z
-    underflows, takes a null step.  An ``IncrementStop`` whose callable eta
+    underflows, takes a null step.  An ``IncrementStop`` whose eta
     evaluates to a value that is not finite and nonnegative raises
-    ``SolverError``; with ``eta_lipschitz`` set, eta is evaluated only at
-    the steps its bound cannot rule out.
+    ``SolverError``.  Its eta is evaluated after every step, or with
+    ``eta_lipschitz`` set only at the steps its bound cannot rule out.
     """
     A = _as_system(system).matrix
     n = A.shape[0]
@@ -351,7 +350,7 @@ def pcg_run(system, rhs, precond="jacobi", x0=None, stop=FixedSteps(1),
 
     # the eta bound of IncrementStop: the last evaluated iterate x_k, its
     # eta (None until the first evaluation) and A (x_n - x_k)
-    bounded = (isinstance(stop, IncrementStop) and callable(stop.eta)
+    bounded = (isinstance(stop, IncrementStop)
                and stop.eta_lipschitz is not None)
     x_k = eta_k = None
     a_delta = np.zeros(n) if bounded else None
@@ -398,22 +397,19 @@ def pcg_run(system, rhs, precond="jacobi", x0=None, stop=FixedSteps(1),
             energies.append(energy_error(x))
 
         if isinstance(stop, IncrementStop):
-            if not callable(stop.eta):
-                eta = float(stop.eta)
-            else:
-                if eta_k is not None:
-                    bound = eta_k + stop.eta_lipschitz * float(
-                        np.sqrt(max((x - x_k) @ a_delta, 0.0)))
-                    if increment > stop.lam * bound * (1.0 + _BOUND_SLACK):
-                        continue        # eta(x) <= bound: no stop here
-                eta = float(stop.eta(x))
-                if not 0.0 <= eta < np.inf:
-                    raise SolverError(
-                        f"eta evaluated to {eta!r} at PCG step {n_steps}: "
-                        "it must be finite and nonnegative")
-                if bounded:
-                    x_k, eta_k = x, eta
-                    a_delta[:] = 0.0
+            if eta_k is not None:
+                bound = eta_k + stop.eta_lipschitz * float(
+                    np.sqrt(max((x - x_k) @ a_delta, 0.0)))
+                if increment > stop.lam * bound * (1.0 + _BOUND_SLACK):
+                    continue        # eta(x) <= bound: no stop here
+            eta = float(stop.eta(x))
+            if not 0.0 <= eta < np.inf:
+                raise SolverError(
+                    f"eta evaluated to {eta!r} at PCG step {n_steps}: "
+                    "it must be finite and nonnegative")
+            if bounded:
+                x_k, eta_k = x, eta
+                a_delta[:] = 0.0
             if increment <= stop.lam * eta:
                 stop_reason = "increment_criterion"
                 break

@@ -133,15 +133,18 @@ def _loglog_fit(x, y):
 
 
 def fit_rate(history, quantity="eta_total", tail_levels=5):
-    """Least-squares slope of log(quantity) against log(n_dofs)."""
+    """Least-squares slope of log(quantity) against log(n_dofs) over the
+    last ``tail_levels`` usable rows, an integer of at least 3."""
+    if (isinstance(tail_levels, bool)
+            or not isinstance(tail_levels, (int, np.integer))
+            or tail_levels < 3):
+        raise ValueError(
+            f"tail_levels must be an integer of at least 3, got {tail_levels!r}")
     pairs = [(row.n_dofs, getattr(row, quantity)) for row in history.rows
              if getattr(row, quantity) is not None and getattr(row, quantity) > 0]
     if len(pairs) < 3:
         raise ValueError("rate fit needs at least 3 usable history rows")
-    pairs = pairs[-int(tail_levels):]
-    if len(pairs) < 3:
-        raise ValueError("tail window leaves fewer than 3 rows")
-    x, y = zip(*pairs)
+    x, y = zip(*pairs[-tail_levels:])
     return _loglog_fit(x, y)
 
 

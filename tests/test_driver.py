@@ -101,7 +101,7 @@ def test_nested_start_saves_iterations():
         SMOOTH,
         problem=ProblemSpec(kind="poisson", manufactured="poly_bubble"),
         solver=SolverSpec(kind="pcg", lam=0.1, eta_ref="current",
-                          max_steps=500, nested=True),
+                          nested=True),
         stop=StopSpec(max_ndof=2000))
     nested = run_adaptive(base)
     cold = run_adaptive(
@@ -436,13 +436,13 @@ NAN = float("nan")
     (SolverSpec, dict(kind="pcg", n_steps=1, precond="ilu")),
     (SolverSpec, dict(kind="pcg", n_steps=1, eta_ref="final")),
     (QuadSpec, dict(assembly_order=11)),
-    (QuadSpec, dict(assembly_order=4, estimator_order=0)),
+    (QuadSpec, dict(assembly_order=9)),         # estimator rule 11
     (StopSpec, dict(max_ndof=0)),
     (StopSpec, dict(max_levels=-1)),
     (StopSpec, dict(eta_tol=-1.0)),
     (MarkingSpec, dict(theta=0.0)),
     (AdaptiveConfig, dict(domain="l_shape")),   # manufactured: unit square
-    (SolverSpec, dict(kind="pcg", lam=0.1, max_steps=0)),
+    (QuadSpec, dict(assembly_order=10)),
     # the ranges and names hold for every kind, not only for pcg
     (SolverSpec, dict(kind="exact", lam=-3)),
     (SolverSpec, dict(kind="exact", n_steps=0)),

@@ -283,3 +283,31 @@ def test_error_norm_memory_peak_bounded():
         tracemalloc.stop()
     assert mesh.n_elements == 32_768
     assert peak <= tables * 4 / 3
+
+
+# each entry point called as (mesh, dofmap, problem, coef)
+ENTRY_POINTS = {
+    "compute_indicators": lambda mesh, dm, prob, coef: compute_indicators(
+        mesh, dm, prob, coef),
+    "compute_error_norms": lambda mesh, dm, prob, coef: compute_error_norms(
+        mesh, dm, coef, prob.exact),
+    "discrete_v_norm": lambda mesh, dm, prob, coef: discrete_v_norm(
+        mesh, dm, coef),
+    "LevelEstimator": lambda mesh, dm, prob, coef: LevelEstimator(
+        mesh, dm, prob)(coef),
+}
+
+
+@pytest.mark.parametrize("shape", ["short", "long", "column"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_coefficient_vector_of_another_length_rejected(entry, shape):
+    """A vector one entry too long was cut short without a message, and one
+    entry too short raised a bare ``IndexError``."""
+    mesh = refine_uniform(builtin_domain("unit_square"), rounds=2)
+    dm = build_dofmap(mesh)
+    prob = make_problem(ProblemSpec(kind="poisson", manufactured="poly_bubble"))
+    n = dm.n_total
+    coef = {"short": np.zeros(n - 1), "long": np.zeros(n + 1),
+            "column": np.zeros((n, 1))}[shape]
+    with pytest.raises(ValueError, match="does not match the dof map"):
+        ENTRY_POINTS[entry](mesh, dm, prob, coef)

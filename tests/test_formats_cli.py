@@ -1,5 +1,6 @@
 import glob
 import io
+import itertools
 import os
 from dataclasses import fields, is_dataclass
 
@@ -110,14 +111,21 @@ def test_non_finite_numbers_rejected(override):
         config_from_dict({**MINIMAL, **override})
 
 
-# keys of earlier versions: a per-level theta list and c given as -omega^2
+# keys of earlier versions: a per-level theta list, c given as -omega^2, an
+# estimator rule apart from assembly_order + 2 and a step cap of the
+# increment rule
 REMOVED_KEYS = [{**MINIMAL, "theta_schedule": [0.3, 0.6]},
                 {**MINIMAL, "problem": {"kind": "general", "manufactured": "sine",
-                                        "omega": 3.0}}]
+                                        "omega": 3.0}},
+                {**MINIMAL, "quadrature": {"assembly_order": 4,
+                                           "estimator_order": 6}},
+                {**MINIMAL, "solver": {"kind": "pcg", "lam": 0.1,
+                                       "max_steps": 500}}]
 
 
 @pytest.mark.parametrize("data", REMOVED_KEYS,
-                         ids=["theta_schedule", "problem.omega"])
+                         ids=["theta_schedule", "problem.omega",
+                              "quadrature.estimator_order", "solver.max_steps"])
 def test_removed_keys_are_unknown(tmp_path, capsys, data):
     with pytest.raises(ConfigurationError, match="unknown key"):
         config_from_dict(data)
@@ -141,8 +149,8 @@ FULL = [
                     "c": -9.0},
         "marking": {"strategy": "maximum", "theta": 0.7},
         "solver": {"kind": "pcg", "precond": "none", "eta_ref": "initial",
-                   "nested": False, "max_steps": 40, "lam": 0.1},
-        "quadrature": {"assembly_order": 3, "estimator_order": 5},
+                   "nested": False, "lam": 0.1},
+        "quadrature": {"assembly_order": 3},
         "stop": {"max_ndof": 1234, "max_levels": 7, "eta_tol": 0.001},
     },
     {
@@ -152,25 +160,27 @@ FULL = [
                     "c": 1.5},
         "marking": {"strategy": "equilibration", "theta": 0.4},
         "solver": {"kind": "pcg", "precond": "none", "eta_ref": "initial",
-                   "nested": False, "max_steps": 60, "n_steps": 3},
-        "quadrature": {"assembly_order": 2, "estimator_order": 7},
+                   "nested": False, "n_steps": 3},
+        "quadrature": {"assembly_order": 2},
         "stop": {"max_ndof": 4321, "max_levels": 9, "eta_tol": 0.25},
     },
 ]
 
 
-def _fields_at_default(spec, where=""):
+def _leaves(spec, where=""):
+    """(``section.key``, default, value) of every leaf field of a config."""
     for f in fields(spec):
         value = getattr(spec, f.name)
         if is_dataclass(value):
-            yield from _fields_at_default(value, f"{where}{f.name}.")
-        elif value == f.default:
-            yield where + f.name
+            yield from _leaves(value, f"{where}{f.name}.")
+        else:
+            yield where + f.name, f.default, value
 
 
 def test_fully_populated_config_roundtrips(tmp_path):
     configs = [config_from_dict(data) for data in FULL]
-    at_default = [set(_fields_at_default(config)) for config in configs]
+    at_default = [{key for key, default, value in _leaves(config)
+                   if value == default} for config in configs]
     assert set.intersection(*at_default) == set()
     for i, (data, config) in enumerate(zip(FULL, configs)):
         text = serialize_config(config)
@@ -178,6 +188,25 @@ def test_fully_populated_config_roundtrips(tmp_path):
         path = tmp_path / f"full{i}.yaml"
         path.write_text(text, encoding="utf-8")
         assert parse_config(path) == config
+
+
+def test_readme_config_table_lists_every_key():
+    """The README's config table names every key of every spec once, so a
+    key added or retired cannot leave the table stale."""
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("| section | key | default |") + 2
+    listed, prefix = [], None
+    for line in itertools.takewhile(lambda line: line.startswith("|"),
+                                    lines[start:]):
+        section, key = (cell.strip() for cell in line.split("|")[1:3])
+        if section == "top level":
+            prefix = ""
+        elif section:
+            prefix = section.split("`")[1] + "."
+        listed.append(prefix + key.strip("`"))
+    keys = [key for key, _, _ in _leaves(config_from_dict(MINIMAL))]
+    assert sorted(listed) == sorted(keys)
 
 
 def test_history_roundtrip(tmp_path):
@@ -429,8 +458,9 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "o")]) == 2
     # a value error is found while the config is read, before --out exists
     for name, override in [
-            ("no_steps", {"solver": {"kind": "pcg", "lam": 0.1,
-                                     "max_steps": 0}}),
+            ("no_steps", {"solver": {"kind": "pcg", "n_steps": 0}}),
+            # the estimator rule, two orders up, would not exist
+            ("order_9", {"quadrature": {"assembly_order": 9}}),
             ("exact_lam", {"solver": {"kind": "exact", "lam": -3}}),
             ("disk", {"domain": "disk"})]:
         config = _write_tiny_config(tmp_path / f"{name}.yaml", **override)

@@ -98,7 +98,8 @@ def test_increment_stop_with_callable_reference():
     assert res.iterations == 1
     assert res.stop_reason == "increment_criterion"
     res = pcg_run(system, rhs, precond="jacobi",
-                  stop=IncrementStop(lam=1e-8, eta=1e-12, max_steps=7))
+                  stop=IncrementStop(lam=1e-8, eta=lambda x: 1e-12,
+                                     max_steps=7))
     assert res.iterations == 7
     assert res.stop_reason == "max_iter"
 
@@ -142,11 +143,11 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         FixedSteps(0)
     with pytest.raises(ValueError):
-        IncrementStop(lam=0.0, eta=1.0)
+        IncrementStop(lam=0.0, eta=lambda x: 1.0)
     with pytest.raises(ValueError):
-        IncrementStop(lam=-1.0, eta=1.0)
+        IncrementStop(lam=-1.0, eta=lambda x: 1.0)
     with pytest.raises(ValueError):
-        IncrementStop(lam=0.1, eta=1.0, max_steps=0)
+        IncrementStop(lam=0.1, eta=lambda x: 1.0, max_steps=0)
     with pytest.raises(ValueError):
         ResidualTol(0.0)
     for max_steps in (0, -4):
@@ -172,7 +173,8 @@ def test_indefinite_matrix_rejected():
                                  precond="none")
 
 
-@pytest.mark.parametrize("stop", [FixedSteps(5), IncrementStop(lam=0.1, eta=1.0)],
+@pytest.mark.parametrize("stop", [FixedSteps(5),
+                                  IncrementStop(lam=0.1, eta=lambda x: 1.0)],
                          ids=["fixed", "increment"])
 @pytest.mark.parametrize("matrix, fake_diag, rhs", [
     (_random_spd(3, seed=8), -np.ones(3), np.ones(3)),
@@ -250,11 +252,15 @@ def test_exact_solve_validates_rhs_length():
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-3])
 def test_increment_stop_rejects_a_fixed_eta_that_is_not_a_norm(value):
-    with pytest.raises(ValueError, match="finite and nonnegative"):
-        IncrementStop(lam=0.1, eta=value)
+    """A fixed eta is rejected, a norm or not: the rule takes a callable,
+    and a fixed reference is one that ignores its argument."""
+    for eta in (value, abs(value), 1.0, None):
+        with pytest.raises(ValueError, match="eta must be callable"):
+            IncrementStop(lam=0.1, eta=eta)
     with pytest.raises(ValueError, match="finite and nonnegative"):
         IncrementStop(lam=0.1, eta=lambda x: 1.0, eta_lipschitz=value)
-    assert IncrementStop(lam=0.1, eta=0.0, eta_lipschitz=0.0).eta == 0.0
+    stop = IncrementStop(lam=0.1, eta=lambda x: 0.0, eta_lipschitz=0.0)
+    assert stop.eta_lipschitz == 0.0
 
 
 @pytest.mark.parametrize("lipschitz", [None, 1.0], ids=["every", "bounded"])

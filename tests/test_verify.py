@@ -54,6 +54,17 @@ def test_fit_rate_needs_three_rows():
         fit_rate(_rows([10, 20, 40], [1.0, 0.0, 0.25]))
 
 
+@pytest.mark.parametrize("tail", [0, -2, 2, 3.0, 5.5, "5", True, None])
+def test_fit_rate_rejects_a_bad_tail(tail):
+    """A tail below 3 or not an integer raises instead of fitting every row
+    (0) or dropping the first ones (-2)."""
+    dofs = [10, 20, 40, 80, 160, 320, 640, 1280]
+    history = _rows(dofs, [n ** -0.5 for n in dofs])
+    with pytest.raises(ValueError, match="tail_levels must be an integer"):
+        fit_rate(history, tail_levels=tail)
+    assert fit_rate(history, tail_levels=np.int64(3)).levels_used == 3
+
+
 def test_sandwich_constants_synthetic():
     history = _rows([10, 100, 1000], [2.0, 1.0, 0.4],
                     errors=[1.0, 0.8, 0.2])
