@@ -23,7 +23,7 @@ marking picks when indicators tie.
 
 ``QuadFields`` splits the evaluation of a discrete function at the
 quadrature points into a level part (points, weights and the edge-field
-tables, whole-level arrays built once per mesh, dof map and rule) and a
+tables, whole-level arrays built once per dof map and rule) and a
 coefficient part (gather the local coefficients, combine them with those
 tables).  The coefficient part runs on one block of elements at a time,
 so its fields never span the whole level; the estimator walks the level
@@ -213,7 +213,10 @@ def assemble_system(mesh, dofmap, problem, quad_order=4):
     reassembling the same inputs reproduces the same matrix bit for bit.
     No factorization happens here; ``SparseSpd.factor`` builds one for each
     exact solve and rejects a matrix that is not positive definite.
+    ``mesh`` must be ``dofmap.mesh``, else ``ValueError``.
     """
+    if mesh is not dofmap.mesh:
+        raise ValueError("the dof map belongs to another mesh")
     if dofmap.n_total > MAX_DOFS:
         raise ValueError(
             f"system size {dofmap.n_total} exceeds the supported maximum {MAX_DOFS}")
@@ -245,7 +248,8 @@ class QuadFields:
     instance serves any number of vectors and blocks on its level.
     """
 
-    def __init__(self, mesh, dofmap, rule):
+    def __init__(self, dofmap, rule):
+        mesh = dofmap.mesh
         coords = mesh.geometry["coords"]
         self.dofmap = dofmap
         self.hat_values = rule.points                   # (nq, 3)
@@ -284,8 +288,8 @@ class QuadFields:
         return u, grad, sigma, div
 
 
-def eval_discrete(mesh, dofmap, coef, elem, point):
-    """Evaluate one discrete function inside one element.
+def eval_discrete(dofmap, coef, elem, point):
+    """Evaluate one discrete function inside one element of ``dofmap.mesh``.
 
     Returns (u, grad_u, sigma, div_sigma) at the point; the point must lie
     in the closed element.
@@ -293,7 +297,7 @@ def eval_discrete(mesh, dofmap, coef, elem, point):
     coef = np.asarray(coef, dtype=float)
     if coef.shape != (dofmap.n_total,):
         raise ValueError("coefficient vector length does not match the dof map")
-    basis = eval_local_basis(mesh, dofmap, elem, point)
+    basis = eval_local_basis(dofmap, elem, point)
     local = np.where(basis.dofs >= 0, coef[np.clip(basis.dofs, 0, None)], 0.0)
     u = float(local[:3] @ basis.hat_values)
     grad = basis.hat_grads.T @ local[:3]

@@ -60,6 +60,9 @@ class SolverSpec:
             raise ConfigurationError("solver n_steps must be at least 1")
         if self.lam is not None and not self.lam > 0:
             raise ConfigurationError("solver lam must be positive")
+        if self.kind == "exact" and (self.n_steps, self.lam) != (None, None):
+            raise ConfigurationError(
+                "exact solver takes neither n_steps nor lam")
         if self.precond not in PRECONDS:
             raise ConfigurationError(f"unknown preconditioner {self.precond!r}")
         if self.eta_ref not in ("current", "initial"):
@@ -183,7 +186,7 @@ def _eta_lipschitz(quadrature):
     return None
 
 
-def _solve_level(config, problem, mesh, dofmap, system, rhs, prev):
+def _solve_level(config, problem, dofmap, system, rhs, prev):
     """Solve one level and build its estimator.
 
     Returns (coef, iterations, increment_final, estimator, report):
@@ -197,11 +200,11 @@ def _solve_level(config, problem, mesh, dofmap, system, rhs, prev):
     est_order = config.quadrature.resolved_estimator_order()
     if solver.kind == "exact":
         coef = exact_solve(system, rhs)
-        return (coef, 0, None,
-                LevelEstimator(mesh, dofmap, problem, est_order), None)
-    estimator = LevelEstimator(mesh, dofmap, problem, est_order)
+        return (coef, 0, None, LevelEstimator(dofmap, problem, est_order),
+                None)
+    estimator = LevelEstimator(dofmap, problem, est_order)
     if prev is not None:
-        x0 = prolongate(prev[0], prev[1], mesh, dofmap, prev[2])
+        x0 = prolongate(prev[0], dofmap, prev[1])
     else:
         x0 = np.zeros(dofmap.n_total)
     last = {}       # the last iterate the lambda rule evaluated, its report
@@ -248,7 +251,7 @@ def run_adaptive(config, level_sink=None):
     est_order = config.quadrature.resolved_estimator_order()
 
     mesh = builtin_domain(config.domain)
-    prev = None     # (mesh, dofmap, coef) of the previous level, if nested
+    prev = None     # (dofmap, coef) of the previous level, if nested
     rows = []
 
     level = 0
@@ -258,15 +261,14 @@ def run_adaptive(config, level_sink=None):
         system, rhs = assemble_system(mesh, dofmap, problem,
                                       config.quadrature.assembly_order)
         coef, iterations, increment_final, estimator, report = _solve_level(
-            config, problem, mesh, dofmap, system, rhs, prev)
+            config, problem, dofmap, system, rhs, prev)
         if report is None:
             report = compute_indicators(mesh, dofmap, problem, coef,
                                         est_order, estimator=estimator)
         error_report = None
         if problem.exact is not None:
-            error_report = compute_error_norms(mesh, dofmap, coef,
-                                               problem.exact, est_order,
-                                               estimator=estimator)
+            error_report = compute_error_norms(dofmap, coef, problem.exact,
+                                               est_order, estimator=estimator)
         # the level's quadrature tables die before marking and refinement
         del estimator
 
@@ -298,7 +300,7 @@ def run_adaptive(config, level_sink=None):
         if final:
             break
         if config.solver.kind == "pcg" and config.solver.nested:
-            prev = (mesh, dofmap, coef)
+            prev = (dofmap, coef)
         # unless the sink keeps the record, the system dies here, before the
         # next level is built, and the mesh once the next dof map replaces
         # its own

@@ -7,7 +7,7 @@ exists in this setting.
 
 ``LevelEstimator`` is the level part of the indicator: the quadrature
 tables and the load f at the quadrature points, whole-level arrays built
-once per mesh, dof map, problem and rule.  The coefficients a, b and c are
+once per dof map, problem and rule.  The coefficients a, b and c are
 the constants of the ``Problem``.  Calling it on a coefficient vector only
 gathers the local coefficients and forms F - L u_h from those tables, so
 the lambda rule of nested PCG can evaluate eta at any step without
@@ -79,8 +79,8 @@ class LevelEstimator:
     share them; those check its dof map, rule order and problem.
     """
 
-    def __init__(self, mesh, dofmap, problem, quad_order=6):
-        self.fields = QuadFields(mesh, dofmap, quadrature_rule(quad_order))
+    def __init__(self, dofmap, problem, quad_order=6):
+        self.fields = QuadFields(dofmap, quadrature_rule(quad_order))
         self.quad_order = quad_order
         self.problem = problem
         self.f = problem.f_fn(self.fields.phys.reshape(-1, 2)).reshape(
@@ -118,9 +118,12 @@ def compute_indicators(mesh, dofmap, problem, coef, quad_order=6, *,
 
     ``estimator``, a ``LevelEstimator`` of this dof map, problem and rule
     order, is called instead of building a new one; the bits are the same.
+    ``mesh`` must be ``dofmap.mesh``, else ``ValueError``.
     """
+    if mesh is not dofmap.mesh:
+        raise ValueError("the dof map belongs to another mesh")
     if estimator is None:
-        estimator = LevelEstimator(mesh, dofmap, problem, quad_order)
+        estimator = LevelEstimator(dofmap, problem, quad_order)
     else:
         _check_estimator(estimator, dofmap, quad_order)
         if estimator.problem is not problem:
@@ -128,7 +131,7 @@ def compute_indicators(mesh, dofmap, problem, coef, quad_order=6, *,
     return estimator(coef)
 
 
-def compute_error_norms(mesh, dofmap, coef, exact, quad_order=6, *,
+def compute_error_norms(dofmap, coef, exact, quad_order=6, *,
                         estimator=None):
     """Errors against a manufactured solution in the natural product norm.
 
@@ -141,7 +144,7 @@ def compute_error_norms(mesh, dofmap, coef, exact, quad_order=6, *,
     build; the bits are the same.
     """
     if estimator is None:
-        fields = QuadFields(mesh, dofmap, quadrature_rule(quad_order))
+        fields = QuadFields(dofmap, quadrature_rule(quad_order))
     else:
         _check_estimator(estimator, dofmap, quad_order)
         fields = estimator.fields
@@ -160,8 +163,8 @@ def compute_error_norms(mesh, dofmap, coef, exact, quad_order=6, *,
     return _blocked_report(fields, error_squared)
 
 
-def discrete_v_norm(mesh, dofmap, coef, quad_order=4):
+def discrete_v_norm(dofmap, coef, quad_order=4):
     """Product norm of a discrete function (exact for piecewise polynomials):
     its error norm against the zero solution."""
-    return compute_error_norms(mesh, dofmap, coef, problems._zero_exact(),
+    return compute_error_norms(dofmap, coef, problems._zero_exact(),
                                quad_order).total

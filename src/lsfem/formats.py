@@ -18,10 +18,20 @@ from .errors import ConfigurationError
 from .mesh import Mesh
 from .typecheck import spec_from_dict
 
-HISTORY_HEADER = ("level,n_elements,n_dofs,eta_total,error_V,marked_count,"
-                  "solver_iterations,wall_time_s")
-
-_HISTORY_FIELDS = HISTORY_HEADER.split(",")
+# the history.csv columns in order: (header, HistoryRow field, parser, blank
+# allowed); a float column is written with ``%.17g``, an int one with str,
+# and a blank cell reads as None
+_HISTORY_COLUMNS = (
+    ("level", "level", int, False),
+    ("n_elements", "n_elements", int, False),
+    ("n_dofs", "n_dofs", int, False),
+    ("eta_total", "eta_total", float, False),
+    ("error_V", "error_v", float, True),
+    ("marked_count", "marked_count", int, False),
+    ("solver_iterations", "solver_iterations", int, False),
+    ("wall_time_s", "wall_time_s", float, True),
+)
+HISTORY_HEADER = ",".join(column[0] for column in _HISTORY_COLUMNS)
 
 
 def _fmt(x):
@@ -78,14 +88,15 @@ def serialize_config(config):
 # -- history CSV ---------------------------------------------------------------
 
 def _row_to_strings(row, strip_timing=False):
-    error = "" if row.error_v is None else _fmt(row.error_v)
-    if strip_timing or row.wall_time_s is None:
-        wall = ""
-    else:
-        wall = _fmt(row.wall_time_s)
-    return [str(row.level), str(row.n_elements), str(row.n_dofs),
-            _fmt(row.eta_total), error, str(row.marked_count),
-            str(row.solver_iterations), wall]
+    """The cells of one history line; ``strip_timing`` blanks wall_time_s."""
+    cells = []
+    for _, name, parse, blank in _HISTORY_COLUMNS:
+        value = getattr(row, name)
+        if blank and (value is None or (strip_timing and name == "wall_time_s")):
+            cells.append("")
+        else:
+            cells.append(_fmt(value) if parse is float else str(value))
+    return cells
 
 
 class HistoryWriter:
@@ -130,27 +141,21 @@ def read_history(path):
             header = next(reader)
         except StopIteration:
             raise ConfigurationError(f"empty history file: {path}")
-        if header != _HISTORY_FIELDS:
+        if header != HISTORY_HEADER.split(","):
             raise ConfigurationError(
                 f"unexpected history header in {path}: {','.join(header)}")
         rows = []
         for record in reader:
             if not record:
                 continue
-            if len(record) != len(_HISTORY_FIELDS):
+            if len(record) != len(_HISTORY_COLUMNS):
                 raise ConfigurationError(
                     f"bad history record in {path}: {record}")
             try:
-                rows.append(HistoryRow(
-                    level=int(record[0]),
-                    n_elements=int(record[1]),
-                    n_dofs=int(record[2]),
-                    eta_total=float(record[3]),
-                    error_v=None if record[4] == "" else float(record[4]),
-                    marked_count=int(record[5]),
-                    solver_iterations=int(record[6]),
-                    wall_time_s=None if record[7] == "" else float(record[7]),
-                ))
+                rows.append(HistoryRow(**{
+                    name: None if blank and text == "" else parse(text)
+                    for (_, name, parse, blank), text
+                    in zip(_HISTORY_COLUMNS, record)}))
             except ValueError as exc:
                 raise ConfigurationError(
                     f"bad history record in {path}: {record} ({exc})") from exc

@@ -21,7 +21,7 @@ _BARY_TOL = 1e-12
 
 
 class DofMap:
-    """Dof numbering of the product space on one mesh.
+    """Dof numbering of the product space on one mesh, held as ``mesh``.
 
     Scalar block first (interior vertices in ascending vertex order), then
     one dof per edge in the mesh's lexicographic edge order.
@@ -64,13 +64,14 @@ def barycentric(coords, point):
     return np.array([1.0 - lam12[0] - lam12[1], lam12[0], lam12[1]])
 
 
-def eval_local_basis(mesh, dofmap, elem, point):
-    """Evaluate the element's shape functions at one point.
+def eval_local_basis(dofmap, elem, point):
+    """Evaluate the element's shape functions on ``dofmap.mesh`` at one point.
 
     ``point`` is either a physical coordinate (2,) or barycentric (3,).
     Points outside the closed element (up to barycentric tolerance 1e-12)
     are rejected.
     """
+    mesh = dofmap.mesh
     if not 0 <= elem < mesh.n_elements:
         raise ValueError(f"element index {elem} out of range")
     geometry = mesh.geometry
@@ -105,7 +106,7 @@ def eval_local_basis(mesh, dofmap, elem, point):
 
 # -- prolongation ------------------------------------------------------------
 
-def prolongation_matrix(coarse_mesh, coarse_dofmap, fine_mesh, fine_dofmap):
+def prolongation_matrix(coarse_dofmap, fine_dofmap):
     """Sparse matrix carrying coarse coefficients to the fine space.
 
     Every fine element lies inside one coarse element, its ancestor from
@@ -115,10 +116,12 @@ def prolongation_matrix(coarse_mesh, coarse_dofmap, fine_mesh, fine_dofmap):
     containing it.  The edge rows take the normal flux of the coarse field
     at each fine edge midpoint along ``fine_mesh.edge_normals``, evaluated
     in the ancestor of ``edge_elements[e, 0]``; the flux is constant along
-    the edge, so the midpoint value is exact.  ``fine_mesh`` must be
-    ``coarse_mesh`` or one refine_nvb call on it, else ``ValueError``;
-    across several calls, multiply the one-level matrices.
+    the edge, so the midpoint value is exact.  Each mesh is its dof map's
+    ``mesh``; ``fine_mesh`` must be ``coarse_mesh`` or one refine_nvb call
+    on it, else ``ValueError``; across several calls, multiply the
+    one-level matrices.
     """
+    coarse_mesh, fine_mesh = coarse_dofmap.mesh, fine_dofmap.mesh
     amap = ancestor_map(fine_mesh, coarse_mesh)
     ct = coarse_mesh.geometry
     c_edofs = coarse_dofmap.element_dofs
@@ -149,12 +152,11 @@ def prolongation_matrix(coarse_mesh, coarse_dofmap, fine_mesh, fine_dofmap):
         shape=(fine_dofmap.n_total, coarse_dofmap.n_total))
 
 
-def prolongate(coarse_mesh, coarse_dofmap, fine_mesh, fine_dofmap, coef):
+def prolongate(coarse_dofmap, fine_dofmap, coef):
     """Represent a coarse discrete function exactly in the fine space."""
     coef = np.asarray(coef, dtype=float)
     if coef.shape != (coarse_dofmap.n_total,):
         raise ValueError("coefficient vector length does not match the dof map")
-    if fine_mesh is coarse_mesh:
+    if fine_dofmap.mesh is coarse_dofmap.mesh:
         return coef.copy()
-    P = prolongation_matrix(coarse_mesh, coarse_dofmap, fine_mesh, fine_dofmap)
-    return P @ coef
+    return prolongation_matrix(coarse_dofmap, fine_dofmap) @ coef

@@ -150,7 +150,7 @@ def fit_rate(history, quantity="eta_total", tail_levels=5):
 
 # -- identity checks ----------------------------------------------------------
 
-def pythagoras_check(mesh, dofmap, problem, quad_order=8, trials=20,
+def pythagoras_check(dofmap, problem, quad_order=8, trials=20,
                      seed=2024_0901):
     """Defect of ||L(u* - v)||^2 = eta(u_h*)^2 + ||u_h* - v||_A^2.
 
@@ -163,9 +163,10 @@ def pythagoras_check(mesh, dofmap, problem, quad_order=8, trials=20,
     least-squares projection in the quadrature-induced inner product, so a
     mixed-order evaluation would leave a data-dependent defect.
     """
-    system, rhs = assemble_system(mesh, dofmap, problem, quad_order=quad_order)
+    system, rhs = assemble_system(dofmap.mesh, dofmap, problem,
+                                  quad_order=quad_order)
     x_star = exact_solve(system, rhs)
-    estimate = LevelEstimator(mesh, dofmap, problem, quad_order)
+    estimate = LevelEstimator(dofmap, problem, quad_order)
     eta_sq = estimate(x_star).total ** 2
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -179,17 +180,17 @@ def pythagoras_check(mesh, dofmap, problem, quad_order=8, trials=20,
     return worst
 
 
-def galerkin_orthogonality_check(coarse_mesh, coarse_dm, fine_mesh, fine_dm,
-                                 problem, quad_order=4):
+def galerkin_orthogonality_check(coarse_dm, fine_dm, problem, quad_order=4):
     """Fine residual of the coarse solution, tested against coarse functions.
 
     With exact solves b(u*_fine - u*_coarse, v) vanishes for every coarse v;
     assembled, that is P^T (rhs_fine - A_fine P x_coarse) = 0.
     """
-    c_system, c_rhs = assemble_system(coarse_mesh, coarse_dm, problem, quad_order)
-    f_system, f_rhs = assemble_system(fine_mesh, fine_dm, problem, quad_order)
+    c_system, c_rhs = assemble_system(coarse_dm.mesh, coarse_dm, problem,
+                                      quad_order)
+    f_system, f_rhs = assemble_system(fine_dm.mesh, fine_dm, problem, quad_order)
     x_c = exact_solve(c_system, c_rhs)
-    P = prolongation_matrix(coarse_mesh, coarse_dm, fine_mesh, fine_dm)
+    P = prolongation_matrix(coarse_dm, fine_dm)
     residual = f_rhs - f_system.matrix @ (P @ x_c)
     defect = P.T @ residual
     scale = max(float(np.abs(c_rhs).max()), 1e-300)
@@ -243,7 +244,7 @@ def _patch_sums(mesh, values):
     return ((incidence @ incidence.T) > 0) @ values
 
 
-def local_efficiency_check(mesh, dofmap, problem, coef, quad_order=8):
+def local_efficiency_check(dofmap, problem, coef, quad_order=8):
     """eta_T against the exact error on the element patch.
 
     Requires a manufactured solution.  A vanishing patch error with a
@@ -251,8 +252,9 @@ def local_efficiency_check(mesh, dofmap, problem, coef, quad_order=8):
     """
     if problem.exact is None:
         raise ValueError("local efficiency needs a manufactured solution")
+    mesh = dofmap.mesh
     report = compute_indicators(mesh, dofmap, problem, coef, quad_order)
-    errors = compute_error_norms(mesh, dofmap, coef, problem.exact, quad_order)
+    errors = compute_error_norms(dofmap, coef, problem.exact, quad_order)
     eta = report.per_element
     patch_err = np.sqrt(_patch_sums(mesh, errors.per_element ** 2))
     zero = patch_err == 0.0
@@ -282,14 +284,15 @@ class DrelResult:
     degenerate: bool = False
 
 
-def discrete_reliability_check(problem, coarse_mesh, coarse_dm, coarse_coef,
-                               fine_mesh, fine_dm, fine_coef, quad_order=6):
+def discrete_reliability_check(problem, coarse_dm, coarse_coef, fine_dm,
+                               fine_coef, quad_order=6):
     """Measure ||u*_fine - u*_coarse||_V / eta(refined zone).
 
     The refined zone R collects the coarse elements whose patch does not
     survive into the fine mesh; its cardinality is compared against the
     number of newly created elements.
     """
+    coarse_mesh, fine_mesh = coarse_dm.mesh, fine_dm.mesh
     amap = ancestor_map(fine_mesh, coarse_mesh)
     n_new = fine_mesh.n_elements - coarse_mesh.n_elements
     if n_new == 0:
@@ -302,16 +305,15 @@ def discrete_reliability_check(problem, coarse_mesh, coarse_dm, coarse_coef,
     touched[coarse_mesh.elements[split]] = True
     zone = np.flatnonzero(touched[coarse_mesh.elements].any(axis=1))
 
-    P = prolongation_matrix(coarse_mesh, coarse_dm, fine_mesh, fine_dm)
+    P = prolongation_matrix(coarse_dm, fine_dm)
     diff = np.asarray(fine_coef, dtype=float) - P @ np.asarray(coarse_coef, dtype=float)
-    diff_norm = discrete_v_norm(fine_mesh, fine_dm, diff, quad_order=4)
+    diff_norm = discrete_v_norm(fine_dm, diff, quad_order=4)
 
     report = compute_indicators(coarse_mesh, coarse_dm, problem, coarse_coef,
                                 quad_order)
     eta_zone = report.subset_total(zone)
     if eta_zone == 0.0:
-        if diff_norm > 1e-10 * max(1.0, discrete_v_norm(fine_mesh, fine_dm,
-                                                        fine_coef, 4)):
+        if diff_norm > 1e-10 * max(1.0, discrete_v_norm(fine_dm, fine_coef, 4)):
             raise IdentityViolationError(
                 "solution changed although the refined zone carries no residual")
         c = 0.0
@@ -325,21 +327,22 @@ def discrete_reliability_check(problem, coarse_mesh, coarse_dm, coarse_coef,
 
 # -- interpolation rates --------------------------------------------------------
 
-def nodal_interpolation(mesh, dofmap, u_fn):
+def nodal_interpolation(dofmap, u_fn):
     """Coefficients of the vertex interpolant (edge block zero)."""
     coef = np.zeros(dofmap.n_total)
     verts = dofmap.interior_vertices
     if verts.size:
-        coef[:dofmap.n_h1] = u_fn(mesh.vertices[verts])
+        coef[:dofmap.n_h1] = u_fn(dofmap.mesh.vertices[verts])
     return coef
 
 
-def edge_moment_interpolation(mesh, dofmap, tau_fn, n_gauss=5):
+def edge_moment_interpolation(dofmap, tau_fn, n_gauss=5):
     """Coefficients of the edge-flux interpolant (vertex block zero).
 
     The dof on an edge is the mean normal flux along the global edge
     normal, integrated with a Gauss rule on the segment.
     """
+    mesh = dofmap.mesh
     xg, wg = np.polynomial.legendre.leggauss(n_gauss)
     s = 0.5 * (xg + 1.0)
     wg = 0.5 * wg
@@ -389,18 +392,18 @@ def interpolation_rate_check(levels=5, quad_order=8):
         mesh = refine_uniform(mesh, rounds=2)
         dofmap = build_dofmap(mesh)
         hs.append(float(mesh.geometry["edge_len"].max()))
-        coef = nodal_interpolation(mesh, dofmap, u_fn)
-        h1_errors.append(compute_error_norms(mesh, dofmap, coef, scalar,
+        coef = nodal_interpolation(dofmap, u_fn)
+        h1_errors.append(compute_error_norms(dofmap, coef, scalar,
                                              quad_order).total)
-        coef_rt = edge_moment_interpolation(mesh, dofmap, grad_fn)
-        hdiv_errors.append(compute_error_norms(mesh, dofmap, coef_rt, flux,
+        coef_rt = edge_moment_interpolation(dofmap, grad_fn)
+        hdiv_errors.append(compute_error_norms(dofmap, coef_rt, flux,
                                                quad_order).total)
         # constant fields live in the lowest-order edge space, so the
         # interpolant must reproduce them to rounding
-        coef_const = edge_moment_interpolation(mesh, dofmap, const_fn)
+        coef_const = edge_moment_interpolation(dofmap, const_fn)
         reproduction_defect = max(
             reproduction_defect,
-            compute_error_norms(mesh, dofmap, coef_const, constant, 4).total)
+            compute_error_norms(dofmap, coef_const, constant, 4).total)
 
     return {
         "nodal_h1": _loglog_fit(hs, h1_errors),
@@ -706,7 +709,7 @@ def identity_fixtures():
 def check_residual_split(fixtures):
     """eta(v)^2 = eta(x*)^2 + ||x* - v||_A^2 on ``(name, mesh, problem)``
     fixtures."""
-    worst = max(pythagoras_check(mesh, build_dofmap(mesh), problem)
+    worst = max(pythagoras_check(build_dofmap(mesh), problem)
                 for _, mesh, problem in fixtures)
     return [CheckResult(
         "orthogonal residual split", worst <= BUDGETS["pythagoras_defect"],
@@ -730,8 +733,7 @@ def check_discrete_reliability(base, problem):
         fine = refine_nvb(base.mesh, marked)
         fdm = build_dofmap(fine)
         fsystem, frhs = assemble_system(fine, fdm, problem, 4)
-        res = discrete_reliability_check(problem, base.mesh, base.dofmap,
-                                         base.coef, fine, fdm,
+        res = discrete_reliability_check(problem, base.dofmap, base.coef, fdm,
                                          exact_solve(fsystem, frhs))
         if not res.degenerate:
             values.append(res.c_drel)
@@ -809,7 +811,7 @@ def _suite_identities():
                                     replace=False))
         fine = refine_nvb(mesh, marked)
         worst = max(worst, galerkin_orthogonality_check(
-            mesh, dm, fine, build_dofmap(fine), problem))
+            dm, build_dofmap(fine), problem))
     results.append(CheckResult(
         "galerkin orthogonality across refinement",
         worst <= BUDGETS["galerkin_defect"], {"max_defect": worst},
@@ -825,7 +827,7 @@ def _suite_identities():
         "indicator additivity", defect <= BUDGETS["additivity_defect"],
         {"defect": defect}, f"<= {_b('additivity_defect')}"))
 
-    eff = local_efficiency_check(mesh, dm, problem, coef)
+    eff = local_efficiency_check(dm, problem, coef)
     bound = BUDGETS["local_efficiency_factor"] * max(eff.global_ratio, 1e-300)
     results.append(CheckResult(
         "local efficiency against patch errors",

@@ -28,8 +28,8 @@ def _fixture(kind="general"):
 
 
 def test_matrix_symmetric_bitwise():
-    _, dm, prob = _fixture()
-    system, _ = assemble_system(_fixture()[0], dm, prob)
+    mesh, dm, prob = _fixture()
+    system, _ = assemble_system(mesh, dm, prob)
     assert (system.matrix - system.matrix.T).nnz == 0
     assert system.matrix.shape == (dm.n_total, dm.n_total)
 
@@ -67,7 +67,7 @@ def test_energy_and_load_against_pointwise_quadrature(kind):
         for q in range(len(rule.weights)):
             lam = rule.points[q]
             point = lam @ coords
-            state = eval_discrete(mesh, dm, coef, t, point)
+            state = eval_discrete(dm, coef, t, point)
             op = eval_operator(prob, point, state)
             data = eval_data(prob, point)
             w = area * rule.weights[q]
@@ -84,14 +84,14 @@ def test_quad_fields_match_pointwise_eval():
     rng = np.random.default_rng(7)
     coef = rng.standard_normal(dm.n_total)
     rule = quadrature_rule(3)
-    fields = QuadFields(mesh, dm, rule)
+    fields = QuadFields(dm, rule)
     whole = fields.evaluate(coef)
     u, grad, sigma, div = whole
     for t in (0, mesh.n_elements // 2, mesh.n_elements - 1):
         coords = mesh.vertices[mesh.elements[t]]
         for q in (0, len(rule.weights) - 1):
             point = rule.points[q] @ coords
-            pu, pg, ps, pd = eval_discrete(mesh, dm, coef, t, point)
+            pu, pg, ps, pd = eval_discrete(dm, coef, t, point)
             assert abs(u[t, q] - pu) < 1e-13
             np.testing.assert_allclose(grad[t], pg, atol=1e-13)
             np.testing.assert_allclose(sigma[t, q], ps, atol=1e-13)

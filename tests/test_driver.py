@@ -290,9 +290,9 @@ def test_one_estimator_build_serves_the_level(config, monkeypatch):
     real_compute_indicators = lsfem.driver.compute_indicators
 
     class CountedFields(QuadFields):
-        def __init__(self, mesh, dofmap, rule):
+        def __init__(self, dofmap, rule):
             built.append(dofmap)
-            super().__init__(mesh, dofmap, rule)
+            super().__init__(dofmap, rule)
 
     def counting_compute_indicators(*args, **kwargs):
         report_calls.append(kwargs.get("estimator"))
@@ -319,8 +319,8 @@ def test_one_estimator_build_serves_the_level(config, monkeypatch):
                                    order)
         assert np.array_equal(rec.report.per_element, fresh.per_element)
         assert rec.report.total == fresh.total
-        errors = compute_error_norms(rec.mesh, rec.dofmap, rec.coef,
-                                     problem.exact, order)
+        errors = compute_error_norms(rec.dofmap, rec.coef, problem.exact,
+                                     order)
         assert np.array_equal(rec.error_report.per_element,
                               errors.per_element)
         assert rec.error_report.total == errors.total
@@ -463,6 +463,9 @@ NAN = float("nan")
     (MarkingSpec, dict(theta="0.5")),
     (AdaptiveConfig, dict(domain=["l_shape"])),
     (AdaptiveConfig, dict(problem={"kind": "poisson", "f": 1.0})),
+    # an exact solve takes no PCG-only key
+    (SolverSpec, dict(kind="exact", n_steps=3)),
+    (SolverSpec, dict(kind="exact", lam=0.02)),
 ])
 def test_invalid_configs_rejected(mutate):
     spec, kwargs = mutate

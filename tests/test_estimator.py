@@ -70,10 +70,9 @@ def test_discrete_v_norm_against_pointwise_quadrature():
         d1, d2 = coords[1] - coords[0], coords[2] - coords[0]
         area = 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])
         for q, w in enumerate(rule.weights):
-            u, g, s, d = eval_discrete(mesh, dm, coef, t,
-                                       rule.points[q] @ coords)
+            u, g, s, d = eval_discrete(dm, coef, t, rule.points[q] @ coords)
             total += area * w * (u * u + g @ g + s @ s + d * d)
-    assert np.isclose(discrete_v_norm(mesh, dm, coef), np.sqrt(total),
+    assert np.isclose(discrete_v_norm(dm, coef), np.sqrt(total),
                       rtol=1e-13)
 
 
@@ -82,17 +81,17 @@ def test_v_norm_scales_linearly():
     dm = build_dofmap(mesh)
     rng = np.random.default_rng(8)
     coef = rng.standard_normal(dm.n_total)
-    one = discrete_v_norm(mesh, dm, coef)
-    assert np.isclose(discrete_v_norm(mesh, dm, 3.0 * coef), 3.0 * one,
+    one = discrete_v_norm(dm, coef)
+    assert np.isclose(discrete_v_norm(dm, 3.0 * coef), 3.0 * one,
                       rtol=1e-13)
-    assert discrete_v_norm(mesh, dm, np.zeros(dm.n_total)) == 0.0
+    assert discrete_v_norm(dm, np.zeros(dm.n_total)) == 0.0
 
 
 def test_error_norm_zero_for_zero_solution():
     mesh = refine_uniform(builtin_domain("unit_square"), rounds=1)
     dm = build_dofmap(mesh)
     prob = make_problem(ProblemSpec(kind="poisson", manufactured="zero"))
-    report = compute_error_norms(mesh, dm, np.zeros(dm.n_total), prob.exact)
+    report = compute_error_norms(dm, np.zeros(dm.n_total), prob.exact)
     assert report.total == 0.0
 
 
@@ -104,7 +103,7 @@ def test_error_and_estimator_comparable_on_solved_problem():
     system, rhs = assemble_system(mesh, dm, prob)
     coef = exact_solve(system, rhs)
     eta = compute_indicators(mesh, dm, prob, coef).total
-    err = compute_error_norms(mesh, dm, coef, prob.exact).total
+    err = compute_error_norms(dm, coef, prob.exact).total
     assert 0.2 <= eta / err <= 5.0
 
 
@@ -123,7 +122,7 @@ def test_residual_matches_pointwise_operator():
     acc = 0.0
     for q, w in enumerate(rule.weights):
         point = rule.points[q] @ coords
-        state = eval_discrete(mesh, dm, coef, 0, point)
+        state = eval_discrete(dm, coef, 0, point)
         op = eval_operator(prob, point, state)
         res = np.array([prob.f_fn(point[None, :])[0], 0.0, 0.0]) - op
         acc += 0.5 * w * float(res @ res)
@@ -139,7 +138,7 @@ def test_error_norm_shrinks_under_refinement():
         dm = build_dofmap(mesh)
         system, rhs = assemble_system(mesh, dm, prob)
         coef = exact_solve(system, rhs)
-        totals.append(compute_error_norms(mesh, dm, coef, prob.exact).total)
+        totals.append(compute_error_norms(dm, coef, prob.exact).total)
     assert totals[0] > totals[1] > totals[2]
 
 
@@ -161,7 +160,7 @@ def test_level_estimator_reuse_matches_fresh_calls(spec):
     copies = [v.copy() for v in vectors]
     fresh = [compute_indicators(mesh, dm, prob, v, quad_order=5)
              for v in vectors]
-    estimate = LevelEstimator(mesh, dm, prob, quad_order=5)
+    estimate = LevelEstimator(dm, prob, quad_order=5)
     for order in ([0, 1, 2], [2, 1, 0], [1, 2, 0, 1]):
         for i in order:
             report = estimate(vectors[i])
@@ -180,12 +179,11 @@ def test_shared_estimator_keeps_bits_and_rejects_another_level():
     dm = build_dofmap(mesh)
     prob = make_problem(ProblemSpec(kind="poisson", manufactured="poly_bubble"))
     coef = np.random.default_rng(5).standard_normal(dm.n_total)
-    estimate = LevelEstimator(mesh, dm, prob, quad_order=5)
+    estimate = LevelEstimator(dm, prob, quad_order=5)
     pairs = [(compute_indicators(mesh, dm, prob, coef, 5, estimator=estimate),
               compute_indicators(mesh, dm, prob, coef, 5)),
-             (compute_error_norms(mesh, dm, coef, prob.exact, 5,
-                                  estimator=estimate),
-              compute_error_norms(mesh, dm, coef, prob.exact, 5))]
+             (compute_error_norms(dm, coef, prob.exact, 5, estimator=estimate),
+              compute_error_norms(dm, coef, prob.exact, 5))]
     for shared, fresh in pairs:
         assert np.array_equal(shared.per_element, fresh.per_element)
         assert shared.total == fresh.total
@@ -200,10 +198,9 @@ def test_shared_estimator_keeps_bits_and_rejects_another_level():
     with pytest.raises(ValueError, match="another problem"):
         compute_indicators(mesh, dm, other_prob, coef, 5, estimator=estimate)
     with pytest.raises(ValueError, match="another dof map"):
-        compute_error_norms(mesh, other_dm, coef, prob.exact, 5,
-                            estimator=estimate)
+        compute_error_norms(other_dm, coef, prob.exact, 5, estimator=estimate)
     with pytest.raises(ValueError, match="rule order 5, not 4"):
-        compute_error_norms(mesh, dm, coef, prob.exact, 4, estimator=estimate)
+        compute_error_norms(dm, coef, prob.exact, 4, estimator=estimate)
 
 
 @pytest.mark.parametrize("spec", [
@@ -220,11 +217,11 @@ def test_blocked_estimates_match_single_block(spec, monkeypatch):
     dm = build_dofmap(mesh)
     assert mesh.n_elements % 7 and (dm.element_dofs < 0).any()
     coef = np.random.default_rng(11).standard_normal(dm.n_total)
-    estimate = LevelEstimator(mesh, dm, prob)
+    estimate = LevelEstimator(dm, prob)
 
     def reports():
         return [estimate(coef), compute_indicators(mesh, dm, prob, coef),
-                compute_error_norms(mesh, dm, coef, prob.exact)]
+                compute_error_norms(dm, coef, prob.exact)]
 
     monkeypatch.setattr(lsfem.assembly, "_BLOCK", mesh.n_elements)
     whole = reports()
@@ -253,7 +250,7 @@ def test_estimator_memory_peak_bounded():
                                     a=[[1.05, 0.02], [0.02, 0.97]],
                                     b=[0.03, -0.07]))
     coef = np.random.default_rng(3).standard_normal(dm.n_total)
-    estimate = LevelEstimator(mesh, dm, prob)
+    estimate = LevelEstimator(dm, prob)
     tables = _table_bytes(estimate.fields) + estimate.f.nbytes
     tracemalloc.start()
     try:
@@ -274,10 +271,10 @@ def test_error_norm_memory_peak_bounded():
     prob = make_problem(ProblemSpec(kind="poisson", manufactured="poly_bubble"))
     coef = np.random.default_rng(3).standard_normal(dm.n_total)
     mesh.geometry, mesh.rt_scale                    # cached level data
-    tables = _table_bytes(QuadFields(mesh, dm, quadrature_rule(6)))
+    tables = _table_bytes(QuadFields(dm, quadrature_rule(6)))
     tracemalloc.start()
     try:
-        compute_error_norms(mesh, dm, coef, prob.exact)
+        compute_error_norms(dm, coef, prob.exact)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -285,16 +282,14 @@ def test_error_norm_memory_peak_bounded():
     assert peak <= tables * 4 / 3
 
 
-# each entry point called as (mesh, dofmap, problem, coef)
+# each entry point called as (dofmap, problem, coef)
 ENTRY_POINTS = {
-    "compute_indicators": lambda mesh, dm, prob, coef: compute_indicators(
-        mesh, dm, prob, coef),
-    "compute_error_norms": lambda mesh, dm, prob, coef: compute_error_norms(
-        mesh, dm, coef, prob.exact),
-    "discrete_v_norm": lambda mesh, dm, prob, coef: discrete_v_norm(
-        mesh, dm, coef),
-    "LevelEstimator": lambda mesh, dm, prob, coef: LevelEstimator(
-        mesh, dm, prob)(coef),
+    "compute_indicators": lambda dm, prob, coef: compute_indicators(
+        dm.mesh, dm, prob, coef),
+    "compute_error_norms": lambda dm, prob, coef: compute_error_norms(
+        dm, coef, prob.exact),
+    "discrete_v_norm": lambda dm, prob, coef: discrete_v_norm(dm, coef),
+    "LevelEstimator": lambda dm, prob, coef: LevelEstimator(dm, prob)(coef),
 }
 
 
@@ -310,4 +305,4 @@ def test_coefficient_vector_of_another_length_rejected(entry, shape):
     coef = {"short": np.zeros(n - 1), "long": np.zeros(n + 1),
             "column": np.zeros((n, 1))}[shape]
     with pytest.raises(ValueError, match="does not match the dof map"):
-        ENTRY_POINTS[entry](mesh, dm, prob, coef)
+        ENTRY_POINTS[entry](dm, prob, coef)

@@ -78,9 +78,9 @@ def test_estimator_norm_is_the_energy_norm_from_order_two(graded, kind):
     v = np.random.default_rng(5).standard_normal(dm.n_total)
     energy = float(np.sqrt(v @ (system.matrix @ v)))
     for order in range(2, 11):
-        eta = LevelEstimator(mesh, dm, unloaded, order)(v).total
+        eta = LevelEstimator(dm, unloaded, order)(v).total
         assert abs(eta - energy) <= 1e-13 * energy, order
-    eta = LevelEstimator(mesh, dm, unloaded, 1)(v).total
+    eta = LevelEstimator(dm, unloaded, 1)(v).total
     assert abs(eta - energy) > 1e-6 * energy
 
 
@@ -113,7 +113,7 @@ def levels():
     coarse_x = exact_solve(*assemble_system(coarse, coarse_dm, problem))
     mesh = refine_uniform(coarse)
     dm = build_dofmap(mesh)
-    nested = prolongate(coarse, coarse_dm, mesh, dm, coarse_x)
+    nested = prolongate(coarse_dm, dm, coarse_x)
     systems = {q: assemble_system(mesh, dm, problem, q) for q in (1, 4)}
     return problem, mesh, dm, systems, {"cold": None, "nested": nested}
 
@@ -142,7 +142,7 @@ def test_bounded_stop_matches_every_step_evaluation(levels, start,
                                                     max_steps):
     problem, mesh, dm, systems, starts = levels
     system, rhs = systems[assembly_order]
-    estimate = LevelEstimator(mesh, dm, problem, estimator_order)
+    estimate = LevelEstimator(dm, problem, estimator_order)
     lipschitz = _lipschitz(assembly_order, estimator_order)
     every, every_calls = _run(system, rhs, starts[start], estimate, lam,
                               max_steps, None)

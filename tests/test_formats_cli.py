@@ -16,6 +16,7 @@ from lsfem.formats import (HISTORY_HEADER, HistoryWriter, config_from_dict,
                            config_to_dict, parse_config, read_history,
                            read_mesh_text, serialize_config, write_history,
                            write_mesh_text, write_vtk)
+from lsfem.verify import helmholtz_config, lshape_config, smooth_poisson_config
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = sorted(glob.glob(os.path.join(REPO, "configs", "*.yaml")))
@@ -46,6 +47,25 @@ def test_shipped_configs_parse_and_roundtrip(tmp_path):
         out = tmp_path / os.path.basename(path)
         out.write_text(serialize_config(config), encoding="utf-8")
         assert parse_config(out) == config
+
+
+# the preset of ``lsfem.verify`` that each shipped config stands for
+PRESETS = {
+    "smooth_poisson": smooth_poisson_config(),
+    "smooth_poisson_pcg": smooth_poisson_config(solver_kind="pcg", n_steps=1),
+    "lshape_adaptive": lshape_config(),
+    "lshape_uniform": lshape_config(strategy="uniform"),
+    "helmholtz": helmholtz_config(),
+}
+
+
+def test_shipped_configs_match_the_verify_presets():
+    """The golden histories run the YAML files and the acceptance criteria
+    run the presets, so the two must not drift apart."""
+    names = {os.path.splitext(os.path.basename(p))[0]: p for p in CONFIGS}
+    assert sorted(names) == sorted(PRESETS)
+    for name, path in names.items():
+        assert parse_config(path) == PRESETS[name], name
 
 
 def test_minimal_config_defaults():
@@ -462,6 +482,9 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
             # the estimator rule, two orders up, would not exist
             ("order_9", {"quadrature": {"assembly_order": 9}}),
             ("exact_lam", {"solver": {"kind": "exact", "lam": -3}}),
+            # PCG-only keys with an exact solve
+            ("exact_steps", {"solver": {"kind": "exact", "n_steps": 3}}),
+            ("exact_lam_rule", {"solver": {"kind": "exact", "lam": 0.02}}),
             ("disk", {"domain": "disk"})]:
         config = _write_tiny_config(tmp_path / f"{name}.yaml", **override)
         out = tmp_path / f"{name}_out"

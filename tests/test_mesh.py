@@ -287,8 +287,7 @@ def test_ancestor_map_rejects_unrelated(kind):
     with pytest.raises(ValueError):
         ancestor_map(fine, coarse)
     with pytest.raises(ValueError):
-        prolongation_matrix(coarse, build_dofmap(coarse),
-                            fine, build_dofmap(fine))
+        prolongation_matrix(build_dofmap(coarse), build_dofmap(fine))
 
 
 def test_patch_of_once_refined_square():

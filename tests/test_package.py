@@ -2,6 +2,9 @@ import ast
 import pathlib
 import types
 
+import numpy as np
+import pytest
+
 import lsfem
 
 
@@ -152,3 +155,50 @@ def test_assembly_holds_no_linear_algebra():
                   if m.split(".")[0] == "ctypes"
                   or m.startswith("scipy.sparse.linalg")]
     assert found == []
+
+
+# the two functions that still take a level's mesh beside its dof map, for
+# positional callers outside the package; both check that they match
+_MESH_AND_DOFMAP = {"assemble_system", "compute_indicators"}
+
+
+def _is_mesh(name):
+    return name == "mesh" or name.endswith("_mesh")
+
+
+def _is_dofmap(name):
+    return name in ("dofmap", "dm") or name.endswith(("_dm", "_dofmap"))
+
+
+def test_a_dof_map_carries_its_mesh():
+    """No function takes a mesh and a dof map as separate arguments: a dof
+    map holds its mesh as ``dofmap.mesh``, and a second mesh argument could
+    only agree with it or be wrong."""
+    package = pathlib.Path(lsfem.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            args = node.args
+            names = [a.arg for a in args.posonlyargs + args.args
+                     + args.kwonlyargs]
+            if any(map(_is_mesh, names)) and any(map(_is_dofmap, names)):
+                found.add(getattr(node, "name", "<lambda>"))
+    assert found == _MESH_AND_DOFMAP
+
+
+def test_a_mesh_of_another_dof_map_is_rejected():
+    """The unit square scaled by 2 beside the dof map of the unscaled one:
+    with f = 1 the indicators of the zero vector returned eta = 2.0 instead
+    of 1.0, and the matrix was off by up to 0.5, without a message."""
+    mesh = lsfem.refine_uniform(lsfem.builtin_domain("unit_square"), rounds=2)
+    dofmap = lsfem.build_dofmap(mesh)
+    scaled = lsfem.Mesh(2 * mesh.vertices, mesh.elements)
+    problem = lsfem.make_problem(lsfem.ProblemSpec(kind="poisson", f=1.0))
+    coef = np.zeros(dofmap.n_total)
+    with pytest.raises(ValueError, match="the dof map belongs to another mesh"):
+        lsfem.assemble_system(scaled, dofmap, problem)
+    with pytest.raises(ValueError, match="the dof map belongs to another mesh"):
+        lsfem.compute_indicators(scaled, dofmap, problem, coef)

@@ -30,23 +30,35 @@ def test_helmholtz_load_oracle():
     assert prob.c == -9.0
 
 
-def test_sine_divergence_matches_finite_differences():
-    a = [[2.0, 0.5], [0.5, 1.0]]
-    prob = make_problem(ProblemSpec(kind="general", manufactured="sine", a=a))
-    rng = np.random.default_rng(11)
-    pts = rng.uniform(0.1, 0.9, size=(40, 2))
+@pytest.mark.parametrize("spec", [
+    ProblemSpec(kind="poisson", manufactured="poly_bubble"),
+    ProblemSpec(kind="general", manufactured="sine",
+                a=[[2.0, 0.5], [0.5, 1.0]], b=[0.5, -0.25], c=2.0),
+    ProblemSpec(kind="general", manufactured="zero",
+                a=[[3.0, 1.0], [1.0, 2.0]], b=[1.0, 1.0]),
+], ids=["poly_bubble", "sine", "zero"])
+def test_sine_divergence_matches_finite_differences(spec):
+    """Each manufactured solution is consistent in itself: grad_u is the
+    gradient of u, div_sigma the divergence of sigma (central differences),
+    and sigma = a grad_u."""
+    prob = make_problem(spec)
+    exact = prob.exact
+    pts = np.random.default_rng(11).uniform(0.1, 0.9, size=(40, 2))
     h = 1e-6
-    ex = np.array([h, 0.0])
-    ey = np.array([0.0, h])
-    fd = ((prob.exact.sigma(pts + ex)[:, 0] - prob.exact.sigma(pts - ex)[:, 0])
-          + (prob.exact.sigma(pts + ey)[:, 1]
-             - prob.exact.sigma(pts - ey)[:, 1])) / (2 * h)
-    np.testing.assert_allclose(prob.exact.div_sigma(pts), fd,
-                               rtol=0, atol=5e-4)
+    div = np.zeros(len(pts))
+    for d, step in enumerate(h * np.eye(2)):
+        du = (exact.u(pts + step) - exact.u(pts - step)) / (2 * h)
+        np.testing.assert_allclose(exact.grad_u(pts)[:, d], du,
+                                   rtol=0, atol=1e-6)
+        div += (exact.sigma(pts + step)[:, d]
+                - exact.sigma(pts - step)[:, d]) / (2 * h)
+    np.testing.assert_allclose(exact.div_sigma(pts), div, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(exact.sigma(pts), exact.grad_u(pts) @ prob.a.T,
+                               rtol=0, atol=1e-12)
 
 
 def test_manufactured_consistency_all_cases():
-    """Each built-in solution satisfies its own PDE (internal self-check)."""
+    """Each built-in case builds, and the zero solution has a zero load."""
     make_problem(ProblemSpec(kind="poisson", manufactured="poly_bubble"))
     make_problem(ProblemSpec(kind="general", manufactured="sine",
                              a=[[3.0, 1.0], [1.0, 2.0]], b=[0.5, -0.25],

@@ -128,7 +128,7 @@ def test_pythagoras_zero_for_minimizer_perturbations():
     mesh = refine_uniform(builtin_domain("unit_square"), rounds=2)
     prob = make_problem(ProblemSpec(kind="poisson", f=1.0))
     dm, _ = _solved(mesh, prob)
-    defect = pythagoras_check(mesh, dm, prob, trials=10)
+    defect = pythagoras_check(dm, prob, trials=10)
     assert defect <= BUDGETS["pythagoras_defect"]
 
 
@@ -138,7 +138,7 @@ def test_galerkin_orthogonality_between_levels():
     cdm = build_dofmap(coarse)
     fine = refine_nvb(coarse, [0, 3])
     fdm = build_dofmap(fine)
-    resid = galerkin_orthogonality_check(coarse, cdm, fine, fdm, prob)
+    resid = galerkin_orthogonality_check(cdm, fdm, prob)
     assert resid <= BUDGETS["galerkin_defect"]
 
 
@@ -147,14 +147,14 @@ def test_local_efficiency_requires_exact_solution():
     dm = build_dofmap(mesh)
     prob = make_problem(ProblemSpec(kind="poisson", f=1.0))
     with pytest.raises(ValueError):
-        local_efficiency_check(mesh, dm, prob, np.zeros(dm.n_total))
+        local_efficiency_check(dm, prob, np.zeros(dm.n_total))
 
 
 def test_local_efficiency_bounded_on_solved_fixture():
     mesh = refine_uniform(builtin_domain("unit_square"), rounds=3)
     prob = make_problem(ProblemSpec(kind="poisson", manufactured="poly_bubble"))
     dm, coef = _solved(mesh, prob)
-    result = local_efficiency_check(mesh, dm, prob, coef)
+    result = local_efficiency_check(dm, prob, coef)
     assert result.per_element.shape == (mesh.n_elements,)
     assert result.max_ratio <= (BUDGETS["local_efficiency_factor"]
                                 * result.global_ratio)
@@ -169,14 +169,14 @@ def test_local_efficiency_rejects_indicator_with_zero_patch_error():
                    exact=_zero_exact())
     with pytest.raises(IdentityViolationError,
                        match=r"^element 0: indicator .* with zero patch error$"):
-        local_efficiency_check(mesh, dm, prob, np.zeros(dm.n_total))
+        local_efficiency_check(dm, prob, np.zeros(dm.n_total))
 
 
 def test_drel_degenerate_without_refinement():
     mesh = refine_uniform(builtin_domain("unit_square"), rounds=1)
     prob = make_problem(ProblemSpec(kind="poisson", f=1.0))
     dm, coef = _solved(mesh, prob)
-    result = discrete_reliability_check(prob, mesh, dm, coef, mesh, dm, coef)
+    result = discrete_reliability_check(prob, dm, coef, dm, coef)
     assert result.degenerate
     assert result.c_drel == 0.0
 
@@ -188,8 +188,7 @@ def test_drel_uniform_refinement_covers_everything():
     cdm, ccoef = _solved(coarse, prob)
     fine = refine_nvb(coarse, np.arange(coarse.n_elements))
     fdm, fcoef = _solved(fine, prob)
-    result = discrete_reliability_check(prob, coarse, cdm, ccoef,
-                                        fine, fdm, fcoef)
+    result = discrete_reliability_check(prob, cdm, ccoef, fdm, fcoef)
     assert not result.degenerate
     assert result.n_refined_zone == coarse.n_elements
     assert result.n_new_elements == fine.n_elements - coarse.n_elements
@@ -202,8 +201,7 @@ def test_drel_local_refinement_zone_is_partial():
     cdm, ccoef = _solved(coarse, prob)
     fine = refine_nvb(coarse, [0])
     fdm, fcoef = _solved(fine, prob)
-    result = discrete_reliability_check(prob, coarse, cdm, ccoef,
-                                        fine, fdm, fcoef)
+    result = discrete_reliability_check(prob, cdm, ccoef, fdm, fcoef)
     assert 0 < result.n_refined_zone < coarse.n_elements
 
 
