@@ -7,15 +7,16 @@ the previous level's final iterate (nested iteration) unless that is
 switched off.  Every level appends one history row; the final level is the
 first one hitting a stopping rule and marks nothing.  The lambda rule
 stops PCG at the first step with ||x_n - x_{n-1}||_A <= lam * eta, or
-after ``IncrementStop``'s cap of 500 steps.
+after ``IncrementStop``'s cap of 500 steps.  Every assembly order a config
+can name is exact to degree 2, so the energy-norm bound of that rule holds
+with the constant 1 and PCG evaluates eta only at steps that may stop.
 
 Each level builds one ``LevelEstimator``, the quadrature tables of the
 estimator rule, of order ``assembly_order + 2``, and every use of that
-rule on the level reads it: the lambda rule inside PCG (eta at x_n, or
-with ``eta_ref: initial`` held at the start iterate), the level report
-and the error norms.  Where the lambda rule stopped PCG it has evaluated
-eta at the final iterate already, and that report is the level's.  The
-driver passes the estimator to ``compute_indicators`` and
+rule on the level reads it: the lambda rule inside PCG (eta at x_n), the
+level report and the error norms.  Where the lambda rule stopped PCG it
+has evaluated eta at the final iterate already, and that report is the
+level's.  The driver passes the estimator to ``compute_indicators`` and
 ``compute_error_norms`` as ``estimator=``, so the bits are those of fresh
 calls.
 """
@@ -34,7 +35,6 @@ from .estimator import LevelEstimator, compute_error_norms, compute_indicators
 from .marking import MarkingSpec, mark
 from .mesh import DOMAINS, builtin_domain, refine_nvb
 from .problems import ProblemSpec, make_problem
-from .quadrature import quadrature_rule
 from .solver import PRECONDS, FixedSteps, IncrementStop, exact_solve, pcg_run
 from .spaces import build_dofmap, prolongate
 from .typecheck import check_fields
@@ -44,7 +44,7 @@ from .typecheck import check_fields
 class SolverSpec:
     kind: str = "exact"                 # exact | pcg
     precond: str = "jacobi"             # none | jacobi
-    eta_ref: str = "current"            # current | initial
+    eta_ref: str = "current"            # current only
     nested: bool = True
     n_steps: Optional[int] = None       # fixed step count per level
     lam: Optional[float] = None         # increment criterion factor
@@ -65,19 +65,19 @@ class SolverSpec:
                 "exact solver takes neither n_steps nor lam")
         if self.precond not in PRECONDS:
             raise ConfigurationError(f"unknown preconditioner {self.precond!r}")
-        if self.eta_ref not in ("current", "initial"):
+        if self.eta_ref != "current":
             raise ConfigurationError(
-                f"solver eta_ref must be 'current' or 'initial', got {self.eta_ref!r}")
+                f"solver eta_ref must be 'current', got {self.eta_ref!r}")
 
 
 @dataclass(frozen=True)
 class QuadSpec:
-    assembly_order: int = 4     # 1..8: the estimator rule is two orders up
+    assembly_order: int = 4     # 2..8: the estimator rule is two orders up
 
     def __post_init__(self):
         check_fields(self)
-        if not 1 <= self.assembly_order <= 8:
-            raise ConfigurationError("assembly_order must be in 1..8")
+        if not 2 <= self.assembly_order <= 8:
+            raise ConfigurationError("assembly_order must be in 2..8")
 
     def resolved_estimator_order(self):
         return self.assembly_order + 2
@@ -170,22 +170,6 @@ class AdaptiveHistory:
         return len(self.rows)
 
 
-def _eta_lipschitz(quadrature):
-    """Energy-norm Lipschitz constant of the level estimator, or None.
-
-    eta(x) = ||F - L x|| over the estimator's quadrature points, whose
-    weights are positive, so eta(x) <= eta(y) + ||L (x - y)||.  ``Problem``
-    holds a, b and c as constant fields, so L v is piecewise P1 and |L v|^2
-    piecewise P2: when both the assembly and the estimator rule are exact
-    to degree 2, ||L v|| is ||v||_A and the constant is 1.  The estimator
-    rule, two orders up, always is; an order-1 assembly rule breaks that
-    identity, and the constant is unknown.
-    """
-    if quadrature_rule(quadrature.assembly_order).exactness_degree >= 2:
-        return 1.0
-    return None
-
-
 def _solve_level(config, problem, dofmap, system, rhs, prev):
     """Solve one level and build its estimator.
 
@@ -215,14 +199,10 @@ def _solve_level(config, problem, dofmap, system, rhs, prev):
 
     if solver.n_steps is not None:
         stop = FixedSteps(solver.n_steps)
-    elif solver.eta_ref == "initial":
-        eta_ref = estimator(x0).total
-        stop = IncrementStop(solver.lam, lambda x: eta_ref)
     else:
-        # a PCG step evaluates the residual of its iterate only where the
-        # eta bound lets it stop
-        stop = IncrementStop(solver.lam, eta,
-                             eta_lipschitz=_eta_lipschitz(config.quadrature))
+        # both rules are exact to degree 2, so ||L v|| is ||v||_A: a PCG
+        # step evaluates eta only where the bound lets it stop
+        stop = IncrementStop(solver.lam, eta, eta_lipschitz=1.0)
     result = pcg_run(system, rhs, precond=solver.precond, x0=x0, stop=stop)
     report = last["report"] if last.get("x") is result.x else None
     return (result.x, result.iterations, result.increments[-1], estimator,

@@ -141,8 +141,10 @@ def compute_error_norms(dofmap, coef, exact, quad_order=6, *,
     flux block is zero measures the H1 error of the scalar alone, and the
     other way round for H(div).  ``estimator``, a ``LevelEstimator`` of
     this dof map and rule order, lends its ``fields`` instead of a new
-    build; the bits are the same.
+    build; the bits are the same.  ``exact`` None raises ``ValueError``.
     """
+    if exact is None:
+        raise ValueError("error norms need a manufactured solution")
     if estimator is None:
         fields = QuadFields(dofmap, quadrature_rule(quad_order))
     else:

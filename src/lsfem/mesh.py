@@ -29,7 +29,6 @@ class MeshDiagnostics:
     inverted_elements: list
     orphan_vertices: list
     duplicate_elements: list
-    max_shape_ratio: float
 
     @property
     def ok(self):
@@ -369,7 +368,7 @@ def ancestor_map(fine, coarse):
 # -- validation --------------------------------------------------------------
 
 def validate(mesh):
-    """Structural diagnosis: conformity, orientation, orphans, shape.
+    """Structural diagnosis: conformity, orientation, orphans, duplicates.
 
     Hanging nodes are detected through exact coordinate matching: bisection
     computes every new vertex as 0.5 * (a + b), so the midpoint of a stale
@@ -412,12 +411,7 @@ def validate(mesh):
     violations += [f"vertex {used_ids[order[pos[e]]]} hangs on edge "
                    f"({a[e]}, {b[e]})" for e in np.flatnonzero(hit)]
 
-    diam = mesh.geometry["edge_len"].max(axis=1)
-    positive = areas > 0.0
-    ratios = diam[positive] * diam[positive] / areas[positive]
-
     return MeshDiagnostics(conformity_violations=violations,
                            inverted_elements=inverted,
                            orphan_vertices=orphans,
-                           duplicate_elements=duplicates,
-                           max_shape_ratio=float(ratios.max(initial=0.0)))
+                           duplicate_elements=duplicates)

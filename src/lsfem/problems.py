@@ -91,7 +91,7 @@ class Problem:
     ``c`` a float; only the load ``f_fn`` varies in space, vectorized over
     point arrays of shape (n, 2) -> (n,).  With constant coefficients the
     operator maps the discrete space to piecewise P1 fields, which the
-    lambda rule of nested PCG relies on (``driver._eta_lipschitz``).
+    lambda rule of nested PCG relies on (its energy-norm bound with L = 1).
     """
 
     a: np.ndarray

@@ -193,18 +193,20 @@ class FixedSteps:
 class IncrementStop:
     """Stop once ||x_n - x_{n-1}||_A <= lam * eta(x_n).
 
-    ``eta`` is a callable evaluated at the candidate iterate; a fixed
-    reference is a callable that ignores its argument.  ``max_steps`` caps
-    the loop.
+    ``eta`` is a callable evaluated at the candidate iterate.  ``max_steps``
+    caps the loop.
 
     ``eta_lipschitz`` is a constant L with eta(x) <= eta(y) + L ||x - y||_A
-    for all x, y, or None when no such constant is known.  With None the
-    callable is evaluated after every step.  With L, ``pcg_run`` evaluates
-    it only where ``increment <= lam * (eta(x_k) + L ||x_n - x_k||_A)``,
-    x_k being the last evaluated iterate, widened by ``_BOUND_SLACK`` so that
-    rounding in the bound cannot skip a step that stops (a relative error
-    near eps * ||F|| / eta, about 1e-13 at eta / ||F|| = 1e-3).  Either way
-    the loop stops only on an evaluated eta, at the same step and iterate.
+    for all x, y, or None when no such constant is known.  The driver passes
+    L = 1: the level estimator has it when the assembly and the estimator
+    rule are both exact to degree 2, as every configurable pair is.  With
+    None the callable is evaluated after every step, the reference that the
+    bound must reproduce.  With L, ``pcg_run`` evaluates it only where
+    ``increment <= lam * (eta(x_k) + L ||x_n - x_k||_A)``, x_k being the
+    last evaluated iterate, widened by ``_BOUND_SLACK`` so that rounding in
+    the bound cannot skip a step that stops (a relative error near
+    eps * ||F|| / eta, about 1e-13 at eta / ||F|| = 1e-3).  Either way the
+    loop stops only on an evaluated eta, at the same step and iterate.
     """
     lam: float
     eta: Callable
@@ -242,7 +244,6 @@ class ResidualTol:
 class PcgResult:
     x: np.ndarray                       # the final iterate x_n
     iterations: int
-    residual_norms: list                # of x_0, ..., x_n
     increments: list                    # A-norm of each step, length = iterations
     energy_errors: Optional[list]       # of x_0, ..., x_n when reference given
     stop_reason: str                    # max_iter | increment_criterion | residual_tol
@@ -304,8 +305,8 @@ def pcg_run(system, rhs, precond="jacobi", x0=None, stop=FixedSteps(1),
     """Preconditioned conjugate gradients with pluggable stopping rules.
 
     Always performs at least one step.  Returns the final iterate along
-    with residual norms, A-norm increments, and (if ``reference`` is given)
-    energy-norm errors per iterate.  A non-finite ``rhs`` or ``x0`` raises
+    with the A-norm increments and (if ``reference`` is given) energy-norm
+    errors per iterate.  A non-finite ``rhs`` or ``x0`` raises
     ``ValueError``.  A search direction whose d.Ad is negative or NaN raises
     ``SolverError``, and so does d.Ad = 0 unless d is so small that d.Ad
     underflows (its rescaled curvature is positive), which takes a null
@@ -343,7 +344,6 @@ def pcg_run(system, rhs, precond="jacobi", x0=None, stop=FixedSteps(1),
     z = apply_p(r)
     d = z.copy()
     rz = float(r @ z)
-    residuals = [float(np.linalg.norm(r))]
     increments = []
     energies = None if reference is None else [energy_error(x)]
     stop_reason = "max_iter"
@@ -392,7 +392,6 @@ def pcg_run(system, rhs, precond="jacobi", x0=None, stop=FixedSteps(1),
             increment = 0.0
         n_steps += 1
         increments.append(increment)
-        residuals.append(float(np.linalg.norm(r)))
         if energies is not None:
             energies.append(energy_error(x))
 
@@ -414,12 +413,12 @@ def pcg_run(system, rhs, precond="jacobi", x0=None, stop=FixedSteps(1),
                 stop_reason = "increment_criterion"
                 break
         elif isinstance(stop, ResidualTol):
-            if residuals[-1] <= stop.tol * max(bnorm, 1e-300) or residuals[-1] == 0.0:
+            rnorm = float(np.linalg.norm(r))
+            if rnorm <= stop.tol * max(bnorm, 1e-300) or rnorm == 0.0:
                 stop_reason = "residual_tol"
                 break
 
-    return PcgResult(x=x, iterations=n_steps,
-                     residual_norms=residuals, increments=increments,
+    return PcgResult(x=x, iterations=n_steps, increments=increments,
                      energy_errors=energies, stop_reason=stop_reason)
 
 

@@ -412,13 +412,12 @@ def test_uniform_refinement_halves_error_every_two_rounds():
     assert 1.7 <= factor <= 2.3
 
 
-def test_eta_ref_initial_accepted():
-    config = replace(SMOOTH,
-                     solver=SolverSpec(kind="pcg", lam=0.5,
-                                       eta_ref="initial"),
-                     stop=StopSpec(max_ndof=200))
-    history = run_adaptive(config)
-    assert history.n_levels >= 2
+def test_eta_ref_initial_rejected():
+    """The lambda rule evaluates eta at the current iterate only: a fixed eta
+    of the start iterate is no longer a config."""
+    with pytest.raises(ConfigurationError,
+                       match="eta_ref must be 'current', got 'initial'"):
+        SolverSpec(kind="pcg", lam=0.5, eta_ref="initial")
 
 
 NAN = float("nan")
@@ -466,6 +465,9 @@ NAN = float("nan")
     # an exact solve takes no PCG-only key
     (SolverSpec, dict(kind="exact", n_steps=3)),
     (SolverSpec, dict(kind="exact", lam=0.02)),
+    # the lambda rule needs ||L v|| = ||v||_A and eta at the current iterate
+    (QuadSpec, dict(assembly_order=1)),
+    (SolverSpec, dict(kind="pcg", lam=0.1, eta_ref="initial")),
 ])
 def test_invalid_configs_rejected(mutate):
     spec, kwargs = mutate

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import lsfem.assembly
+import lsfem.estimator
 from lsfem import (LevelEstimator, ProblemSpec, assemble_system,
                    builtin_domain, build_dofmap, compute_error_norms,
                    compute_indicators, discrete_v_norm, eval_discrete,
@@ -93,6 +94,19 @@ def test_error_norm_zero_for_zero_solution():
     prob = make_problem(ProblemSpec(kind="poisson", manufactured="zero"))
     report = compute_error_norms(dm, np.zeros(dm.n_total), prob.exact)
     assert report.total == 0.0
+
+
+def test_error_norm_without_exact_solution_rejected(monkeypatch):
+    """A missing manufactured solution is refused before any table is
+    built."""
+    dm = build_dofmap(builtin_domain("unit_square"))
+
+    def no_tables(*args):
+        raise AssertionError("quadrature tables built")
+
+    monkeypatch.setattr(lsfem.estimator, "QuadFields", no_tables)
+    with pytest.raises(ValueError, match="need a manufactured solution"):
+        compute_error_norms(dm, np.zeros(dm.n_total), None)
 
 
 def test_error_and_estimator_comparable_on_solved_problem():

@@ -1,10 +1,11 @@
 """The energy-norm bound on eta that lets the lambda rule skip evaluations.
 
-``driver._eta_lipschitz`` gives the level estimator the constant 1 when the
+The driver gives the level estimator the constant 1, which holds when the
 assembly and the estimator rule are both exact to degree 2: L v is then
 piecewise P1, so both rules integrate |L v|^2 exactly and ||L v|| at the
-estimator's points is ||v||_A.  The premise tests fail first if a problem
-gains a variable coefficient.  The equivalence tests run ``pcg_run`` with
+estimator's points is ||v||_A.  Every assembly order ``QuadSpec`` accepts
+gives such a pair.  The premise tests fail first if a problem gains a
+variable coefficient.  The equivalence tests run ``pcg_run`` with
 that constant against the same stop with the constant unknown, which
 evaluates eta after every step, and require every bit to agree.  They
 pair assembly and estimator rules freely, beyond the ``assembly_order +
@@ -14,11 +15,10 @@ pair assembly and estimator rules freely, beyond the ``assembly_order +
 import numpy as np
 import pytest
 
-from lsfem import (IncrementStop, LevelEstimator, ProblemSpec, QuadSpec,
-                   assemble_system, builtin_domain, build_dofmap,
-                   exact_solve, make_problem, pcg_run, refine_nvb,
-                   refine_uniform)
-from lsfem.driver import _eta_lipschitz
+from lsfem import (ConfigurationError, IncrementStop, LevelEstimator,
+                   ProblemSpec, QuadSpec, assemble_system, builtin_domain,
+                   build_dofmap, exact_solve, make_problem, pcg_run,
+                   refine_nvb, refine_uniform)
 from lsfem.quadrature import quadrature_rule
 from lsfem.spaces import prolongate
 
@@ -92,16 +92,18 @@ def _lipschitz(assembly_order, estimator_order):
     return None
 
 
-def test_lipschitz_constant_needs_both_rules_exact_to_degree_two():
-    """The estimator rule, of order assembly_order + 2, is exact to degree
-    3 at least, so the assembly rule decides."""
-    for order in range(1, 9):
+def test_every_accepted_order_has_both_rules_exact_to_degree_two():
+    """The driver passes the constant 1 for every config: each assembly
+    order ``QuadSpec`` accepts and its estimator rule, two orders up, are
+    both exact to degree 2.  The centroid rule, order 1, is not and is
+    refused, as are the orders whose estimator rule does not exist."""
+    for order in range(2, 9):
         spec = QuadSpec(order)
-        assert _eta_lipschitz(spec) == _lipschitz(
-            order, spec.resolved_estimator_order())
-    assert _eta_lipschitz(QuadSpec()) == 1.0
-    assert _eta_lipschitz(QuadSpec(2)) == 1.0
-    assert _eta_lipschitz(QuadSpec(1)) is None          # estimator order 3
+        assert _lipschitz(order, spec.resolved_estimator_order()) == 1.0
+    assert _lipschitz(1, 3) is None
+    for order in (0, 1, 9):
+        with pytest.raises(ConfigurationError):
+            QuadSpec(order)
 
 
 @pytest.fixture(scope="module")

@@ -334,15 +334,6 @@ def test_validate_flags_edge_shared_by_three_elements():
     assert diag.conformity_violations == ["edge (0, 1) is shared by 3 elements"]
 
 
-def test_validate_max_shape_ratio():
-    # diam^2 / area: 2 / 0.5 for the unit right triangle, 17 / 2 for the other
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [4.0, 1.0]])
-    assert np.isclose(validate(Mesh(verts[:3], [[0, 1, 2]])).max_shape_ratio,
-                      4.0, rtol=1e-15)
-    diag = validate(Mesh(verts, [[0, 1, 2], [0, 3, 2]]))
-    assert diag.ok and np.isclose(diag.max_shape_ratio, 8.5, rtol=1e-15)
-
-
 def test_validate_flags_orphans():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
     mesh = Mesh(verts, np.array([[0, 1, 2]]))
