@@ -9,6 +9,10 @@ in the same order, so the assembled matrix is symmetric entry for entry.
 It is positive definite whenever the continuous problem is well posed.
 The scatter works through bounded blocks of matrix rows, so no array of
 the 36 nt local entries, their keys or their sort order is ever built.
+It counts before it fills: the entries of each row follow from the mesh
+topology (``csr_row_lengths``), so the CSR arrays are allocated once, at
+their final length, and every block writes straight into them.  The load
+is summed block by block, so no table of local loads is kept either.
 
 The element kernels keep the element index as the last, contiguous axis,
 so every numpy operation runs over a whole block of elements.  Each local
@@ -134,9 +138,38 @@ def _local_system(images, w, f):
     return gram.T, load.T
 
 
-def _scatter_csr(element_dofs, upper, n):
+def csr_row_lengths(dofmap):
+    """Number of stored entries in each row of the level's matrix.
+
+    Entry (j, k) is stored when dofs j and k share an element, so the rows
+    follow from the topology of ``dofmap.mesh`` alone, in O(nt):
+
+    - interior vertex v: v itself, its interior neighbours, its incident
+      edges and, for each element at v, the edge opposite v;
+    - edge e: the interior vertices among its endpoints and its one or two
+      opposite vertices, and the 5 edges of its two elements (3 of its one
+      element on the boundary).
+    """
+    mesh = dofmap.mesh
+    nv, edges, elements = mesh.n_vertices, mesh.edges, mesh.elements
+    interior = dofmap.vertex_dof >= 0
+    a, b = interior[edges[:, 0]], interior[edges[:, 1]]
+    inner = np.compress(a & b, edges, axis=0)     # both ends interior
+    vertex = (1 + np.bincount(inner.ravel(), minlength=nv)
+              + np.bincount(edges.ravel(), minlength=nv)
+              + np.bincount(elements.ravel(), minlength=nv))
+    # local edge i lies opposite local vertex i
+    opposite = np.bincount(np.compress(interior[elements.ravel()],
+                                       mesh.elem_edges.ravel()),
+                           minlength=len(edges))
+    edge = (np.add(a, b, dtype=np.intp) + opposite
+            + np.where(mesh.boundary_edge_mask, 3, 5))
+    return np.concatenate([vertex[dofmap.interior_vertices], edge])
+
+
+def _scatter_csr(element_dofs, upper, n, row_lengths):
     """Deterministic duplicate summation of symmetric local matrices into an
-    (n, n) CSR matrix.
+    (n, n) CSR matrix with ``row_lengths[i]`` entries in row i.
 
     Element e adds ``upper[e, _UPPER[j, k]]`` at (``element_dofs[e, j]``,
     ``element_dofs[e, k]``); an entry whose row or column is -1 (a
@@ -158,8 +191,18 @@ def _scatter_csr(element_dofs, upper, n):
     36 nt entries is built.  Block ids and row offsets are small integers,
     which numpy sorts by radix, and the keys of rows already in order leave
     the key sort short runs.
+
+    ``data`` and ``indices`` are allocated once, at the length the row
+    lengths give, and each block writes its sums and columns straight into
+    its rows' slice of them (count, then fill, as ``cs_compress`` in
+    Davis, *Direct Methods for Sparse Linear Systems*, 2006).  A block
+    whose distinct entries per row differ from ``row_lengths`` raises
+    ``ValueError``, so a wrong count cannot produce a corrupt matrix.
     """
     element_dofs = np.asarray(element_dofs, dtype=np.intp)
+    row_lengths = np.asarray(row_lengths)
+    if row_lengths.shape != (n,):
+        raise ValueError(f"row_lengths must have shape ({n},)")
     dofs = element_dofs.ravel()
     if dofs.size and (dofs.min() < -1 or dofs.max() >= n):
         raise ValueError(f"element dofs must lie in [-1, {n})")
@@ -172,10 +215,16 @@ def _scatter_csr(element_dofs, upper, n):
     slots = slots[np.argsort(slot_block, kind="stable")]
     bounds = np.zeros(n_blocks + 1, dtype=np.intp)
     np.cumsum(np.bincount(slot_block, minlength=n_blocks), out=bounds[1:])
-    index_dtype = np.int32 if n <= np.iinfo(np.int32).max else np.intp
-    data, indices = [], []
-    row_nnz = np.zeros(n + 1, dtype=np.intp)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    # block b holds rows first_row[b] .. first_row[b + 1] - 1
+    first_row = np.searchsorted(row_block, np.arange(n_blocks + 1))
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(row_lengths, out=indptr[1:])
+    fits = max(n, indptr[-1]) <= np.iinfo(np.int32).max
+    indptr = indptr.astype(np.int32 if fits else np.intp, copy=False)
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=indptr.dtype)
+    for lo, hi, r0, r1 in zip(bounds[:-1], bounds[1:],
+                              first_row[:-1], first_row[1:]):
         block = slots[lo:hi]
         rows = dofs[block]
         offset = rows - rows.min(initial=n)
@@ -195,14 +244,14 @@ def _scatter_csr(element_dofs, upper, n):
         first = np.ones(len(key), dtype=bool)
         np.not_equal(key[1:], key[:-1], out=first[1:])
         starts = np.flatnonzero(first)
-        data.append(np.add.reduceat(vals[order], starts))
         r, c = np.divmod(key[starts], n)
-        indices.append(c.astype(index_dtype))
-        if len(r):
-            row_nnz[r[0] + 1:r[-1] + 2] = np.bincount(r - r[0])
-    data = np.concatenate(data)          # frees each list before the next
-    indices = np.concatenate(indices)
-    return sp.csr_matrix((data, indices, np.cumsum(row_nnz)), shape=(n, n))
+        counts = np.bincount(r - r0, minlength=r1 - r0)
+        if (counts != row_lengths[r0:r1]).any():
+            raise ValueError("row lengths do not match the entries")
+        pos, end = indptr[r0], indptr[r1]
+        np.add.reduceat(vals[order], starts, out=data[pos:end])
+        indices[pos:end] = c
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def assemble_system(mesh, dofmap, problem, quad_order=4):
@@ -211,9 +260,11 @@ def assemble_system(mesh, dofmap, problem, quad_order=4):
     The contributions to one matrix entry come in element order (then
     local dof order) and are summed as ``_scatter_csr`` states, so
     reassembling the same inputs reproduces the same matrix bit for bit.
-    No factorization happens here; ``SparseSpd.factor`` builds one for each
-    exact solve and rejects a matrix that is not positive definite.
-    ``mesh`` must be ``dofmap.mesh``, else ``ValueError``.
+    The load is accumulated block by block in the same element order, so
+    no table of local loads is kept.  No factorization happens here;
+    ``SparseSpd.factor`` builds one for each exact solve and rejects a
+    matrix that is not positive definite.  ``mesh`` must be
+    ``dofmap.mesh``, else ``ValueError``.
     """
     if mesh is not dofmap.mesh:
         raise ValueError("the dof map belongs to another mesh")
@@ -222,19 +273,18 @@ def assemble_system(mesh, dofmap, problem, quad_order=4):
             f"system size {dofmap.n_total} exceeds the supported maximum {MAX_DOFS}")
     rule = quadrature_rule(quad_order)
     nt, n = mesh.n_elements, dofmap.n_total
+    gdofs = dofmap.element_dofs                          # (nt, 6)
     upper = np.empty((nt, len(_ROWS)))
-    local_rhs = np.empty((nt, 6))
+    rhs = np.zeros(n)
     scale = mesh.rt_scale
     for start in range(0, nt, _BLOCK):
         block = slice(start, start + _BLOCK)
-        upper[block], local_rhs[block] = _local_system(
+        upper[block], load = _local_system(
             *_operator_images(mesh, problem, rule, block, scale[block]))
-
-    gdofs = dofmap.element_dofs                          # (nt, 6)
-    matrix = _scatter_csr(gdofs, upper, n)
-    rhs = np.zeros(n)
-    rkeep = gdofs.ravel() >= 0
-    np.add.at(rhs, gdofs.ravel()[rkeep], local_rhs.ravel()[rkeep])
+        dofs = gdofs[block].ravel()
+        keep = dofs >= 0
+        np.add.at(rhs, dofs[keep], load.ravel()[keep])
+    matrix = _scatter_csr(gdofs, upper, n, csr_row_lengths(dofmap))
     return SparseSpd(matrix), rhs
 
 

@@ -42,7 +42,9 @@ class Mesh:
     Parameters
     ----------
     vertices : (nv, 2) float array, finite
-    elements : (nt, 3) int array, counterclockwise, refinement edge first
+    elements : (nt, 3) array of an integer dtype, counterclockwise,
+               refinement edge first; any other dtype raises
+               ``MeshValidityError`` rather than being truncated
 
     A mesh returned by ``refine_nvb`` also has ``parent``: for each element,
     its containing element in the mesh it was refined from, which it links
@@ -51,11 +53,14 @@ class Mesh:
 
     def __init__(self, vertices, elements):
         vertices = np.array(vertices, dtype=float)
-        elements = np.array(elements, dtype=np.intp)
+        elements = np.array(elements)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise MeshValidityError("vertices must be an (nv, 2) array")
         if elements.ndim != 2 or elements.shape[1] != 3:
             raise MeshValidityError("elements must be an (nt, 3) array")
+        if elements.dtype.kind not in "iu":
+            raise MeshValidityError("elements must hold integer vertex "
+                                    f"indices, not {elements.dtype}")
         finite = np.isfinite(vertices).all(axis=1)
         if not finite.all():
             raise MeshValidityError(
@@ -63,10 +68,26 @@ class Mesh:
         if elements.size and (elements.min() < 0
                               or elements.max() >= len(vertices)):
             raise MeshValidityError("element vertex index out of range")
+        elements = elements.astype(np.intp, copy=False)
         repeats = (np.diff(np.sort(elements, axis=1), axis=1) == 0).any(axis=1)
         if repeats.any():
             raise MeshValidityError(
                 f"element {int(np.argmax(repeats))} repeats a vertex")
+        self._adopt(vertices, elements)
+
+    @classmethod
+    def _refined(cls, vertices, elements):
+        """A mesh over arrays that ``refine_nvb`` has just built from a valid
+        mesh: float64 vertices and intp elements, in range and with no
+        repeated vertex by construction, so neither is copied or re-checked
+        for that.  The orientation check stays, on the geometry that is
+        computed anyway."""
+        mesh = cls.__new__(cls)
+        mesh._adopt(vertices, elements)
+        return mesh
+
+    def _adopt(self, vertices, elements):
+        """Take ownership of checked arrays and check the orientation."""
         self.vertices = vertices
         self.elements = elements
         self.vertices.setflags(write=False)
@@ -137,17 +158,14 @@ class Mesh:
     # -- cached topology ---------------------------------------------------
 
     def _edge_tables(self):
-        """Edge numbering, incidence and normals, computed once per mesh.
+        """Edge numbering and incidence, computed once per mesh.
 
         Returns a dict with:
           edges         (ne, 2) sorted vertex pairs, lexicographically ordered
           elem_edges    (nt, 3) global edge index of each local edge
           edge_elements (ne, 2) adjacent element indices, ascending, -1 pad
-          edge_signs    (nt, 3) +1 where the element is the lowest-index
-                        element adjacent to the edge, else -1
-          edge_normals  (ne, 2) the global edge normal: the unit normal
-                        pointing out of edge_elements[e, 0], hence outward
-                        on the boundary
+          edge_signs    (nt, 3) int8, +1 where the element is the
+                        lowest-index element adjacent to the edge, else -1
         """
         if "edges" in self._cache:
             return self._cache
@@ -170,19 +188,11 @@ class Mesh:
         edge_elements[:, 0] = lowest // 3
         shared = counts == 2
         edge_elements[shared, 1] = order[first[shared] + 1] // 3
-        signs = np.full(3 * nt, -1, dtype=np.intp)
+        signs = np.full(3 * nt, -1, dtype=np.int8)
         signs[lowest] = 1
-        # right-hand perp of the CCW tangent of local edge i points out
-        geometry = self.geometry
-        coords = geometry["coords"]
-        tangent = (np.take(coords, [2, 0, 1], axis=1)
-                   - np.take(coords, [1, 2, 0], axis=1))
-        normal = tangent[..., ::-1] * [1.0, -1.0]
-        normal /= geometry["edge_len"][..., None]
         self._cache.update(edges=edges, elem_edges=elem_edges,
                            edge_elements=edge_elements,
-                           edge_signs=signs.reshape(nt, 3),
-                           edge_normals=normal.reshape(-1, 2)[lowest])
+                           edge_signs=signs.reshape(nt, 3))
         return self._cache
 
     @property
@@ -203,7 +213,23 @@ class Mesh:
 
     @property
     def edge_normals(self):
-        return self._edge_tables()["edge_normals"]
+        """(ne, 2) global edge normals: the unit normal pointing out of
+        ``edge_elements[e, 0]``, hence outward on the boundary.  Built on
+        first use, since only prolongation and the checks read them."""
+        if "edge_normals" not in self._cache:
+            # right-hand perp of the CCW tangent of local edge i points out
+            coords = self.geometry["coords"]
+            tangent = (np.take(coords, [2, 0, 1], axis=1)
+                       - np.take(coords, [1, 2, 0], axis=1))
+            normal = tangent[..., ::-1] * [1.0, -1.0]
+            normal /= self.geometry["edge_len"][..., None]
+            # each edge takes the normal of its positively oriented local edge
+            lowest = np.flatnonzero(self.edge_signs.ravel() == 1)
+            edge_normals = np.empty((len(lowest), 2))
+            edge_normals[self.elem_edges.ravel()[lowest]] = (
+                normal.reshape(-1, 2)[lowest])
+            self._cache["edge_normals"] = edge_normals
+        return self._cache["edge_normals"]
 
     @property
     def boundary_edge_mask(self):
@@ -337,7 +363,7 @@ def refine_nvb(mesh, marked):
         [p2, m, m0]]).transpose(2, 0, 1)
     slots[~bisected, 0] = mesh.elements[~bisected]
     keep = np.column_stack([np.ones_like(bisected), left, bisected, right])
-    fine = Mesh(vertices, slots[keep])
+    fine = Mesh._refined(vertices, slots[keep])
     fine.parent = np.nonzero(keep)[0]
     fine.parent.setflags(write=False)
     fine._refined_from = weakref.ref(mesh)

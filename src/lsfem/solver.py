@@ -143,7 +143,12 @@ class SparseSpd:
     196,609   1.11 s, peak 344 MiB   0.69 s, peak 279 MiB
     ========  =====================  ==================
 
-    The process held 190 MiB before the first factorization.  SuperLU
+    The process held 190 MiB before the first factorization.  Since
+    assembly fills the final CSR arrays in place, a fresh process that
+    assembles at 196,609 dofs and factors holds 141 MiB before the factor
+    (175 MiB before) and peaks at 258 MiB (284 MiB), and the last level of
+    an exact run of the uniform L-shape goes from 160-165 MiB to a
+    268-273 MiB peak (192 and 300 MiB before).  SuperLU
     sizes its panel statistics from its compiled defaults (panel 20, relax
     10), and a wider panel is unsafe: ``panel_size=40`` with the default
     relaxation at 49,153 dofs ended in a glibc heap-corruption abort at

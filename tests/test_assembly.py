@@ -9,7 +9,7 @@ import lsfem.assembly
 from lsfem import (ProblemSpec, SparseSpd, assemble_system, builtin_domain,
                    build_dofmap, eval_discrete, exact_solve, make_problem,
                    quadrature_rule, refine_nvb, refine_uniform)
-from lsfem.assembly import _UPPER, QuadFields, _scatter_csr
+from lsfem.assembly import _UPPER, QuadFields, _scatter_csr, csr_row_lengths
 from lsfem.errors import SolverError
 from lsfem.problems import eval_data, eval_operator
 from lsfem.solver import _pivots, _SuperLUObject
@@ -331,7 +331,8 @@ def test_scatter_matches_lexsort_reference():
     assert any(len(set(row) - {-1}) < (row >= 0).sum() for row in element_dofs)
     upper = _random_upper(rng, 140)
     expected = _scatter_csr_lexsort(*_entries(element_dofs, upper), n)
-    _assert_same_csr(_scatter_csr(element_dofs.copy(), upper.copy(), n),
+    _assert_same_csr(_scatter_csr(element_dofs.copy(), upper.copy(), n,
+                                  np.diff(expected.indptr)),
                      expected)
 
 
@@ -364,7 +365,8 @@ def test_blocked_scatter_matches_lexsort_reference(block, monkeypatch):
     for element_dofs, n in cases:
         upper = _random_upper(rng, len(element_dofs))
         expected = _scatter_csr_lexsort(*_entries(element_dofs, upper), n)
-        _assert_same_csr(_scatter_csr(element_dofs, upper, n), expected)
+        _assert_same_csr(_scatter_csr(element_dofs, upper, n,
+                                      np.diff(expected.indptr)), expected)
 
 
 @pytest.mark.parametrize("element_dofs, n", [
@@ -373,7 +375,8 @@ def test_blocked_scatter_matches_lexsort_reference(block, monkeypatch):
     (np.empty((0, 6), dtype=int), 5),
     (np.empty((0, 6), dtype=int), 0)])
 def test_scatter_without_entries_is_empty(element_dofs, n):
-    matrix = _scatter_csr(element_dofs, np.ones((len(element_dofs), 21)), n)
+    matrix = _scatter_csr(element_dofs, np.ones((len(element_dofs), 21)), n,
+                          np.zeros(n, dtype=int))
     assert matrix.shape == (n, n) and matrix.nnz == 0
     np.testing.assert_array_equal(matrix.indptr, np.zeros(n + 1))
 
@@ -382,7 +385,62 @@ def test_scatter_without_entries_is_empty(element_dofs, n):
 def test_scatter_rejects_out_of_range_dofs(bad):
     element_dofs = np.array([[0, 1, 2, -1, 1, bad]])
     with pytest.raises(ValueError, match="element dofs"):
-        _scatter_csr(element_dofs, np.ones((1, 21)), 3)
+        _scatter_csr(element_dofs, np.ones((1, 21)), 3, np.zeros(3, dtype=int))
+
+
+def _random_graded(domain, seed):
+    """A mesh of ``domain`` refined at random: 2 uniform rounds, then 8
+    rounds that each bisect a random quarter of the elements."""
+    rng = np.random.default_rng(seed)
+    mesh = refine_uniform(builtin_domain(domain), rounds=2)
+    for _ in range(8):
+        mesh = refine_nvb(mesh, rng.choice(mesh.n_elements,
+                                           mesh.n_elements // 4 + 1,
+                                           replace=False))
+    return mesh
+
+
+@pytest.mark.parametrize("domain", ["l_shape", "unit_square"])
+def test_topology_row_lengths_match_assembled_rows(domain):
+    """The row lengths from the mesh topology are the distinct entries per
+    row of the reference scatter, which counts them from the entries
+    themselves: on the coarse mesh, uniform refinements and randomly
+    graded meshes."""
+    meshes = [refine_uniform(builtin_domain(domain), rounds=r)
+              for r in (0, 1, 5)]
+    meshes += [_random_graded(domain, seed) for seed in range(3)]
+    for mesh in meshes:
+        dm = build_dofmap(mesh)
+        gdofs = dm.element_dofs
+        expected = _scatter_csr_lexsort(
+            *_entries(gdofs, np.ones((len(gdofs), 21))), dm.n_total)
+        np.testing.assert_array_equal(csr_row_lengths(dm),
+                                      np.diff(expected.indptr))
+
+
+def _wrong_lengths(lengths):
+    """Row-length vectors that differ from ``lengths``: one row more or
+    less, a row's entry moved to another row (the same total), a length
+    too many or too few."""
+    more, less, moved = lengths.copy(), lengths.copy(), lengths.copy()
+    more[3] += 1
+    less[-1] -= 1
+    moved[0] += 1
+    moved[-2] -= 1
+    return [more, less, moved, lengths[:-1], np.append(lengths, 0)]
+
+
+@pytest.mark.parametrize("block", [7, 2 ** 16])
+def test_scatter_rejects_wrong_row_lengths(block, monkeypatch):
+    """A row-length vector that is not the matrix's raises ``ValueError``
+    instead of producing a matrix, with one block or many."""
+    monkeypatch.setattr(lsfem.assembly, "_SCATTER_BLOCK", block)
+    dm = build_dofmap(_graded_l_shape())
+    lengths = csr_row_lengths(dm)
+    upper = np.ones((len(dm.element_dofs), 21))
+    for wrong in _wrong_lengths(lengths):
+        with pytest.raises(ValueError, match="row"):
+            _scatter_csr(dm.element_dofs, upper, dm.n_total, wrong)
 
 
 def _scatter_runs(rows, cols, vals):
@@ -419,7 +477,7 @@ def test_scatter_summation_order_is_pinned():
     # the shipped configs' meshes have at most 8 elements at a vertex, and
     # numpy sums runs of up to 8 values in the order pinned here
     assert 3 <= max(map(len, runs)) <= 8
-    got = _scatter_csr(gdofs, upper, dm.n_total).data
+    got = _scatter_csr(gdofs, upper, dm.n_total, csr_row_lengths(dm)).data
     assert np.array_equal(got, [_inner_first(run) for run in runs])
     # the element-order sequential sum differs, so the pin has teeth
     assert not np.array_equal(
@@ -445,10 +503,12 @@ def test_assembly_memory_peak_bounded():
     """Assembly's transient memory stays a small multiple of its output.
 
     The ``tracemalloc`` peak counts every numpy buffer, so the ratio does
-    not depend on the machine.  Blocked assembly with the row-block scatter
-    needs about 3 times the returned CSR arrays here; one sort over all 36
-    entries of every local matrix needed about 5.4 times, and building all
-    operator images at once and sorting three keys about 16 times.
+    not depend on the machine.  With the scatter filling the final CSR
+    arrays in place, assembly needs 2.92 times the returned CSR arrays
+    here (2.30 at 98,304 elements); collecting per-block pieces and
+    concatenating them needed 3.06 (2.94), one sort over all 36 entries of
+    every local matrix about 5.4, and building all operator images at once
+    and sorting three keys about 16.
     """
     mesh = refine_uniform(builtin_domain("l_shape"), rounds=12)
     dm = build_dofmap(mesh)
@@ -464,7 +524,7 @@ def test_assembly_memory_peak_bounded():
         tracemalloc.stop()
     m = system.matrix
     assert mesh.n_elements == 24_576
-    assert peak <= 4 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
+    assert peak <= 3.2 * (m.data.nbytes + m.indices.nbytes + m.indptr.nbytes)
 
 
 def _operator_basis_images_reference(mesh, problem, rule, scale):

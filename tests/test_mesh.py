@@ -63,6 +63,41 @@ def test_constructor_rejects_repeated_vertex():
         Mesh(verts, np.array([[0, 1, 2], [0, 1, 1], [2, 2, 0]]))
 
 
+@pytest.mark.parametrize("elements", [
+    [[0.7, 1, 2]], [[0, 1, 2.9]], [["0", "1", "2"]],
+    np.array([[0.0, 1.0, 2.0]]), np.array([[True, True, False]])])
+def test_constructor_rejects_non_integer_elements(elements):
+    """Element entries are vertex indices: a float, string or bool array
+    raises instead of being truncated to the integers below it."""
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(MeshValidityError, match="integer vertex indices"):
+        Mesh(verts, elements)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.int64])
+def test_constructor_accepts_any_integer_dtype(dtype):
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    mesh = Mesh(verts, np.array([[0, 1, 2]], dtype=dtype))
+    assert mesh.elements.dtype == np.intp
+    np.testing.assert_array_equal(mesh.elements, [[0, 1, 2]])
+
+
+def test_refined_mesh_matches_public_constructor():
+    """``refine_nvb`` builds its result without the constructor's copies and
+    repeat check; the mesh is the one the public constructor builds from
+    the same arrays, read-only and with intp elements."""
+    mesh = refine_uniform(builtin_domain("l_shape"), rounds=2)
+    fine = refine_nvb(mesh, [0, 5, 17])
+    again = Mesh(fine.vertices, fine.elements)
+    assert fine.elements.dtype == np.intp and fine.vertices.dtype == float
+    assert not fine.elements.flags.writeable
+    assert not fine.vertices.flags.writeable
+    np.testing.assert_array_equal(fine.elements, again.elements)
+    np.testing.assert_array_equal(fine.vertices, again.vertices)
+    assert fine.signed_areas().tobytes() == again.signed_areas().tobytes()
+    assert validate(fine).ok
+
+
 def test_single_bisection_oracle():
     """Marking one element of the square bisects both (shared diagonal)."""
     mesh = builtin_domain("unit_square")
@@ -400,3 +435,46 @@ def test_mesh_immutable():
         mesh.vertices[0, 0] = 3.0
     with pytest.raises(ValueError):
         mesh.elements[0, 0] = 3
+
+
+def _eager_edge_normals(mesh):
+    """The edge normals as the edge tables once built them for every mesh:
+    all 3 nt local normals, then those of each edge's lowest-index
+    element."""
+    coords = mesh.geometry["coords"]
+    tangent = (np.take(coords, [2, 0, 1], axis=1)
+               - np.take(coords, [1, 2, 0], axis=1))
+    normal = tangent[..., ::-1] * [1.0, -1.0]
+    normal /= mesh.geometry["edge_len"][..., None]
+    lowest = np.flatnonzero(mesh.edge_signs.ravel() == 1)
+    order = np.argsort(mesh.elem_edges.ravel()[lowest])
+    return normal.reshape(-1, 2)[lowest[order]]
+
+
+def test_lazy_edge_normals_match_eager_formula():
+    """The normals built on first use are the eager ones bit for bit, and
+    an exact level, which never reads them, never holds them."""
+    rng = np.random.default_rng(17)
+    for domain in ("l_shape", "unit_square"):
+        mesh = refine_uniform(builtin_domain(domain), rounds=2)
+        for _ in range(4):
+            mesh = refine_nvb(mesh, rng.choice(mesh.n_elements, 7,
+                                               replace=False))
+            mesh.edges
+            assert "edge_normals" not in mesh._cache
+            assert (mesh.edge_normals.tobytes()
+                    == _eager_edge_normals(mesh).tobytes())
+            assert mesh.edge_normals is mesh.edge_normals
+
+
+def test_rt_scale_with_int8_signs():
+    """``edge_signs`` is int8; ``rt_scale`` has the bits of the intp signs
+    it was computed from before."""
+    mesh = refine_nvb(refine_uniform(builtin_domain("l_shape"), rounds=3),
+                      [1, 4, 30])
+    assert mesh.edge_signs.dtype == np.int8
+    signs = mesh.edge_signs.astype(np.intp)
+    expected = signs * mesh.geometry["edge_len"] / (
+        2.0 * mesh.geometry["area"])[:, None]
+    assert mesh.rt_scale.dtype == float
+    assert mesh.rt_scale.tobytes() == expected.tobytes()
