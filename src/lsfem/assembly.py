@@ -24,14 +24,6 @@ sums ``(f * a) * w`` over the points in the same way.  That is the order of
 and it is what keeps the matrix bits: another association or a fused
 multiply-add moves entries by rounding, and with them which elements the
 marking picks when indicators tie.
-
-``QuadFields`` splits the evaluation of a discrete function at the
-quadrature points into a level part (points, weights and the edge-field
-tables, whole-level arrays built once per dof map and rule) and a
-coefficient part (gather the local coefficients, combine them with those
-tables).  The coefficient part runs on one block of elements at a time,
-so its fields never span the whole level; the estimator walks the level
-in blocks of ``_BLOCK`` elements, as assembly does.
 """
 
 from __future__ import annotations
@@ -41,7 +33,6 @@ import scipy.sparse as sp
 
 from .quadrature import quadrature_rule
 from .solver import SparseSpd
-from .spaces import eval_local_basis
 
 MAX_DOFS = 200_000
 # Elements per assembly block: bounds the (nq, 3, 6, block) operator images
@@ -284,73 +275,7 @@ def assemble_system(mesh, dofmap, problem, quad_order=4):
         dofs = gdofs[block].ravel()
         keep = dofs >= 0
         np.add.at(rhs, dofs[keep], load.ravel()[keep])
+    del scale           # nt x 3 floats the scatter does not need
     matrix = _scatter_csr(gdofs, upper, n, csr_row_lengths(dofmap))
     return SparseSpd(matrix), rhs
 
-
-class QuadFields:
-    """Level part of the discrete fields at the quadrature points of a rule.
-
-    Holds the physical points ``phys`` (nt, nq, 2), the absolute weights
-    ``w_abs`` (nt, nq) and the edge-field tables, all whole-level arrays
-    built once; ``evaluate`` combines them with one coefficient vector on
-    one block of elements.  The tables are never written to, so one
-    instance serves any number of vectors and blocks on its level.
-    """
-
-    def __init__(self, dofmap, rule):
-        mesh = dofmap.mesh
-        coords = mesh.geometry["coords"]
-        self.dofmap = dofmap
-        self.hat_values = rule.points                   # (nq, 3)
-        self.hat_grads = mesh.geometry["hat_grads"]     # (nt, 3, 2)
-        self.phys = np.empty((mesh.n_elements, len(rule.weights), 2))
-        _quad_points(rule, coords.transpose(1, 0, 2),
-                     self.phys.transpose(1, 0, 2))
-        self.w_abs = rule.weights[None, :] * mesh.geometry["area"][:, None]
-        self.scale = mesh.rt_scale                      # (nt, 3)
-        # x - (opposite vertex of edge i), one (nt, nq, 2) array per edge
-        self.rel = [self.phys - coords[:, None, i, :] for i in range(3)]
-
-    def evaluate(self, coef, block=slice(None)):
-        """Fields of the discrete function ``coef`` on the elements ``block``.
-
-        ``block`` is a slice of the element axis.  Returns (u, grad_u,
-        sigma, div_sigma) with shapes (nb, nq), (nb, 2), (nb, nq, 2), (nb,)
-        for the nb elements of the block: the gradient and the divergence
-        are constant on each element.  Each element's values do not depend
-        on the block it is evaluated in.  Constrained dofs contribute zero.
-        A vector of another length than the dof map's raises ``ValueError``.
-        """
-        coef = np.asarray(coef, dtype=float)
-        if coef.shape != (self.dofmap.n_total,):
-            raise ValueError("coefficient vector length does not match the dof map")
-        gdofs = self.dofmap.element_dofs[block]
-        cf = np.where(gdofs >= 0, coef[np.clip(gdofs, 0, None)], 0.0)
-        u = np.einsum("qj,tj->tq", self.hat_values, cf[:, :3])
-        grad = np.einsum("tjd,tj->td", self.hat_grads[block], cf[:, :3])
-        scaled = self.scale[block] * cf[:, 3:]
-        rel = [r[block] for r in self.rel]
-        sigma = (rel[0] * scaled[:, None, 0, None]
-                 + rel[1] * scaled[:, None, 1, None]
-                 + rel[2] * scaled[:, None, 2, None])
-        div = (2.0 * scaled).sum(axis=1)
-        return u, grad, sigma, div
-
-
-def eval_discrete(dofmap, coef, elem, point):
-    """Evaluate one discrete function inside one element of ``dofmap.mesh``.
-
-    Returns (u, grad_u, sigma, div_sigma) at the point; the point must lie
-    in the closed element.
-    """
-    coef = np.asarray(coef, dtype=float)
-    if coef.shape != (dofmap.n_total,):
-        raise ValueError("coefficient vector length does not match the dof map")
-    basis = eval_local_basis(dofmap, elem, point)
-    local = np.where(basis.dofs >= 0, coef[np.clip(basis.dofs, 0, None)], 0.0)
-    u = float(local[:3] @ basis.hat_values)
-    grad = basis.hat_grads.T @ local[:3]
-    sigma = basis.rt_values.T @ local[3:]
-    div = float(local[3:] @ basis.rt_divs)
-    return u, grad, sigma, div

@@ -5,13 +5,13 @@ eta_T = ||F - L u_h||_T, so the total squares to the least-squares
 functional of the discrete solution; no separate data-oscillation term
 exists in this setting.
 
-``LevelEstimator`` is the level part of the indicator: the quadrature
-tables and the load f at the quadrature points, whole-level arrays built
-once per dof map, problem and rule.  The coefficients a, b and c are
-the constants of the ``Problem``.  Calling it on a coefficient vector only
-gathers the local coefficients and forms F - L u_h from those tables, so
-the lambda rule of nested PCG can evaluate eta at any step without
-re-integrating the data.
+``LevelEstimator`` is the level part of the indicator: a ``QuadFields``
+(the quadrature tables, whole-level arrays built once per dof map and
+rule) that also holds the load f at the quadrature points.  The
+coefficients a, b and c are the constants of the ``Problem``.  Calling it
+on a coefficient vector only gathers the local coefficients and forms
+F - L u_h from those tables, so the lambda rule of nested PCG can
+evaluate eta at any step without re-integrating the data.
 
 A call, like ``compute_error_norms``, evaluates the fields block by block
 (``assembly._BLOCK`` elements at a time) and writes each block's element
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly, problems
-from .assembly import QuadFields
+from .assembly import _quad_points
 from .quadrature import quadrature_rule
 
 
@@ -69,22 +69,72 @@ def _blocked_report(fields, block_integrand):
                            total=float(np.sqrt(squares.sum())))
 
 
-class LevelEstimator:
+class QuadFields:
+    """Level part of the discrete fields at the quadrature points of a rule.
+
+    Holds the physical points ``phys`` (nt, nq, 2), the absolute weights
+    ``w_abs`` (nt, nq) and the edge-field tables, all whole-level arrays
+    built once; ``evaluate`` combines them with one coefficient vector on
+    one block of elements.  The tables are never written to, so one
+    instance serves any number of vectors and blocks on its level.
+    """
+
+    def __init__(self, dofmap, rule):
+        mesh = dofmap.mesh
+        coords = mesh.geometry["coords"]
+        self.dofmap = dofmap
+        self.hat_values = rule.points                   # (nq, 3)
+        self.hat_grads = mesh.geometry["hat_grads"]     # (nt, 3, 2)
+        self.phys = np.empty((mesh.n_elements, len(rule.weights), 2))
+        _quad_points(rule, coords.transpose(1, 0, 2),
+                     self.phys.transpose(1, 0, 2))
+        self.w_abs = rule.weights[None, :] * mesh.geometry["area"][:, None]
+        self.scale = mesh.rt_scale                      # (nt, 3)
+        # x - (opposite vertex of edge i), one (nt, nq, 2) array per edge
+        self.rel = [self.phys - coords[:, None, i, :] for i in range(3)]
+
+    def evaluate(self, coef, block=slice(None)):
+        """Fields of the discrete function ``coef`` on the elements ``block``.
+
+        ``block`` is a slice of the element axis.  Returns (u, grad_u,
+        sigma, div_sigma) with shapes (nb, nq), (nb, 2), (nb, nq, 2), (nb,)
+        for the nb elements of the block: the gradient and the divergence
+        are constant on each element.  Each element's values do not depend
+        on the block it is evaluated in.  Constrained dofs contribute zero.
+        A vector of another length than the dof map's raises ``ValueError``.
+        """
+        coef = np.asarray(coef, dtype=float)
+        if coef.shape != (self.dofmap.n_total,):
+            raise ValueError("coefficient vector length does not match the dof map")
+        gdofs = self.dofmap.element_dofs[block]
+        cf = np.where(gdofs >= 0, coef[np.clip(gdofs, 0, None)], 0.0)
+        u = np.einsum("qj,tj->tq", self.hat_values, cf[:, :3])
+        grad = np.einsum("tjd,tj->td", self.hat_grads[block], cf[:, :3])
+        scaled = self.scale[block] * cf[:, 3:]
+        rel = [r[block] for r in self.rel]
+        sigma = (rel[0] * scaled[:, None, 0, None]
+                 + rel[1] * scaled[:, None, 1, None]
+                 + rel[2] * scaled[:, None, 2, None])
+        div = (2.0 * scaled).sum(axis=1)
+        return u, grad, sigma, div
+
+
+class LevelEstimator(QuadFields):
     """Indicators eta_T = ||F - L u_h||_T of any discrete function on one level.
 
     The tables built here are read, never written, so one instance can be
-    called on any number of coefficient vectors of its dof map, and its
-    ``fields`` serve ``compute_error_norms`` on the same level.  Pass it as
-    ``estimator=`` to ``compute_indicators`` or ``compute_error_norms`` to
-    share them; those check its dof map, rule order and problem.
+    called on any number of coefficient vectors of its dof map and can
+    serve as the fields of ``compute_error_norms`` on the same level.  Pass
+    it as ``estimator=`` to ``compute_indicators`` or ``compute_error_norms``
+    to share them; those check its dof map, rule order and problem.
     """
 
     def __init__(self, dofmap, problem, quad_order=6):
-        self.fields = QuadFields(dofmap, quadrature_rule(quad_order))
+        super().__init__(dofmap, quadrature_rule(quad_order))
         self.quad_order = quad_order
         self.problem = problem
-        self.f = problem.f_fn(self.fields.phys.reshape(-1, 2)).reshape(
-            self.fields.w_abs.shape)
+        self.f = problem.f_fn(self.phys.reshape(-1, 2)).reshape(
+            self.w_abs.shape)
 
     def __call__(self, coef):
         (a00, a01), (a10, a11) = self.problem.a
@@ -92,7 +142,7 @@ class LevelEstimator:
         c = self.problem.c
 
         def residual_squared(block):
-            u, grad, sigma, div = self.fields.evaluate(coef, block)
+            u, grad, sigma, div = self.evaluate(coef, block)
             g0, g1 = grad[:, None, 0], grad[:, None, 1]
             res0 = self.f[block] - (-div[:, None] + (b0 * g0 + b1 * g1)
                                     + c * u)
@@ -100,11 +150,11 @@ class LevelEstimator:
             resv1 = -((a10 * g0 + a11 * g1) - sigma[..., 1])
             return res0 ** 2 + resv0 ** 2 + resv1 ** 2
 
-        return _blocked_report(self.fields, residual_squared)
+        return _blocked_report(self, residual_squared)
 
 
 def _check_estimator(estimator, dofmap, quad_order):
-    if estimator.fields.dofmap is not dofmap:
+    if estimator.dofmap is not dofmap:
         raise ValueError("the estimator belongs to another dof map")
     if estimator.quad_order != quad_order:
         raise ValueError(
@@ -140,7 +190,7 @@ def compute_error_norms(dofmap, coef, exact, quad_order=6, *,
     half is zero (``problems._zero_exact``) with a coefficient vector whose
     flux block is zero measures the H1 error of the scalar alone, and the
     other way round for H(div).  ``estimator``, a ``LevelEstimator`` of
-    this dof map and rule order, lends its ``fields`` instead of a new
+    this dof map and rule order, serves as the fields instead of a new
     build; the bits are the same.  ``exact`` None raises ``ValueError``.
     """
     if exact is None:
@@ -149,7 +199,7 @@ def compute_error_norms(dofmap, coef, exact, quad_order=6, *,
         fields = QuadFields(dofmap, quadrature_rule(quad_order))
     else:
         _check_estimator(estimator, dofmap, quad_order)
-        fields = estimator.fields
+        fields = estimator
 
     def error_squared(block):
         u, grad, sigma, div = fields.evaluate(coef, block)

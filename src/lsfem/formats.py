@@ -54,17 +54,38 @@ def config_from_dict(data):
     return spec_from_dict(AdaptiveConfig, data, "")
 
 
+def _reject_duplicate_keys(node, where=""):
+    """Raise ``ConfigurationError`` on a key given twice in one mapping of
+    the YAML node tree, which a plain load would settle for the last one."""
+    if isinstance(node, yaml.MappingNode):
+        seen = set()
+        for key, value in node.value:
+            if isinstance(key, yaml.ScalarNode):    # the loader rejects others
+                if key.value in seen:
+                    raise ConfigurationError(
+                        f"duplicate key {key.value!r} in {where or 'config'}")
+                seen.add(key.value)
+            _reject_duplicate_keys(
+                value, f"{where}.{key.value}" if where else key.value)
+    elif isinstance(node, yaml.SequenceNode):
+        for item in node.value:
+            _reject_duplicate_keys(item, where)
+
+
 def parse_config(path):
-    """Read a YAML run configuration from disk."""
+    """Read a YAML run configuration from disk; a key repeated within one
+    mapping raises ``ConfigurationError``."""
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
     with fh:
-        try:
-            data = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigurationError(f"malformed YAML in {path}: {exc}") from exc
+        text = fh.read()
+    try:
+        _reject_duplicate_keys(yaml.compose(text, Loader=yaml.SafeLoader))
+        data = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigurationError(f"malformed YAML in {path}: {exc}") from exc
     if data is None:
         raise ConfigurationError(f"empty config file: {path}")
     return config_from_dict(data)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,7 +95,6 @@ class Mesh:
         self.elements.setflags(write=False)
         self.parent = None
         self._refined_from = None       # weakref.ref, set by refine_nvb
-        self._cache = {}
         areas = self.signed_areas()
         if np.any(areas <= 0.0):
             bad = int(np.argmin(areas))
@@ -112,7 +112,7 @@ class Mesh:
     def n_elements(self):
         return self.elements.shape[0]
 
-    @property
+    @cached_property
     def geometry(self):
         """Per-element geometry, computed once per mesh (read-only arrays).
 
@@ -122,27 +122,25 @@ class Mesh:
           edge_len  (nt, 3) length of local edge i, opposite vertex i
           hat_grads (nt, 3, 2) gradient of the hat of local vertex i
         """
-        if "geometry" not in self._cache:
-            coords = self.vertices[self.elements]
-            d1 = coords[:, 1] - coords[:, 0]
-            d2 = coords[:, 2] - coords[:, 0]
-            area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-            # local edge i runs from vertex i + 1 to vertex i + 2 (np.take
-            # gathers along the middle axis several times faster than [])
-            edge_vec = (np.take(coords, [2, 0, 1], axis=1)
-                        - np.take(coords, [1, 2, 0], axis=1))
-            edge_len = np.hypot(edge_vec[..., 0], edge_vec[..., 1])
-            # grad of hat i is perp(edge i) / (2 area), perp(x, y) = (-y, x)
-            hat_grads = np.stack([-edge_vec[..., 1], edge_vec[..., 0]], axis=-1)
-            # the constructor rejects a degenerate element right after this
-            with np.errstate(divide="ignore", invalid="ignore"):
-                hat_grads /= (2.0 * area)[:, None, None]
-            geometry = {"coords": coords, "area": area, "edge_len": edge_len,
-                        "hat_grads": hat_grads}
-            for array in geometry.values():
-                array.setflags(write=False)
-            self._cache["geometry"] = geometry
-        return self._cache["geometry"]
+        coords = self.vertices[self.elements]
+        d1 = coords[:, 1] - coords[:, 0]
+        d2 = coords[:, 2] - coords[:, 0]
+        area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        # local edge i runs from vertex i + 1 to vertex i + 2 (np.take
+        # gathers along the middle axis several times faster than [])
+        edge_vec = (np.take(coords, [2, 0, 1], axis=1)
+                    - np.take(coords, [1, 2, 0], axis=1))
+        edge_len = np.hypot(edge_vec[..., 0], edge_vec[..., 1])
+        # grad of hat i is perp(edge i) / (2 area), perp(x, y) = (-y, x)
+        hat_grads = np.stack([-edge_vec[..., 1], edge_vec[..., 0]], axis=-1)
+        # the constructor rejects a degenerate element right after this
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hat_grads /= (2.0 * area)[:, None, None]
+        geometry = {"coords": coords, "area": area, "edge_len": edge_len,
+                    "hat_grads": hat_grads}
+        for array in geometry.values():
+            array.setflags(write=False)
+        return geometry
 
     def signed_areas(self):
         return self.geometry["area"]
@@ -157,18 +155,17 @@ class Mesh:
 
     # -- cached topology ---------------------------------------------------
 
+    @cached_property
     def _edge_tables(self):
         """Edge numbering and incidence, computed once per mesh.
 
-        Returns a dict with:
+        A dict with:
           edges         (ne, 2) sorted vertex pairs, lexicographically ordered
           elem_edges    (nt, 3) global edge index of each local edge
           edge_elements (ne, 2) adjacent element indices, ascending, -1 pad
           edge_signs    (nt, 3) int8, +1 where the element is the
                         lowest-index element adjacent to the edge, else -1
         """
-        if "edges" in self._cache:
-            return self._cache
         nt = self.n_elements
         pairs = np.sort(self.elements[:, _LOCAL_EDGES].reshape(-1, 2), axis=1)
         # a * nv + b orders sorted pairs lexicographically
@@ -190,59 +187,53 @@ class Mesh:
         edge_elements[shared, 1] = order[first[shared] + 1] // 3
         signs = np.full(3 * nt, -1, dtype=np.int8)
         signs[lowest] = 1
-        self._cache.update(edges=edges, elem_edges=elem_edges,
-                           edge_elements=edge_elements,
-                           edge_signs=signs.reshape(nt, 3))
-        return self._cache
+        return dict(edges=edges, elem_edges=elem_edges,
+                    edge_elements=edge_elements,
+                    edge_signs=signs.reshape(nt, 3))
 
     @property
     def edges(self):
-        return self._edge_tables()["edges"]
+        return self._edge_tables["edges"]
 
     @property
     def elem_edges(self):
-        return self._edge_tables()["elem_edges"]
+        return self._edge_tables["elem_edges"]
 
     @property
     def edge_elements(self):
-        return self._edge_tables()["edge_elements"]
+        return self._edge_tables["edge_elements"]
 
     @property
     def edge_signs(self):
-        return self._edge_tables()["edge_signs"]
+        return self._edge_tables["edge_signs"]
 
-    @property
+    @cached_property
     def edge_normals(self):
         """(ne, 2) global edge normals: the unit normal pointing out of
         ``edge_elements[e, 0]``, hence outward on the boundary.  Built on
         first use, since only prolongation and the checks read them."""
-        if "edge_normals" not in self._cache:
-            # right-hand perp of the CCW tangent of local edge i points out
-            coords = self.geometry["coords"]
-            tangent = (np.take(coords, [2, 0, 1], axis=1)
-                       - np.take(coords, [1, 2, 0], axis=1))
-            normal = tangent[..., ::-1] * [1.0, -1.0]
-            normal /= self.geometry["edge_len"][..., None]
-            # each edge takes the normal of its positively oriented local edge
-            lowest = np.flatnonzero(self.edge_signs.ravel() == 1)
-            edge_normals = np.empty((len(lowest), 2))
-            edge_normals[self.elem_edges.ravel()[lowest]] = (
-                normal.reshape(-1, 2)[lowest])
-            self._cache["edge_normals"] = edge_normals
-        return self._cache["edge_normals"]
+        # right-hand perp of the CCW tangent of local edge i points out
+        coords = self.geometry["coords"]
+        tangent = (np.take(coords, [2, 0, 1], axis=1)
+                   - np.take(coords, [1, 2, 0], axis=1))
+        normal = tangent[..., ::-1] * [1.0, -1.0]
+        normal /= self.geometry["edge_len"][..., None]
+        # each edge takes the normal of its positively oriented local edge
+        lowest = np.flatnonzero(self.edge_signs.ravel() == 1)
+        edge_normals = np.empty((len(lowest), 2))
+        edge_normals[self.elem_edges.ravel()[lowest]] = (
+            normal.reshape(-1, 2)[lowest])
+        return edge_normals
 
     @property
     def boundary_edge_mask(self):
         return self.edge_elements[:, 1] < 0
 
-    @property
+    @cached_property
     def boundary_vertex_mask(self):
-        if "boundary_vertices" not in self._cache:
-            mask = np.zeros(self.n_vertices, dtype=bool)
-            bedges = self.edges[self.boundary_edge_mask]
-            mask[bedges.ravel()] = True
-            self._cache["boundary_vertices"] = mask
-        return self._cache["boundary_vertices"]
+        mask = np.zeros(self.n_vertices, dtype=bool)
+        mask[self.edges[self.boundary_edge_mask].ravel()] = True
+        return mask
 
 
 # -- construction ----------------------------------------------------------
@@ -372,6 +363,9 @@ def refine_nvb(mesh, marked):
 
 def refine_uniform(mesh, rounds=1):
     """Apply mark-everything refinement ``rounds`` times."""
+    if (isinstance(rounds, bool) or not isinstance(rounds, (int, np.integer))
+            or rounds < 0):
+        raise ValueError(f"rounds must be a nonnegative integer, got {rounds!r}")
     for _ in range(rounds):
         mesh = refine_nvb(mesh, np.arange(mesh.n_elements))
     return mesh

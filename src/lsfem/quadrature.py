@@ -80,7 +80,8 @@ def _conical_rule(degree):
 @lru_cache(maxsize=None)
 def quadrature_rule(order):
     """A positive-weight rule exact to at least the requested degree."""
-    if not isinstance(order, (int, np.integer)) or not 1 <= order <= MAX_ORDER:
+    if (isinstance(order, bool) or not isinstance(order, (int, np.integer))
+            or not 1 <= order <= MAX_ORDER):
         raise ValueError(f"quadrature order must be in 1..{MAX_ORDER}, got {order!r}")
     if order in _TABLES:
         pts, wts = _TABLES[order]

@@ -116,45 +116,22 @@ class SparseSpd:
     and is rejected.
 
     SuperLU gets the transpose of the CSR matrix, which is a CSC matrix over
-    the same three arrays (no copy; 26.4 MiB at 196,609 dofs) and, by
-    symmetry, the same matrix.  Supernode relaxation is off (``relax=1``):
-    the default relaxation merges small supernodes by storing explicit
-    zeros, about as many as the true fill, while the MMD ordering stays the
-    same and only rounding changes.  On the uniform L-shape with BLAS on one
-    thread that took the factorization from 3.53 s to 1.26-1.46 s and the
-    factor from 22,183,244 to 11,050,626 nonzeros at 196,609 dofs, from
-    0.58 s to 0.22 s at 49,153 dofs and from 0.056 s to 0.037 s at 12,289.
+    the same three arrays (no copy) and, by symmetry, the same matrix.
+    Supernode relaxation is off (``relax=1``): the default relaxation merges
+    small supernodes by storing explicit zeros, about as many as the true
+    fill, while the MMD ordering stays the same and only rounding changes.
 
     SuperLU factors one column per panel (``panel_size=1``).  Its default
     panel of 20 columns updates a block of columns at once through BLAS-3
     (Demmel, Eisenstat, Gilbert, Li and Liu, SIAM J. Matrix Anal. Appl.
     1999), but with supernodes this small its n x panel work arrays cost
-    more than the blocking saves.  The ordering and the factor's structure
-    stay the same and only the order of the updates changes (12,289 dofs:
-    solutions within 1.2e-13 relative).  ``splu`` alone on the uniform
-    L-shape, BLAS on one thread, min of 3 in one process:
-
-    ========  =====================  ==================
-    dofs      default panel (20)     ``panel_size=1``
-    ========  =====================  ==================
-    12,289    0.030 s                0.023 s
-    49,153    0.196 s                0.136 s
-    98,305    0.464 s                0.330 s
-    196,609   1.11 s, peak 344 MiB   0.69 s, peak 279 MiB
-    ========  =====================  ==================
-
-    The process held 190 MiB before the first factorization.  Since
-    assembly fills the final CSR arrays in place, a fresh process that
-    assembles at 196,609 dofs and factors holds 141 MiB before the factor
-    (175 MiB before) and peaks at 258 MiB (284 MiB), and the last level of
-    an exact run of the uniform L-shape goes from 160-165 MiB to a
-    268-273 MiB peak (192 and 300 MiB before).  SuperLU
-    sizes its panel statistics from its compiled defaults (panel 20, relax
-    10), and a wider panel is unsafe: ``panel_size=40`` with the default
-    relaxation at 49,153 dofs ended in a glibc heap-corruption abort at
-    exit.  A test keeps both literals within 1..20.  With one-column panels
-    a larger ``relax`` gains nothing: at 98,305 dofs relax 1, 2, 4 and 8
-    took 0.37, 0.37, 0.41 and 0.60 s.
+    more time and memory than the blocking saves.  The ordering and the
+    factor's structure stay the same and only the order of the updates
+    changes.  SuperLU sizes its panel statistics from its compiled defaults
+    (panel 20, relax 10), and a wider panel is unsafe: ``panel_size=40``
+    with the default relaxation at 49,153 dofs ended in a glibc
+    heap-corruption abort at exit.  A test keeps both literals within
+    1..20.  With one-column panels a larger ``relax`` gains nothing.
     """
 
     def __init__(self, matrix):
@@ -180,14 +157,27 @@ class SparseSpd:
         return lu
 
 
+def _check_count(name, value):
+    """Reject a step count that is not an integer (bool is not) or below 1."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < 1):
+        raise ValueError(f"{name} must be an integer of at least 1, "
+                         f"got {value!r}")
+
+
+def _check_positive(name, value):
+    """Reject a tolerance that is not finite and positive (NaN included)."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FixedSteps:
     """Run exactly n PCG steps."""
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("fixed step count must be at least 1")
+        _check_count("fixed step count", self.n)
 
     @property
     def max_steps(self):
@@ -219,14 +209,13 @@ class IncrementStop:
     eta_lipschitz: Optional[float] = None
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+        _check_positive("lambda", self.lam)
+        _check_count("max_steps", self.max_steps)
         if not callable(self.eta):
             raise ValueError(f"eta must be callable, got {self.eta!r}")
-        if (self.eta_lipschitz is not None
-                and not 0.0 <= self.eta_lipschitz < np.inf):
+        if self.eta_lipschitz is not None and (
+                isinstance(self.eta_lipschitz, bool)
+                or not 0.0 <= self.eta_lipschitz < np.inf):
             raise ValueError(
                 "eta_lipschitz must be finite and nonnegative, got "
                 f"{self.eta_lipschitz!r}")
@@ -239,10 +228,8 @@ class ResidualTol:
     max_steps: int = 10_000
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("residual tolerance must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+        _check_positive("residual tolerance", self.tol)
+        _check_count("max_steps", self.max_steps)
 
 
 @dataclass

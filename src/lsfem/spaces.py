@@ -104,6 +104,24 @@ def eval_local_basis(dofmap, elem, point):
                       dofs=dofmap.element_dofs[elem].copy())
 
 
+def eval_discrete(dofmap, coef, elem, point):
+    """Evaluate one discrete function inside one element of ``dofmap.mesh``.
+
+    Returns (u, grad_u, sigma, div_sigma) at the point; the point must lie
+    in the closed element.
+    """
+    coef = np.asarray(coef, dtype=float)
+    if coef.shape != (dofmap.n_total,):
+        raise ValueError("coefficient vector length does not match the dof map")
+    basis = eval_local_basis(dofmap, elem, point)
+    local = np.where(basis.dofs >= 0, coef[np.clip(basis.dofs, 0, None)], 0.0)
+    u = float(local[:3] @ basis.hat_values)
+    grad = basis.hat_grads.T @ local[:3]
+    sigma = basis.rt_values.T @ local[3:]
+    div = float(local[3:] @ basis.rt_divs)
+    return u, grad, sigma, div
+
+
 # -- prolongation ------------------------------------------------------------
 
 def prolongation_matrix(coarse_dofmap, fine_dofmap):

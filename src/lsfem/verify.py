@@ -27,7 +27,7 @@ from .estimator import (LevelEstimator, compute_error_norms,
 from .marking import MarkingSpec, doerfler_bruteforce, mark, verify_marking_axiom
 from .mesh import (ancestor_map, builtin_domain, refine_nvb, refine_uniform,
                    validate)
-from .problems import ProblemSpec, _zero_exact, make_problem
+from .problems import ProblemSpec, _sine_exact, _zero_exact, make_problem
 from .solver import ResidualTol, estimate_pcg_contraction, exact_solve, pcg_run
 from .spaces import build_dofmap, prolongation_matrix
 
@@ -364,24 +364,15 @@ def interpolation_rate_check(levels=5, quad_order=8):
     size together with the interpolation error of a constant (which must be
     at machine precision).
     """
-    def u_fn(p):
-        return np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
-
-    def grad_fn(p):
-        x, y = p[:, 0], p[:, 1]
-        return np.pi * np.column_stack([np.cos(np.pi * x) * np.sin(np.pi * y),
-                                        np.sin(np.pi * x) * np.cos(np.pi * y)])
-
-    def div_fn(p):
-        return -2.0 * np.pi ** 2 * u_fn(p)
+    sine = _sine_exact(np.eye(2))           # sigma = grad u
 
     def const_fn(p):
         return np.tile([1.0, 2.0], (len(p), 1))
 
     # each interpolant has one block zero, so it is measured against an
     # exact solution whose other half is zero
-    scalar = replace(_zero_exact(), u=u_fn, grad_u=grad_fn)
-    flux = replace(_zero_exact(), sigma=grad_fn, div_sigma=div_fn)
+    scalar = replace(_zero_exact(), u=sine.u, grad_u=sine.grad_u)
+    flux = replace(_zero_exact(), sigma=sine.sigma, div_sigma=sine.div_sigma)
     constant = replace(_zero_exact(), sigma=const_fn)
     hs, h1_errors, hdiv_errors = [], [], []
     # two burn-in rounds: the 8-element mesh is pre-asymptotic for the
@@ -392,10 +383,10 @@ def interpolation_rate_check(levels=5, quad_order=8):
         mesh = refine_uniform(mesh, rounds=2)
         dofmap = build_dofmap(mesh)
         hs.append(float(mesh.geometry["edge_len"].max()))
-        coef = nodal_interpolation(dofmap, u_fn)
+        coef = nodal_interpolation(dofmap, sine.u)
         h1_errors.append(compute_error_norms(dofmap, coef, scalar,
                                              quad_order).total)
-        coef_rt = edge_moment_interpolation(dofmap, grad_fn)
+        coef_rt = edge_moment_interpolation(dofmap, sine.sigma)
         hdiv_errors.append(compute_error_norms(dofmap, coef_rt, flux,
                                                quad_order).total)
         # constant fields live in the lowest-order edge space, so the

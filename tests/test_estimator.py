@@ -10,7 +10,7 @@ from lsfem import (LevelEstimator, ProblemSpec, assemble_system,
                    compute_indicators, discrete_v_norm, eval_discrete,
                    exact_solve, make_problem, quadrature_rule, refine_nvb,
                    refine_uniform)
-from lsfem.assembly import QuadFields
+from lsfem.estimator import QuadFields
 from lsfem.problems import eval_operator
 
 
@@ -265,7 +265,7 @@ def test_estimator_memory_peak_bounded():
                                     b=[0.03, -0.07]))
     coef = np.random.default_rng(3).standard_normal(dm.n_total)
     estimate = LevelEstimator(dm, prob)
-    tables = _table_bytes(estimate.fields) + estimate.f.nbytes
+    tables = _table_bytes(estimate) + estimate.f.nbytes
     tracemalloc.start()
     try:
         estimate(coef)

@@ -157,6 +157,24 @@ def test_removed_keys_are_unknown(tmp_path, capsys, data):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("domain: unit_square\nproblem: {kind: poisson, f: 1.0}\n"
+     "stop: {max_ndof: 100}\nstop: {max_ndof: 200}\n",
+     "duplicate key 'stop' in config"),
+    ("domain: unit_square\nproblem:\n  kind: poisson\n  f: 1.0\n  f: 2.0\n",
+     "duplicate key 'f' in problem")], ids=["top_level", "nested"])
+def test_duplicate_keys_rejected(tmp_path, capsys, text, message):
+    """A repeated key is an error, not a silent choice of its last value."""
+    path = tmp_path / "dup.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigurationError, match=message):
+        parse_config(path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # two valid configs that between them set every field of every spec off its
 # default, keys in declaration order; two are needed because each spec
 # checks its values when it is built, and the pairs f/manufactured and

@@ -139,6 +139,14 @@ def test_refine_rejects_bad_marked(marked, message):
         refine_nvb(builtin_domain("l_shape"), marked)
 
 
+@pytest.mark.parametrize("rounds", [-3, 1.5, True, "2"])
+def test_refine_uniform_rejects_bad_rounds(rounds):
+    mesh = builtin_domain("l_shape")
+    with pytest.raises(ValueError, match="nonnegative integer"):
+        refine_uniform(mesh, rounds)
+    assert refine_uniform(mesh, 0) is mesh
+
+
 def test_refinement_is_deterministic():
     mesh = builtin_domain("l_shape")
     a = refine_nvb(mesh, [0, 3])
@@ -461,7 +469,7 @@ def test_lazy_edge_normals_match_eager_formula():
             mesh = refine_nvb(mesh, rng.choice(mesh.n_elements, 7,
                                                replace=False))
             mesh.edges
-            assert "edge_normals" not in mesh._cache
+            assert "edge_normals" not in vars(mesh)
             assert (mesh.edge_normals.tobytes()
                     == _eager_edge_normals(mesh).tobytes())
             assert mesh.edge_normals is mesh.edge_normals

@@ -157,6 +157,33 @@ def test_assembly_holds_no_linear_algebra():
     assert found == []
 
 
+def test_assembly_only_assembles():
+    """Evaluating discrete fields at quadrature points is the estimator's
+    job: ``assembly.py`` defines no class and imports nothing from
+    ``spaces`` or ``estimator``, and ``QuadFields`` is defined in
+    ``estimator.py`` alone."""
+    package = pathlib.Path(lsfem.__file__).parent
+    found, homes = [], []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and node.name == "QuadFields":
+                homes.append(path.name)
+            if path.name != "assembly.py":
+                continue
+            if isinstance(node, ast.ClassDef):
+                found.append(f"class {node.name} (line {node.lineno})")
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+                if {"spaces", "estimator"} & {n.split(".")[-1] for n in names}:
+                    found.append(f"import (line {node.lineno})")
+            elif isinstance(node, ast.Import):
+                if any(a.name.split(".")[-1] in ("spaces", "estimator")
+                       for a in node.names):
+                    found.append(f"import (line {node.lineno})")
+    assert found == []
+    assert homes == ["estimator.py"]
+
+
 # the two functions that still take a level's mesh beside its dof map, for
 # positional callers outside the package; both check that they match
 _MESH_AND_DOFMAP = {"assemble_system", "compute_indicators"}

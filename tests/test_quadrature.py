@@ -53,7 +53,7 @@ def test_reference_second_moment():
     assert abs(x2 - 1 / 12) < 1e-15
 
 
-@pytest.mark.parametrize("order", [0, 11, -2, 2.5, "4", None])
+@pytest.mark.parametrize("order", [0, 11, -2, 2.5, "4", None, True])
 def test_invalid_orders_rejected(order):
     with pytest.raises(ValueError):
         quadrature_rule(order)

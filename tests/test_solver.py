@@ -157,6 +157,20 @@ def test_validation_errors():
         pcg_run(diag, np.zeros(2), x0=np.zeros(5))
     with pytest.raises(SolverError):
         pcg_run(diag, np.zeros(2), precond="ssor")
+    # a NaN tolerance never stops, and a step count is a whole number
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            IncrementStop(lam=bad, eta=lambda x: 1.0)
+        with pytest.raises(ValueError, match="finite and positive"):
+            ResidualTol(bad)
+    for count in (1.5, 2.0, True, "3"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            FixedSteps(count)
+        with pytest.raises(ValueError, match="must be an integer"):
+            IncrementStop(lam=0.1, eta=lambda x: 1.0, max_steps=count)
+        with pytest.raises(ValueError, match="must be an integer"):
+            ResidualTol(1e-10, max_steps=count)
+    assert FixedSteps(np.int64(2)).max_steps == 2
 
 
 def test_indefinite_matrix_rejected():
@@ -248,7 +262,7 @@ def test_exact_solve_validates_rhs_length():
         exact_solve(system, np.zeros(system.matrix.shape[0] + 2))
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-3])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-3, True])
 def test_increment_stop_rejects_a_fixed_eta_that_is_not_a_norm(value):
     """A fixed eta is rejected, a norm or not: the rule takes a callable,
     and a fixed reference is one that ignores its argument."""
