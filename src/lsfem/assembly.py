@@ -58,7 +58,8 @@ def _quad_points(rule, corners, out):
 def _operator_images(mesh, problem, rule, block, scale):
     """Operator images of the six local shape functions, element axis last.
 
-    Covers the elements in the slice ``block``; ``scale`` is
+    Covers the elements in the slice ``block``, whose corners and hat
+    gradients it forms with ``mesh.element_geometry``; ``scale`` is
     ``mesh.rt_scale[block]`` (the caller computes ``rt_scale`` once, not
     once per block).  Returns (images, w, f): images has shape
     (nq, 3, 6, nb) for quadrature point, operator component (scalar row,
@@ -68,16 +69,15 @@ def _operator_images(mesh, problem, rule, block, scale):
     (element, point)-ordered array; the coefficients a, b and c are the
     constants of ``problem``.
     """
-    geometry = mesh.geometry
-    corners = np.ascontiguousarray(
-        geometry["coords"][block].transpose(1, 2, 0))         # (3, 2, nb)
+    coords, grads = mesh.element_geometry(block)
+    corners = np.ascontiguousarray(coords.transpose(1, 2, 0))  # (3, 2, nb)
     nq, nb = len(rule.weights), corners.shape[-1]
     phys = _quad_points(rule, corners, np.empty((nq, 2, nb)))
-    w = rule.weights[:, None] * geometry["area"][block]
+    w = rule.weights[:, None] * mesh.geometry["area"][block]
     flat = phys.transpose(2, 0, 1).reshape(-1, 2)
     f = problem.f_fn(flat).reshape(nb, nq).T
     a, b, c = problem.a, problem.b, problem.c
-    grads = geometry["hat_grads"][block].transpose(1, 2, 0)    # (3, 2, nb)
+    grads = grads.transpose(1, 2, 0)                           # (3, 2, nb)
     images = np.empty((nq, 3, 6, nb))
     hats, edges = images[:, :, :3], images[:, :, 3:]
     # hats: state (lambda_j, grad lambda_j, 0, 0)
@@ -252,7 +252,10 @@ def assemble_system(mesh, dofmap, problem, quad_order=4):
     local dof order) and are summed as ``_scatter_csr`` states, so
     reassembling the same inputs reproduces the same matrix bit for bit.
     The load is accumulated block by block in the same element order, so
-    no table of local loads is kept.  No factorization happens here;
+    no table of local loads is kept.  Corners and hat gradients are
+    formed per block; the (nt, 6) dof table, which the scatter reads, is
+    gathered here and dies when assembly returns.  No factorization
+    happens here;
     ``SparseSpd.factor`` builds one for each exact solve and rejects a
     matrix that is not positive definite.  ``mesh`` must be
     ``dofmap.mesh``, else ``ValueError``.
@@ -264,7 +267,7 @@ def assemble_system(mesh, dofmap, problem, quad_order=4):
             f"system size {dofmap.n_total} exceeds the supported maximum {MAX_DOFS}")
     rule = quadrature_rule(quad_order)
     nt, n = mesh.n_elements, dofmap.n_total
-    gdofs = dofmap.element_dofs                          # (nt, 6)
+    gdofs = dofmap.element_dofs()                        # (nt, 6)
     upper = np.empty((nt, len(_ROWS)))
     rhs = np.zeros(n)
     scale = mesh.rt_scale

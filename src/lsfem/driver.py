@@ -215,11 +215,12 @@ def run_adaptive(config, level_sink=None):
     Returns an ``AdaptiveHistory`` with one row per level and the last
     level's ``LevelRecord`` as ``final``.  ``level_sink``, if given, is
     called with each level's record once the level is marked.  The loop
-    drops its own hold on a level's system, load and reports before the
-    next level is refined and assembled, so unless the sink keeps records,
-    at most one level's system is alive at a time.  A factor lives only
-    inside ``exact_solve``.  Only nested PCG keeps an earlier level, the
-    previous one, whose final iterate it prolongates.
+    drops its own hold on a level's system, load, solution and reports
+    before the next level is refined, and on its marks right after, so
+    unless the sink keeps records, at most one level's system is alive at
+    a time and nothing of an earlier level is alive at a factorization.
+    A factor lives only inside ``exact_solve``.  Only nested PCG keeps an
+    earlier level, the previous one, whose final iterate it prolongates.
 
     The level's estimator tables are built once: before PCG, which needs
     them for the lambda rule, and after ``exact_solve`` on the exact path,
@@ -281,11 +282,13 @@ def run_adaptive(config, level_sink=None):
             break
         if config.solver.kind == "pcg" and config.solver.nested:
             prev = (dofmap, coef)
-        # unless the sink keeps the record, the system dies here, before the
-        # next level is built, and the mesh once the next dof map replaces
-        # its own
-        del record, system, rhs, report, error_report
+        # unless the sink keeps the record, the system, the solution (which
+        # nested PCG keeps in prev) and the marks die here, so nothing of
+        # this level but its mesh is alive at the next level's factor, and
+        # the mesh dies once the next dof map replaces its own
+        del record, system, rhs, coef, report, error_report
         mesh = refine_nvb(mesh, marked)
+        del marked
         level += 1
 
     return AdaptiveHistory(rows=rows, final=record)

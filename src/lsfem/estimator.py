@@ -6,18 +6,23 @@ functional of the discrete solution; no separate data-oscillation term
 exists in this setting.
 
 ``LevelEstimator`` is the level part of the indicator: a ``QuadFields``
-(the quadrature tables, whole-level arrays built once per dof map and
-rule) that also holds the load f at the quadrature points.  The
-coefficients a, b and c are the constants of the ``Problem``.  Calling it
-on a coefficient vector only gathers the local coefficients and forms
-F - L u_h from those tables, so the lambda rule of nested PCG can
-evaluate eta at any step without re-integrating the data.
+(the quadrature tables, built once per dof map and rule) that also holds
+the load f at the quadrature points.  The tables are the points and
+weights, which are per element and point, and per element the corners,
+hat gradients, RT0 scale and dofs, which the mesh and the dof map do not
+keep; the edge-field vectors ``x - corner`` are not tables but formed per
+block.  The coefficients a, b and c are the constants of the
+``Problem``.  Calling it on a coefficient vector only gathers the local
+coefficients and forms F - L u_h from those tables, so the lambda rule of
+nested PCG can evaluate eta at any step without re-integrating the data.
 
 A call, like ``compute_error_norms``, evaluates the fields block by block
 (``assembly._BLOCK`` elements at a time) and writes each block's element
 squares into one array of the level, so its working memory is bounded by
 a block while every element's square, and the total summed over the whole
-array at the end, keeps the bits of a single-block evaluation.
+array at the end, keeps the bits of a single-block evaluation.  The
+driver builds the level's estimator after an exact solve, so none of its
+tables is alive while the level is factorized.
 
 ``compute_indicators`` and ``compute_error_norms`` build their own tables
 unless they are given a level's estimator through ``estimator=``; then
@@ -35,6 +40,7 @@ import numpy as np
 
 from . import assembly, problems
 from .assembly import _quad_points
+from .mesh import as_element_indices
 from .quadrature import quadrature_rule
 
 
@@ -46,7 +52,10 @@ class EstimatorReport:
     total: float
 
     def subset_total(self, element_indices):
-        idx = np.asarray(element_indices, dtype=np.intp)
+        """l2 total over the elements ``element_indices``; booleans, floats
+        and indices outside [0, n) raise ``ValueError``."""
+        idx = as_element_indices(element_indices, self.per_element.size,
+                                 "element_indices")
         return float(np.sqrt(np.sum(self.per_element[idx] ** 2)))
 
 
@@ -72,26 +81,30 @@ def _blocked_report(fields, block_integrand):
 class QuadFields:
     """Level part of the discrete fields at the quadrature points of a rule.
 
-    Holds the physical points ``phys`` (nt, nq, 2), the absolute weights
-    ``w_abs`` (nt, nq) and the edge-field tables, all whole-level arrays
-    built once; ``evaluate`` combines them with one coefficient vector on
-    one block of elements.  The tables are never written to, so one
-    instance serves any number of vectors and blocks on its level.
+    Holds whole-level arrays built once: the physical points ``phys``
+    (nt, nq, 2) and the absolute weights ``w_abs`` (nt, nq), and per
+    element the corners ``coords`` and hat gradients ``hat_grads``
+    (nt, 3, 2), the RT0 scale ``scale`` (nt, 3) and the dofs ``dofs``
+    (nt, 6).  The mesh and the dof map keep none of these per-element
+    tables, so they exist only while a level's fields do, which on the
+    exact path is after its factor is freed.  ``evaluate`` combines them
+    with one coefficient vector on one block of elements and forms the
+    edge-field vectors ``x - coords[:, i]`` for that block only.  The
+    tables are never written to, so one instance serves any number of
+    vectors and blocks on its level.
     """
 
     def __init__(self, dofmap, rule):
         mesh = dofmap.mesh
-        coords = mesh.geometry["coords"]
         self.dofmap = dofmap
         self.hat_values = rule.points                   # (nq, 3)
-        self.hat_grads = mesh.geometry["hat_grads"]     # (nt, 3, 2)
+        self.coords, self.hat_grads = mesh.element_geometry()
+        self.dofs = dofmap.element_dofs()               # (nt, 6)
         self.phys = np.empty((mesh.n_elements, len(rule.weights), 2))
-        _quad_points(rule, coords.transpose(1, 0, 2),
+        _quad_points(rule, self.coords.transpose(1, 0, 2),
                      self.phys.transpose(1, 0, 2))
         self.w_abs = rule.weights[None, :] * mesh.geometry["area"][:, None]
         self.scale = mesh.rt_scale                      # (nt, 3)
-        # x - (opposite vertex of edge i), one (nt, nq, 2) array per edge
-        self.rel = [self.phys - coords[:, None, i, :] for i in range(3)]
 
     def evaluate(self, coef, block=slice(None)):
         """Fields of the discrete function ``coef`` on the elements ``block``.
@@ -106,15 +119,25 @@ class QuadFields:
         coef = np.asarray(coef, dtype=float)
         if coef.shape != (self.dofmap.n_total,):
             raise ValueError("coefficient vector length does not match the dof map")
-        gdofs = self.dofmap.element_dofs[block]
+        gdofs = self.dofs[block]
         cf = np.where(gdofs >= 0, coef[np.clip(gdofs, 0, None)], 0.0)
         u = np.einsum("qj,tj->tq", self.hat_values, cf[:, :3])
         grad = np.einsum("tjd,tj->td", self.hat_grads[block], cf[:, :3])
         scaled = self.scale[block] * cf[:, 3:]
-        rel = [r[block] for r in self.rel]
-        sigma = (rel[0] * scaled[:, None, 0, None]
-                 + rel[1] * scaled[:, None, 1, None]
-                 + rel[2] * scaled[:, None, 2, None])
+        # sigma = sum_i (x - coords[:, i]) * scaled[:, i], summed in i
+        # order.  Points as complex x + iy: a complex difference is the
+        # difference of each component, and numpy runs it over the points
+        # in one loop instead of one loop of two per point
+        phys = self.phys[block].view(complex)           # (nb, nq, 1)
+        corners = self.coords[block].view(complex)      # (nb, 3, 1)
+        sigma = (phys - corners[:, None, 0]).view(float)
+        sigma *= scaled[:, None, 0, None]
+        term = (phys - corners[:, None, 1]).view(float)
+        term *= scaled[:, None, 1, None]
+        sigma += term
+        np.subtract(phys, corners[:, None, 2], out=term.view(complex))
+        term *= scaled[:, None, 2, None]
+        sigma += term
         div = (2.0 * scaled).sum(axis=1)
         return u, grad, sigma, div
 
@@ -122,7 +145,10 @@ class QuadFields:
 class LevelEstimator(QuadFields):
     """Indicators eta_T = ||F - L u_h||_T of any discrete function on one level.
 
-    The tables built here are read, never written, so one instance can be
+    The tables of ``QuadFields`` and the load ``f`` (nt, nq) at its points
+    are built here and kept for the instance's lifetime, so a call forms
+    only the block's edge-field vectors and gathers the block's
+    coefficients.  They are read, never written, so one instance can be
     called on any number of coefficient vectors of its dof map and can
     serve as the fields of ``compute_error_norms`` on the same level.  Pass
     it as ``estimator=`` to ``compute_indicators`` or ``compute_error_norms``

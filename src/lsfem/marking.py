@@ -13,6 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConfigurationError
+from .mesh import as_element_indices
 from .typecheck import check_fields
 
 STRATEGIES = ("maximum", "equilibration", "doerfler", "uniform")
@@ -77,9 +78,13 @@ def _doerfler(eta, theta):
 
 
 def verify_marking_axiom(indicators, marked):
-    """max over unmarked indicators <= max over marked indicators."""
+    """max over unmarked indicators <= max over marked indicators.
+
+    ``marked`` holds element indices; booleans, floats and indices outside
+    [0, n) raise ``ValueError``, and an empty set fails the axiom.
+    """
     eta = _as_indicators(indicators)
-    marked = np.asarray(marked, dtype=np.intp)
+    marked = as_element_indices(marked, eta.size, "marked")
     if marked.size == 0:
         return False
     unmarked = np.setdiff1d(np.arange(eta.size), marked)

@@ -22,6 +22,14 @@ from .errors import ConfigurationError, MeshValidityError
 _LOCAL_EDGES = np.array([[1, 2], [2, 0], [0, 1]], dtype=np.intp)
 
 
+def _edge_vectors(coords):
+    """Vectors (..., 3, 2) of the local edges of corners ``coords``: edge i
+    runs from vertex i + 1 to vertex i + 2.  ``np.take`` gathers along the
+    vertex axis several times faster than fancy indexing."""
+    return (np.take(coords, [2, 0, 1], axis=-2)
+            - np.take(coords, [1, 2, 0], axis=-2))
+
+
 @dataclass
 class MeshDiagnostics:
     """Report produced by :func:`validate`."""
@@ -117,30 +125,39 @@ class Mesh:
         """Per-element geometry, computed once per mesh (read-only arrays).
 
         A dict with:
-          coords    (nt, 3, 2) vertex coordinates
           area      (nt,) signed area, positive for a valid element
           edge_len  (nt, 3) length of local edge i, opposite vertex i
-          hat_grads (nt, 3, 2) gradient of the hat of local vertex i
+
+        Corner coordinates and hat gradients are not kept: each is a gather
+        or a few vector operations away, so ``element_geometry`` forms them
+        for the elements a caller reads.
         """
         coords = self.vertices[self.elements]
         d1 = coords[:, 1] - coords[:, 0]
         d2 = coords[:, 2] - coords[:, 0]
         area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-        # local edge i runs from vertex i + 1 to vertex i + 2 (np.take
-        # gathers along the middle axis several times faster than [])
-        edge_vec = (np.take(coords, [2, 0, 1], axis=1)
-                    - np.take(coords, [1, 2, 0], axis=1))
+        edge_vec = _edge_vectors(coords)
         edge_len = np.hypot(edge_vec[..., 0], edge_vec[..., 1])
-        # grad of hat i is perp(edge i) / (2 area), perp(x, y) = (-y, x)
-        hat_grads = np.stack([-edge_vec[..., 1], edge_vec[..., 0]], axis=-1)
-        # the constructor rejects a degenerate element right after this
-        with np.errstate(divide="ignore", invalid="ignore"):
-            hat_grads /= (2.0 * area)[:, None, None]
-        geometry = {"coords": coords, "area": area, "edge_len": edge_len,
-                    "hat_grads": hat_grads}
+        geometry = {"area": area, "edge_len": edge_len}
         for array in geometry.values():
             array.setflags(write=False)
         return geometry
+
+    def element_geometry(self, block=slice(None)):
+        """Corner coordinates and hat gradients of the elements ``block``.
+
+        ``block`` indexes the element axis: a slice, an index array or one
+        index.  Returns (coords, hat_grads), each (nb, 3, 2) (or (3, 2) for
+        one index): vertex i of each element and the gradient of the hat
+        of local vertex i.  Formed on each call, not stored; each element's
+        values do not depend on the block it is formed in.
+        """
+        coords = self.vertices[self.elements[block]]
+        edge_vec = _edge_vectors(coords)
+        # grad of hat i is perp(edge i) / (2 area), perp(x, y) = (-y, x)
+        hat_grads = np.stack([-edge_vec[..., 1], edge_vec[..., 0]], axis=-1)
+        hat_grads /= (2.0 * self.geometry["area"][block])[..., None, None]
+        return coords, hat_grads
 
     def signed_areas(self):
         return self.geometry["area"]
@@ -149,7 +166,8 @@ class Mesh:
     def rt_scale(self):
         """(nt, 3) factor of the RT0 edge fields: the field of local edge i
         is ``rt_scale[:, i] * (x - coords[:, i])``, its divergence twice
-        the factor.  Computed on each call, not stored."""
+        the factor, with ``coords`` from ``element_geometry``.  Computed on
+        each call, not stored."""
         return self.edge_signs * self.geometry["edge_len"] / (
             2.0 * self.geometry["area"])[:, None]
 
@@ -213,9 +231,7 @@ class Mesh:
         ``edge_elements[e, 0]``, hence outward on the boundary.  Built on
         first use, since only prolongation and the checks read them."""
         # right-hand perp of the CCW tangent of local edge i points out
-        coords = self.geometry["coords"]
-        tangent = (np.take(coords, [2, 0, 1], axis=1)
-                   - np.take(coords, [1, 2, 0], axis=1))
+        tangent = _edge_vectors(self.vertices[self.elements])
         normal = tangent[..., ::-1] * [1.0, -1.0]
         normal /= self.geometry["edge_len"][..., None]
         # each edge takes the normal of its positively oriented local edge
@@ -286,6 +302,25 @@ def builtin_domain(name):
 
 # -- refinement --------------------------------------------------------------
 
+def as_element_indices(indices, n_elements, name):
+    """``indices`` as an intp array of element indices in [0, n_elements).
+
+    An empty input, of any dtype, gives an empty array.  Booleans, floats
+    and indices out of range, negative ones included, raise ``ValueError``
+    naming ``name``, so a mask or a wrapped index is never read as a set of
+    elements.
+    """
+    indices = np.asarray(indices)
+    if indices.size == 0:
+        return np.empty(0, dtype=np.intp)
+    if indices.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integer element indices, "
+                         f"not {indices.dtype}")
+    if indices.min() < 0 or indices.max() >= n_elements:
+        raise ValueError(f"{name} element index out of range")
+    return indices.astype(np.intp, copy=False)
+
+
 def refine_nvb(mesh, marked):
     """Bisect the marked elements and close the mesh to conformity.
 
@@ -313,14 +348,9 @@ def refine_nvb(mesh, marked):
     ``p1-p2`` is split, else ``(p1, p2, m)``.  ``parent`` repeats each
     element's index once per child.
     """
-    marked = np.asarray(marked)
+    marked = as_element_indices(marked, mesh.n_elements, "marked")
     if marked.size == 0:
         return mesh
-    if marked.dtype.kind not in "iu":
-        raise ValueError("marked must hold integer element indices, "
-                         f"not {marked.dtype}")
-    if marked.min() < 0 or marked.max() >= mesh.n_elements:
-        raise ValueError("marked element index out of range")
 
     # local edge 2 is the refinement edge p0-p1, 1 is p2-p0, 0 is p1-p2
     elem_edges = mesh.elem_edges
@@ -355,7 +385,9 @@ def refine_nvb(mesh, marked):
     slots[~bisected, 0] = mesh.elements[~bisected]
     keep = np.column_stack([np.ones_like(bisected), left, bisected, right])
     fine = Mesh._refined(vertices, slots[keep])
-    fine.parent = np.nonzero(keep)[0]
+    # element index of each kept slot; nonzero(keep)[0] would be a view
+    # that keeps the (n, 2) index array of both axes alive
+    fine.parent = np.flatnonzero(keep) // keep.shape[1]
     fine.parent.setflags(write=False)
     fine._refined_from = weakref.ref(mesh)
     return fine

@@ -24,7 +24,9 @@ class DofMap:
     """Dof numbering of the product space on one mesh, held as ``mesh``.
 
     Scalar block first (interior vertices in ascending vertex order), then
-    one dof per edge in the mesh's lexicographic edge order.
+    one dof per edge in the mesh's lexicographic edge order.  It keeps only
+    the per-vertex numbering; ``element_dofs`` gathers the dofs of the
+    elements a caller reads, so no (nt, 6) table lives with the level.
     """
 
     def __init__(self, mesh):
@@ -37,9 +39,14 @@ class DofMap:
         vert_dof = np.full(mesh.n_vertices, -1, dtype=np.intp)
         vert_dof[interior] = np.arange(self.n_h1, dtype=np.intp)
         self.vertex_dof = vert_dof
-        # (nt, 6): three vertex dofs (-1 if constrained), three edge dofs
-        self.element_dofs = np.concatenate(
-            [vert_dof[mesh.elements], self.n_h1 + mesh.elem_edges], axis=1)
+
+    def element_dofs(self, block=slice(None)):
+        """Global dofs (nb, 6) of the elements ``block`` (a slice, an index
+        array or one index): the three vertex dofs, -1 where constrained,
+        then the three edge dofs."""
+        mesh = self.mesh
+        return np.concatenate([self.vertex_dof[mesh.elements[block]],
+                               self.n_h1 + mesh.elem_edges[block]], axis=-1)
 
 
 def build_dofmap(mesh):
@@ -75,7 +82,7 @@ def eval_local_basis(dofmap, elem, point):
     if not 0 <= elem < mesh.n_elements:
         raise ValueError(f"element index {elem} out of range")
     geometry = mesh.geometry
-    coords = geometry["coords"][elem]
+    coords, hat_grads = mesh.element_geometry(elem)
     point = np.asarray(point, dtype=float)
     if point.shape == (3,):
         lam = point
@@ -98,10 +105,10 @@ def eval_local_basis(dofmap, elem, point):
         rt_values[i] = scale * (phys - coords[i])
         rt_divs[i] = 2.0 * scale
     return LocalBasis(hat_values=lam,
-                      hat_grads=geometry["hat_grads"][elem].copy(),
+                      hat_grads=hat_grads,
                       rt_values=rt_values,
                       rt_divs=rt_divs,
-                      dofs=dofmap.element_dofs[elem].copy())
+                      dofs=dofmap.element_dofs(elem))
 
 
 def eval_discrete(dofmap, coef, elem, point):
@@ -141,8 +148,11 @@ def prolongation_matrix(coarse_dofmap, fine_dofmap):
     """
     coarse_mesh, fine_mesh = coarse_dofmap.mesh, fine_dofmap.mesh
     amap = ancestor_map(fine_mesh, coarse_mesh)
-    ct = coarse_mesh.geometry
-    c_edofs = coarse_dofmap.element_dofs
+    # formed once for the whole coarse mesh and gathered below: the edge
+    # ancestors name each coarse element about twice, so forming the
+    # tables per ancestor would cost more
+    coords, hat_grads = coarse_mesh.element_geometry()
+    c_edofs = coarse_dofmap.element_dofs()
 
     verts = fine_dofmap.interior_vertices
     used, first = np.unique(fine_mesh.elements.ravel(), return_index=True)
@@ -150,14 +160,12 @@ def prolongation_matrix(coarse_dofmap, fine_dofmap):
     owner[used] = first // 3
     t_v = amap[owner[verts]]
     # hat j is grad_j . (x - c_{j+1}), since it vanishes at vertex j + 1
-    offset = (fine_mesh.vertices[verts][:, None]
-              - ct["coords"][t_v][:, [1, 2, 0]])
-    lam = np.einsum("njk,njk->nj", ct["hat_grads"][t_v], offset)
+    offset = fine_mesh.vertices[verts][:, None] - coords[t_v][:, [1, 2, 0]]
+    lam = np.einsum("njk,njk->nj", hat_grads[t_v], offset)
 
     mid = fine_mesh.vertices[fine_mesh.edges].mean(axis=1)
     t_e = amap[fine_mesh.edge_elements[:, 0]]
-    psi = (coarse_mesh.rt_scale[t_e][..., None]
-           * (mid[:, None] - ct["coords"][t_e]))
+    psi = coarse_mesh.rt_scale[t_e][..., None] * (mid[:, None] - coords[t_e])
     flux = np.einsum("ejk,ek->ej", psi, fine_mesh.edge_normals)
 
     # fine dofs in order: interior vertices ascending, then edges

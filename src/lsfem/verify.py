@@ -660,7 +660,7 @@ def check_refinement_pairs(pairs):
 
 def _min_angle(mesh):
     """The smallest interior angle of all elements, in radians."""
-    coords, length = mesh.geometry["coords"], mesh.geometry["edge_len"]
+    coords, length = mesh.vertices[mesh.elements], mesh.geometry["edge_len"]
     # the angle at vertex i lies between local edges i + 2 and i + 1
     u = coords[:, [1, 2, 0]] - coords
     w = coords[:, [2, 0, 1]] - coords

@@ -355,11 +355,11 @@ def test_blocked_scatter_matches_lexsort_reference(block, monkeypatch):
     monkeypatch.setattr(lsfem.assembly, "_SCATTER_BLOCK", block)
     rng = np.random.default_rng(41)
     graded = build_dofmap(_graded_l_shape())
-    assert 36 * len(graded.element_dofs) >= 10 * block  # ten blocks or more
+    assert 36 * graded.mesh.n_elements >= 10 * block  # ten blocks or more
     cases = []
     for dm in (graded, build_dofmap(builtin_domain("unit_square")),
                build_dofmap(builtin_domain("l_shape"))):
-        cases.append((dm.element_dofs, dm.n_total))
+        cases.append((dm.element_dofs(), dm.n_total))
     assert (cases[1][0][:, :3] == -1).all() and (cases[2][0][:, :3] == -1).all()
     for n, nt in ((40, 140), (300, 90), (3, 5)):
         cases.append((rng.integers(-1, n, size=(nt, 6)), n))
@@ -412,7 +412,7 @@ def test_topology_row_lengths_match_assembled_rows(domain):
     meshes += [_random_graded(domain, seed) for seed in range(3)]
     for mesh in meshes:
         dm = build_dofmap(mesh)
-        gdofs = dm.element_dofs
+        gdofs = dm.element_dofs()
         expected = _scatter_csr_lexsort(
             *_entries(gdofs, np.ones((len(gdofs), 21))), dm.n_total)
         np.testing.assert_array_equal(csr_row_lengths(dm),
@@ -438,10 +438,10 @@ def test_scatter_rejects_wrong_row_lengths(block, monkeypatch):
     monkeypatch.setattr(lsfem.assembly, "_SCATTER_BLOCK", block)
     dm = build_dofmap(_graded_l_shape())
     lengths = csr_row_lengths(dm)
-    upper = np.ones((len(dm.element_dofs), 21))
+    upper = np.ones((dm.mesh.n_elements, 21))
     for wrong in _wrong_lengths(lengths):
         with pytest.raises(ValueError, match="row"):
-            _scatter_csr(dm.element_dofs, upper, dm.n_total, wrong)
+            _scatter_csr(dm.element_dofs(), upper, dm.n_total, wrong)
 
 
 def _scatter_runs(rows, cols, vals):
@@ -470,7 +470,7 @@ def test_scatter_summation_order_is_pinned():
     states, on the pattern of a graded L-shape, so a numpy release that
     changes ``np.add.reduceat``'s order fails here."""
     dm = build_dofmap(_graded_l_shape())
-    gdofs = dm.element_dofs
+    gdofs = dm.element_dofs()
     rng = np.random.default_rng(37)
     # mixed magnitudes, so another order changes bits
     upper = _random_upper(rng, len(gdofs))
@@ -491,7 +491,7 @@ def test_blocked_assembly_matches_single_block(kind, monkeypatch):
     mesh = refine_nvb(refine_uniform(builtin_domain("unit_square"), rounds=4),
                       [0, 3, 5])                    # graded, 36 elements
     dm = build_dofmap(mesh)
-    assert mesh.n_elements % 7 and (dm.element_dofs < 0).any()
+    assert mesh.n_elements % 7 and (dm.element_dofs() < 0).any()
     monkeypatch.setattr(lsfem.assembly, "_BLOCK", mesh.n_elements)
     whole, rhs_whole = assemble_system(mesh, dm, prob)
     monkeypatch.setattr(lsfem.assembly, "_BLOCK", 7)
@@ -506,8 +506,10 @@ def test_assembly_memory_peak_bounded():
     The ``tracemalloc`` peak counts every numpy buffer, so the ratio does
     not depend on the machine.  With the scatter filling the final CSR
     arrays in place and the RT0 scale dropped before it, assembly needs
-    2.84 times the returned CSR arrays here (2.22 at 98,304 elements);
-    keeping the scale through the scatter needed 2.93 (2.30), collecting
+    3.02 times the returned CSR arrays here (2.39 at 98,304 elements).
+    That counts the (nt, 6) dof table, 1.1 MiB here, which assembly now
+    gathers itself; while the dof map kept it, the ratio read 2.84 (2.22).
+    Keeping the scale through the scatter needed 2.93 (2.30), collecting
     per-block pieces and concatenating them 3.06 (2.94), one sort over all
     36 entries of every local matrix about 5.4, and building all operator
     images at once and sorting three keys about 16.
@@ -535,20 +537,20 @@ def _operator_basis_images_reference(mesh, problem, rule, scale):
     The constant coefficients are spread to every point, so each product
     is formed per point as in a point-function formulation."""
     geometry = mesh.geometry
-    phys = np.einsum("qi,tid->tqd", rule.points, geometry["coords"])
+    coords, grads = mesh.element_geometry()
+    phys = np.einsum("qi,tid->tqd", rule.points, coords)
     w_abs = rule.weights[None, :] * geometry["area"][:, None]
     nt, nq = w_abs.shape
     a_vals = np.broadcast_to(problem.a, (nt, nq, 2, 2))
     b_vals = np.broadcast_to(problem.b, (nt, nq, 2))
     c_vals = np.broadcast_to(problem.c, (nt, nq))
-    grads = geometry["hat_grads"]
     images = np.zeros((nt, nq, 6, 3))
     images[:, :, :3, 0] = (np.einsum("tqd,tjd->tqj", b_vals, grads)
                            + c_vals[:, :, None] * rule.points[None, :, :])
     a_grad = np.einsum("tqde,tje->tqjd", a_vals, grads)
     images[:, :, :3, 1] = a_grad[..., 0]
     images[:, :, :3, 2] = a_grad[..., 1]
-    rel = phys[:, :, None, :] - geometry["coords"][:, None]
+    rel = phys[:, :, None, :] - coords[:, None]
     psi = scale[:, None, :, None] * rel
     images[:, :, 3:, 0] = -2.0 * scale[:, None, :]
     images[:, :, 3:, 1] = -psi[..., 0]
@@ -565,7 +567,7 @@ def _assemble_reference(mesh, dm, problem, quad_order):
     data[:, :, 0] = problem.f_fn(phys.reshape(-1, 2)).reshape(w_abs.shape)
     local = np.einsum("tqjc,tqkc,tq->tjk", images, images, w_abs)
     local_rhs = np.einsum("tqc,tqjc,tq->tj", data, images, w_abs)
-    gdofs = dm.element_dofs
+    gdofs = dm.element_dofs()
     rhs = np.zeros(dm.n_total)
     keep = gdofs.ravel() >= 0
     np.add.at(rhs, gdofs.ravel()[keep], local_rhs.ravel()[keep])
@@ -604,7 +606,7 @@ def test_assembly_bytes_match_einsum_reference(kind, order):
     mesh = refine_nvb(refine_uniform(builtin_domain("unit_square"), rounds=4),
                       [0, 3, 5])                    # graded, 36 elements
     dm = build_dofmap(mesh)
-    assert (dm.element_dofs < 0).any()
+    assert (dm.element_dofs() < 0).any()
     _assert_same_bytes(mesh, dm, _ORACLE_PROBLEMS[kind], order)
 
 
@@ -626,7 +628,7 @@ def test_blocked_assembly_bytes_match_einsum_reference(make_mesh, n_elements):
     mesh = make_mesh()
     assert mesh.n_elements == n_elements
     dm = build_dofmap(mesh)
-    assert (dm.element_dofs < 0).any()
+    assert (dm.element_dofs() < 0).any()
     for kind, order in (("general", 4), ("helmholtz", 6),
                         ("manufactured_poisson", 3)):
         _assert_same_bytes(mesh, dm, _ORACLE_PROBLEMS[kind], order)

@@ -5,12 +5,11 @@ import pytest
 
 import lsfem.assembly
 import lsfem.estimator
-from lsfem import (LevelEstimator, ProblemSpec, assemble_system,
-                   builtin_domain, build_dofmap, compute_error_norms,
-                   compute_indicators, discrete_v_norm, eval_discrete,
-                   exact_solve, make_problem, quadrature_rule, refine_nvb,
-                   refine_uniform)
-from lsfem.estimator import QuadFields
+from lsfem import (EstimatorReport, LevelEstimator, ProblemSpec,
+                   assemble_system, builtin_domain, build_dofmap,
+                   compute_error_norms, compute_indicators, discrete_v_norm,
+                   eval_discrete, exact_solve, make_problem, quadrature_rule,
+                   refine_nvb, refine_uniform)
 from lsfem.problems import eval_operator
 
 
@@ -42,6 +41,16 @@ def test_indicator_additivity_and_subsets():
                       + report.subset_total(rest) ** 2,
                       report.total ** 2, rtol=1e-13)
     assert report.subset_total([]) == 0.0
+    # a mask, floats or a wrapped index is not a set of elements
+    small = EstimatorReport(per_element=np.array([3.0, 4.0, 12.0]), total=13.0)
+    unsigned = np.array([0, 2], dtype=np.uint8)
+    assert small.subset_total(unsigned) == np.sqrt(153.0)
+    for bad, message in (([True, False, True], "integer element indices"),
+                         (np.ones(3, dtype=bool), "integer element indices"),
+                         ([0.0, 2.0], "integer element indices"),
+                         ([3], "out of range"), ([-1], "out of range")):
+        with pytest.raises(ValueError, match=message):
+            small.subset_total(bad)
 
 
 def test_solution_minimizes_estimator():
@@ -229,7 +238,7 @@ def test_blocked_estimates_match_single_block(spec, monkeypatch):
     mesh = refine_nvb(refine_uniform(builtin_domain("unit_square"), rounds=4),
                       [0, 3, 5])                    # graded, 36 elements
     dm = build_dofmap(mesh)
-    assert mesh.n_elements % 7 and (dm.element_dofs < 0).any()
+    assert mesh.n_elements % 7 and (dm.element_dofs() < 0).any()
     coef = np.random.default_rng(11).standard_normal(dm.n_total)
     estimate = LevelEstimator(dm, prob)
 
@@ -245,18 +254,20 @@ def test_blocked_estimates_match_single_block(spec, monkeypatch):
         assert blocked.total == single.total
 
 
-def _table_bytes(fields):
-    return (fields.phys.nbytes + fields.w_abs.nbytes
-            + sum(rel.nbytes for rel in fields.rel))
+def test_estimator_memory_peak_bounded(array_bytes):
+    """One call works in blocks, so its transient memory stays a block's
+    worth, and the estimator's own tables stay within 48 bytes per element
+    and quadrature point.
 
-
-def test_estimator_memory_peak_bounded():
-    """One call works in blocks, so its transient memory is a small share of
-    the level tables it reads (points, weights, edge fields and the load).
-
-    The ``tracemalloc`` peak counts every numpy buffer, so the ratio does
-    not depend on the machine.  Here it is about 0.15; evaluating the whole
-    level at once needed about 0.83.
+    The ``tracemalloc`` peak counts every numpy buffer, so it does not
+    depend on the machine.  At 24,576 elements and 12 points the call
+    peaks at 3,443,552 bytes; the bound, 3.8e6, leaves 10 %.  It is below
+    the 7,864,320 bytes that a third of the point, weight, edge-field and
+    load tables allowed while the estimator kept the edge fields ``rel``;
+    evaluating the whole level at once needed about 2.5 times that.  The
+    tables are 46.0 bytes per element and point: points, weights and load
+    32, and corners, hat gradients, RT0 scale and dofs 168 per element.
+    With ``rel`` kept they were 86.0.
     """
     mesh = refine_uniform(builtin_domain("l_shape"), rounds=12)
     dm = build_dofmap(mesh)
@@ -265,27 +276,31 @@ def test_estimator_memory_peak_bounded():
                                     b=[0.03, -0.07]))
     coef = np.random.default_rng(3).standard_normal(dm.n_total)
     estimate = LevelEstimator(dm, prob)
-    tables = _table_bytes(estimate) + estimate.f.nbytes
     tracemalloc.start()
     try:
         estimate(coef)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert mesh.n_elements == 24_576
-    assert peak <= tables / 3
+    nt, nq = estimate.w_abs.shape
+    assert (nt, nq) == (24_576, 12)
+    assert peak <= 3.8e6
+    own = array_bytes(estimate, set(), skip=("dofmap", "problem"))
+    assert own <= 48 * nt * nq
 
 
 def test_error_norm_memory_peak_bounded():
     """``compute_error_norms`` builds its level tables and then works in
-    blocks, so its peak stays within a third above those tables: about 1.19
-    times them here, against 2.28 for a whole-level evaluation."""
+    blocks.  At 32,768 elements its ``tracemalloc`` peak is 19,632,712
+    bytes; the bound, 21.6e6, leaves 10 %.  It is below the 37,748,736
+    bytes that four thirds of the point, weight and edge-field tables
+    allowed while those included ``rel``, whose peak was 33,788,680; a
+    whole-level evaluation with ``rel`` needed about 64.5e6."""
     mesh = refine_uniform(builtin_domain("unit_square"), rounds=14)
     dm = build_dofmap(mesh)
     prob = make_problem(ProblemSpec(kind="poisson", manufactured="poly_bubble"))
     coef = np.random.default_rng(3).standard_normal(dm.n_total)
-    mesh.geometry, mesh.rt_scale                    # cached level data
-    tables = _table_bytes(QuadFields(dm, quadrature_rule(6)))
+    mesh.geometry, mesh.edge_signs                  # cached level data
     tracemalloc.start()
     try:
         compute_error_norms(dm, coef, prob.exact)
@@ -293,7 +308,7 @@ def test_error_norm_memory_peak_bounded():
     finally:
         tracemalloc.stop()
     assert mesh.n_elements == 32_768
-    assert peak <= tables * 4 / 3
+    assert peak <= 21.6e6
 
 
 # each entry point called as (dofmap, problem, coef)

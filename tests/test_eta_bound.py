@@ -35,7 +35,7 @@ def _graded_lshape(rounds=12):
     areas from 2^-13 to 1/4."""
     mesh = builtin_domain("l_shape")
     for _ in range(rounds):
-        corner = np.hypot(*mesh.geometry["coords"].transpose(2, 0, 1))
+        corner = np.hypot(*mesh.element_geometry()[0].transpose(2, 0, 1))
         mesh = refine_nvb(mesh, np.flatnonzero(corner.min(axis=1) == 0.0))
     return mesh
 

@@ -79,6 +79,16 @@ def test_axiom_checker_rejects_bad_sets():
     assert not verify_marking_axiom(ETA, [2])      # unmarked 3 > marked 1
     assert verify_marking_axiom(ETA, [0])
     assert verify_marking_axiom(ETA, [0, 1, 2])
+    # a mask, floats or a wrapped index is not a marked set; the mask
+    # [True, False, True] read as indices 1, 0, 1 would pass the check
+    for bad, message in (([True, False, True], "integer element indices"),
+                         (np.ones(3, dtype=bool), "integer element indices"),
+                         ([0.0], "integer element indices"),
+                         ([3], "out of range"), ([-3], "out of range")):
+        with pytest.raises(ValueError, match=message):
+            verify_marking_axiom(ETA, bad)
+    with pytest.raises(ValueError, match="integer element indices"):
+        verify_marking_axiom([1, 5, 2], [True, False, True])
 
 
 def test_doerfler_bulk_criterion_and_minimality():

@@ -413,7 +413,7 @@ def test_edge_tables_consistent():
     np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0, atol=1e-15)
     np.testing.assert_allclose((normals * tangents).sum(axis=1), 0.0,
                                atol=1e-15)
-    centroids = mesh.geometry["coords"].mean(axis=1)
+    centroids = mesh.element_geometry()[0].mean(axis=1)
     midpoints = mesh.vertices[mesh.edges].mean(axis=1)
     away = midpoints - centroids[mesh.edge_elements[:, 0]]
     assert np.all((normals * away).sum(axis=1) > 0)
@@ -431,10 +431,37 @@ def test_geometry_table_values():
     np.testing.assert_allclose(geometry["edge_len"].max(axis=1), np.sqrt(2.0))
     assert np.isclose(np.degrees(_min_angle(mesh)), 45.0)
     # the hats sum to one, so their gradients sum to zero
-    np.testing.assert_allclose(geometry["hat_grads"].sum(axis=1), 0.0,
+    np.testing.assert_allclose(mesh.element_geometry()[1].sum(axis=1), 0.0,
                                atol=1e-15)
     with pytest.raises(ValueError):
         geometry["area"][0] = 1.0
+
+
+def test_element_geometry_is_formed_per_block():
+    """The mesh caches only areas and edge lengths; corners and hat
+    gradients are formed on request, and each element's values do not
+    depend on the slice, index array or single index it is formed in."""
+    mesh = refine_nvb(refine_uniform(builtin_domain("l_shape"), rounds=3),
+                      [0, 5, 17])
+    assert set(mesh.geometry) == {"area", "edge_len"}
+    coords, grads = mesh.element_geometry()
+    np.testing.assert_array_equal(coords, mesh.vertices[mesh.elements])
+    # hat i is one at vertex i and zero at the other two
+    for i in range(3):
+        for j in range(3):
+            step = coords[:, j] - coords[:, (i + 1) % 3]
+            np.testing.assert_allclose(
+                np.einsum("td,td->t", grads[:, i], step), float(i == j),
+                atol=1e-13)
+    for block in (slice(5, 40), np.array([7, 3, 3, 50]), 9):
+        part = mesh.element_geometry(block)
+        assert np.array_equal(part[0], coords[block])
+        assert np.array_equal(part[1], grads[block])
+    dm = build_dofmap(mesh)
+    dofs = dm.element_dofs()
+    assert dofs.shape == (mesh.n_elements, 6)
+    assert np.array_equal(dm.element_dofs(np.array([7, 3])), dofs[[7, 3]])
+    assert np.array_equal(dm.element_dofs(9), dofs[9])
 
 
 def test_mesh_immutable():
@@ -449,7 +476,7 @@ def _eager_edge_normals(mesh):
     """The edge normals as the edge tables once built them for every mesh:
     all 3 nt local normals, then those of each edge's lowest-index
     element."""
-    coords = mesh.geometry["coords"]
+    coords = mesh.element_geometry()[0]
     tangent = (np.take(coords, [2, 0, 1], axis=1)
                - np.take(coords, [1, 2, 0], axis=1))
     normal = tangent[..., ::-1] * [1.0, -1.0]

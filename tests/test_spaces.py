@@ -50,7 +50,7 @@ def test_rt_basis_normal_flux_is_kronecker():
     mesh = refine_nvb(builtin_domain("l_shape"), [0, 2, 4])
     dm = build_dofmap(mesh)
     for t in range(mesh.n_elements):
-        coords = mesh.geometry["coords"][t]
+        coords = mesh.element_geometry(t)[0]
         for i in range(3):
             e = mesh.elem_edges[t, i]
             midpoint = 0.5 * (coords[(i + 1) % 3] + coords[(i + 2) % 3])
