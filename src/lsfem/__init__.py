@@ -7,6 +7,8 @@ with the solve / estimate / mark / refine loop, using the least-squares
 functional itself as the error estimator.  Systems are solved either
 exactly through a sparse factorization or inexactly by a contractive
 preconditioned conjugate gradient iteration with nested warm starts.
+The checks of the paper's claims live in ``lsfem.verify``, which the loop
+never loads.
 """
 
 from .assembly import assemble_system
@@ -29,11 +31,6 @@ from .solver import (FixedSteps, IncrementStop, PcgResult, ResidualTol,
                      pcg_run)
 from .spaces import (DofMap, build_dofmap, eval_discrete, eval_local_basis,
                      prolongation_matrix, prolongate)
-from .verify import (BUDGETS, RateFit, discrete_reliability_check, fit_rate,
-                     galerkin_orthogonality_check, helmholtz_config,
-                     interpolation_rate_check, local_efficiency_check,
-                     lshape_config, pythagoras_check, run_all,
-                     sandwich_constants, smooth_poisson_config)
 
 __version__ = "0.1.0"
 
@@ -53,9 +50,5 @@ __all__ = [
     "ProblemSpec", "make_problem", "QuadRule", "quadrature_rule", "FixedSteps",
     "IncrementStop", "PcgResult", "ResidualTol", "estimate_pcg_contraction",
     "exact_solve", "pcg_run", "DofMap", "build_dofmap", "eval_local_basis",
-    "prolongation_matrix", "prolongate", "BUDGETS", "RateFit",
-    "discrete_reliability_check", "fit_rate", "galerkin_orthogonality_check",
-    "helmholtz_config", "interpolation_rate_check", "local_efficiency_check",
-    "lshape_config", "pythagoras_check", "run_all", "sandwich_constants",
-    "smooth_poisson_config",
+    "prolongation_matrix", "prolongate",
 ]

@@ -82,8 +82,10 @@ def parse_config(path):
     with fh:
         text = fh.read()
     try:
-        _reject_duplicate_keys(yaml.compose(text, Loader=yaml.SafeLoader))
-        data = yaml.safe_load(text)
+        loader = yaml.SafeLoader(text)     # one parse serves check and values
+        node = loader.get_single_node()
+        _reject_duplicate_keys(node)
+        data = None if node is None else loader.construct_document(node)
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"malformed YAML in {path}: {exc}") from exc
     if data is None:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,7 +53,6 @@ _BOUND_SLACK = 1e-6
 
 # SuperLU's storage types and value type (supermatrix.h)
 _SLU_NC, _SLU_SC, _SLU_D = 0, 3, 1
-_INT_P = ctypes.POINTER(ctypes.c_int)
 
 
 class _SuperMatrix(ctypes.Structure):
@@ -63,12 +63,11 @@ class _SuperMatrix(ctypes.Structure):
 
 class _SCformat(ctypes.Structure):
     """Supernodal storage of L; the diagonal block of a supernode holds
-    the diagonal of U."""
+    the diagonal of U.  Its arrays are read as addresses (``_view``)."""
     _fields_ = [("nnz", ctypes.c_int), ("nsuper", ctypes.c_int),
-                ("nzval", ctypes.POINTER(ctypes.c_double)),
-                ("nzval_colptr", _INT_P), ("rowind", _INT_P),
-                ("rowind_colptr", _INT_P), ("col_to_sup", _INT_P),
-                ("sup_to_col", _INT_P)]
+                ("nzval", ctypes.c_void_p), ("nzval_colptr", ctypes.c_void_p),
+                ("rowind", ctypes.c_void_p), ("rowind_colptr", ctypes.c_void_p),
+                ("col_to_sup", ctypes.c_void_p), ("sup_to_col", ctypes.c_void_p)]
 
 
 class _SuperLUObject(ctypes.Structure):
@@ -77,6 +76,14 @@ class _SuperLUObject(ctypes.Structure):
     _fields_ = [("head", ctypes.c_byte * object.__basicsize__),
                 ("m", ctypes.c_ssize_t), ("n", ctypes.c_ssize_t),
                 ("lower", _SuperMatrix), ("upper", _SuperMatrix)]
+
+
+def _view(address, ctype, count):
+    """Read-only array of ``count`` items of ``ctype`` at ``address``; no
+    ctypes array type is made, since ctypes keeps one for every length."""
+    return np.asarray(SimpleNamespace(__array_interface__={
+        "data": (address, True), "shape": (int(count),),
+        "typestr": np.dtype(ctype).str, "version": 3}))
 
 
 def _pivots(lu):
@@ -97,10 +104,10 @@ def _pivots(lu):
             and lower.nrow == lower.ncol == n and upper.Stype == _SLU_NC):
         raise SolverError("unrecognised SuperLU factor layout")
     store = _SCformat.from_address(lower.Store)
-    colptr = np.ctypeslib.as_array(store.nzval_colptr, (n + 1,))
-    col_to_sup = np.ctypeslib.as_array(store.col_to_sup, (n,))
-    sup_to_col = np.ctypeslib.as_array(store.sup_to_col, (store.nsuper + 1,))
-    nzval = np.ctypeslib.as_array(store.nzval, (colptr[n],))
+    colptr = _view(store.nzval_colptr, ctypes.c_int, n + 1)
+    col_to_sup = _view(store.col_to_sup, ctypes.c_int, n)
+    sup_to_col = _view(store.sup_to_col, ctypes.c_int, store.nsuper + 1)
+    nzval = _view(store.nzval, ctypes.c_double, colptr[n])
     # fancy indexing copies, so nothing returned points into ``lu``
     return nzval[colptr[:n] + np.arange(n) - sup_to_col[col_to_sup]]
 

@@ -16,7 +16,8 @@ from lsfem.formats import (HISTORY_HEADER, HistoryWriter, config_from_dict,
                            config_to_dict, parse_config, read_history,
                            read_mesh_text, serialize_config, write_history,
                            write_mesh_text, write_vtk)
-from lsfem.verify import helmholtz_config, lshape_config, smooth_poisson_config
+from lsfem.verify import (SUITE_NAMES, helmholtz_config, lshape_config,
+                          smooth_poisson_config)
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIGS = sorted(glob.glob(os.path.join(REPO, "configs", "*.yaml")))
@@ -173,6 +174,22 @@ def test_duplicate_keys_rejected(tmp_path, capsys, text, message):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_config_text_is_composed_once(tmp_path, monkeypatch):
+    """``parse_config`` composes the text once: the duplicate-key check and
+    the values read the same node tree."""
+    documents = []
+    compose = yaml.composer.Composer.compose_document
+
+    def counted(loader):
+        documents.append(loader)
+        return compose(loader)
+
+    monkeypatch.setattr(yaml.composer.Composer, "compose_document", counted)
+    path = _write_tiny_config(tmp_path / "run.yaml")
+    parse_config(path)
+    assert len(documents) == 1
 
 
 # two valid configs that between them set every field of every spec off its
@@ -522,6 +539,15 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     for out in (taken, taken / "sub"):
         assert main(["run", "--config", str(tiny), "--out", str(out)]) == 2
         assert main(["verify", "--suite", "marking", "--out", str(out)]) == 2
+    # an unknown suite is found before --out exists, and the message names
+    # the suites there are
+    capsys.readouterr()
+    out = tmp_path / "nope_out"
+    assert main(["verify", "--suite", "nope", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown suite 'nope'" in err
+    assert all(name in err for name in SUITE_NAMES)
+    assert not out.exists()
 
     def refuse(path, exist_ok=False):
         raise PermissionError(13, "Permission denied", path)

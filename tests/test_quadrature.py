@@ -66,15 +66,18 @@ def test_rules_cached_and_frozen():
         rule.points[0, 0] = 0.0
 
 
-def test_import_leaves_scipy_special_unloaded():
-    """Only the rules above the tabulated orders use ``roots_jacobi``, so
-    starting the command line does not pay for ``scipy.special``."""
+@pytest.mark.parametrize("module", ["scipy.special", "lsfem.verify"])
+def test_import_leaves_module_unloaded(module):
+    """Starting the command line loads neither ``scipy.special``, which only
+    the rules above the tabulated orders use (``roots_jacobi``), nor the
+    verification layer, which only ``lsfem verify`` and ``lsfem rates``
+    import."""
     src = str(pathlib.Path(lsfem.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = ("import sys, lsfem.cli; "
             "assert lsfem.__file__.startswith(sys.argv[1]), lsfem.__file__; "
-            "print('scipy.special' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, src], env=env,
+            "print(sys.argv[2] in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src, module], env=env,
                          capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.strip() == "False"
